@@ -1,16 +1,16 @@
 open Term
 
-let pp_prim_op ppf op =
-  Fmt.string ppf
-    (match op with
-    | Add -> "+"
-    | Sub -> "-"
-    | Mul -> "*"
-    | Div -> "/"
-    | Eq -> "=="
-    | Ne -> "/="
-    | Lt -> "<"
-    | Le -> "<=")
+let prim_op_symbol = function
+  | Add -> "+"
+  | Sub -> "-"
+  | Mul -> "*"
+  | Div -> "/"
+  | Eq -> "=="
+  | Ne -> "/="
+  | Lt -> "<"
+  | Le -> "<="
+
+let pp_prim_op ppf op = Fmt.string ppf (prim_op_symbol op)
 
 (* Precedence levels: 0 lambda/let/if/case, 1 [>>=], 2 comparisons,
    3 additive, 4 multiplicative, 5 application, 6 atoms. *)

@@ -37,8 +37,11 @@ let main_result st =
   | Some (Active _) | None -> None
 
 let output_string st =
-  let chars = List.rev st.output in
-  String.init (List.length chars) (List.nth chars)
+  let n = List.length st.output in
+  let b = Bytes.create n in
+  (* [output] holds the most recent character first *)
+  List.iteri (fun i c -> Bytes.unsafe_set b (n - 1 - i) c) st.output;
+  Bytes.unsafe_to_string b
 
 let thread st tid = List.assoc_opt tid st.threads
 let mvar st m = List.assoc_opt m st.mvars
@@ -58,140 +61,114 @@ let set_mvar st m v =
 
 (* --- Canonical keys (structural congruence + α-equivalence) ------------- *)
 
-(* Renaming maps are built by first occurrence: threads in creation order,
-   then MVar/thread names as they appear inside the terms, then any
-   remaining declared names. *)
-let build_renaming st =
-  let tid_map = Hashtbl.create 8 and mvar_map = Hashtbl.create 8 in
-  let next_t = ref 0 and next_m = ref 0 in
-  let see_tid t =
-    if not (Hashtbl.mem tid_map t) then begin
-      Hashtbl.add tid_map t !next_t;
-      incr next_t
-    end
-  in
-  let see_mvar m =
-    if not (Hashtbl.mem mvar_map m) then begin
-      Hashtbl.add mvar_map m !next_m;
-      incr next_m
-    end
-  in
-  let rec scan = function
-    | Mvar m -> see_mvar m
-    | Tid t -> see_tid t
-    | Var _ | Lit_int _ | Lit_char _ | Lit_exn _ | Get_char | New_mvar
-    | My_tid ->
-        ()
-    | Lam (_, a) | Fix a | Raise a | Return a | Put_char a | Take_mvar a
-    | Sleep a | Throw a | Block a | Unblock a | Fork a ->
-        scan a
-    | App (a, b) | Prim (_, a, b) | Bind (a, b) | Put_mvar (a, b)
-    | Catch (a, b) | Throw_to (a, b) ->
-        scan a;
-        scan b
-    | Con (_, ms) -> List.iter scan ms
-    | If (a, b, c) ->
-        scan a;
-        scan b;
-        scan c
-    | Case (s, alts) ->
-        scan s;
-        List.iter
-          (function Alt (_, _, b) -> scan b | Default (_, b) -> scan b)
-          alts
-    | Let (_, a, b) ->
-        scan a;
-        scan b
-  in
-  List.iter
-    (fun (tid, th) ->
-      see_tid tid;
-      match th with
-      | Active (m, _) -> scan m
-      | Finished (Done m) -> scan m
-      | Finished (Threw _) -> ())
-    st.threads;
-  List.iter
-    (fun (m, contents) ->
-      see_mvar m;
-      match contents with Some v -> scan v | None -> ())
-    st.mvars;
-  List.iter (fun (_, i) -> see_tid i.target) st.inflight;
-  let tid_of t = match Hashtbl.find_opt tid_map t with
-    | Some t' -> t'
-    | None -> t
-  and mvar_of m = match Hashtbl.find_opt mvar_map m with
-    | Some m' -> m'
-    | None -> m
-  in
-  (tid_of, mvar_of)
+let rec find_name (n : int) = function
+  | [] -> -1
+  | (m, k) :: rest -> if m = n then k else find_name n rest
 
-(* Renders a term into [buf] with bound variables as de-Bruijn levels and
-   runtime names renamed, so the result is α-insensitive. *)
-let render_term ~tid_of ~mvar_of buf term =
-  let add = Buffer.add_string buf in
-  let rec go env depth m =
-    match m with
-    | Var x -> (
-        match List.assoc_opt x env with
-        | Some i -> add (Printf.sprintf "b%d" i)
-        | None ->
-            add "v:";
-            add x)
+(* Numbers runtime names by first sight: names below the state's fresh
+   counter in an array, any others (hand-built states) in an assoc list. *)
+let renamer size =
+  let slots = Array.make (max 0 size) (-1) and others = ref [] in
+  let next = ref 0 in
+  fun (n : int) ->
+    let in_range = n >= 0 && n < size in
+    let k = if in_range then slots.(n) else find_name n !others in
+    if k >= 0 then k
+    else begin
+      let k = !next in
+      incr next;
+      if in_range then slots.(n) <- k else others := (n, k) :: !others;
+      k
+    end
+
+(* The de-Bruijn level of a bound variable, or -1 if it is free. *)
+let rec level x = function
+  | [] -> -1
+  | (y, i) :: env -> if String.equal x y then i else level x env
+
+(* Binds [xs] at levels [depth], [depth + 1], ...; the first of several
+   equal binders shadows the rest. *)
+let rec bind_all xs depth env =
+  match xs with
+  | [] -> env
+  | x :: xs -> (x, depth) :: bind_all xs (depth + 1) env
+
+let rec add_nat buf n =
+  if n >= 10 then add_nat buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buf n =
+  if n >= 0 then add_nat buf n else Buffer.add_string buf (string_of_int n)
+
+(* One pass: names are numbered as the key first mentions them, and bound
+   variables are printed as de-Bruijn levels, so the key is α-insensitive.
+   Most keys of the §7 searches fit the initial 512 bytes. *)
+let canonical_key st =
+  let buf = Buffer.create 512 in
+  let add = Buffer.add_string buf and addc = Buffer.add_char buf in
+  let add_int = add_int buf in
+  let tid = renamer st.next_tid and mvar = renamer st.next_mvar in
+  let rec go env depth = function
+    | Var x ->
+        let i = level x env in
+        if i >= 0 then (addc 'b'; add_int i) else (add "v:"; add x)
     | Lam (x, a) ->
-        add (Printf.sprintf "(\\%d." depth);
+        add "(\\";
+        add_int depth;
+        addc '.';
         go ((x, depth) :: env) (depth + 1) a;
-        add ")"
+        addc ')'
     | App (a, b) -> binary "@" a b env depth
     | Con (c, ms) ->
         add "(C:";
         add c;
-        List.iter
-          (fun m ->
-            add " ";
-            go env depth m)
-          ms;
-        add ")"
-    | Lit_int i -> add (string_of_int i)
-    | Lit_char c -> add (Printf.sprintf "%C" c)
-    | Lit_exn e ->
-        add "#";
-        add e
-    | Mvar m -> add (Printf.sprintf "m%d" (mvar_of m))
-    | Tid t -> add (Printf.sprintf "t%d" (tid_of t))
-    | Prim (op, a, b) -> binary (Fmt.str "%a" Pretty.pp_prim_op op) a b env depth
+        args env depth ms
+    | Lit_int i -> add_int i
+    | Lit_char c ->
+        addc '\'';
+        (match c with
+        | ' ' .. '~' when c <> '\'' && c <> '\\' -> addc c
+        | _ -> add (Char.escaped c));
+        addc '\''
+    | Lit_exn e -> addc '#'; add e
+    | Mvar m -> addc 'm'; add_int (mvar m)
+    | Tid t -> addc 't'; add_int (tid t)
+    | Prim (op, a, b) -> binary (Pretty.prim_op_symbol op) a b env depth
     | If (a, b, c) ->
         add "(if ";
         go env depth a;
-        add " ";
-        go env depth b;
-        add " ";
-        go env depth c;
-        add ")"
+        addc ' ';
+        binary_args b c env depth
     | Case (s, alts) ->
         add "(case ";
         go env depth s;
         List.iter
           (function
             | Alt (c, xs, b) ->
-                add (Printf.sprintf " [%s/%d " c (List.length xs));
-                let env' =
-                  List.mapi (fun i x -> (x, depth + i)) xs @ env
-                in
-                go env' (depth + List.length xs) b;
-                add "]"
+                let n = List.length xs in
+                add " [";
+                add c;
+                addc '/';
+                add_int n;
+                addc ' ';
+                go (bind_all xs depth env) (depth + n) b;
+                addc ']'
             | Default (x, b) ->
-                add (Printf.sprintf " [_%d " depth);
+                add " [_";
+                add_int depth;
+                addc ' ';
                 go ((x, depth) :: env) (depth + 1) b;
-                add "]")
+                addc ']')
           alts;
-        add ")"
+        addc ')'
     | Let (x, a, b) ->
-        add (Printf.sprintf "(let%d " depth);
+        add "(let";
+        add_int depth;
+        addc ' ';
         go env depth a;
-        add " ";
+        addc ' ';
         go ((x, depth) :: env) (depth + 1) b;
-        add ")"
+        addc ')'
     | Fix a -> unary "fix" a env depth
     | Raise a -> unary "raise" a env depth
     | Return a -> unary "ret" a env depth
@@ -209,55 +186,47 @@ let render_term ~tid_of ~mvar_of buf term =
     | Unblock a -> unary "ublk" a env depth
     | Fork a -> unary "fork" a env depth
     | My_tid -> add "mytid"
+  and args env depth = function
+    | [] -> addc ')'
+    | m :: ms ->
+        addc ' ';
+        go env depth m;
+        args env depth ms
   and unary tag a env depth =
-    add "(";
+    addc '(';
     add tag;
-    add " ";
+    addc ' ';
     go env depth a;
-    add ")"
+    addc ')'
   and binary tag a b env depth =
-    add "(";
+    addc '(';
     add tag;
-    add " ";
+    addc ' ';
+    binary_args a b env depth
+  and binary_args a b env depth =
     go env depth a;
-    add " ";
+    addc ' ';
     go env depth b;
-    add ")"
+    addc ')'
   in
-  go [] 0 term
-
-let canonical_key st =
-  let tid_of, mvar_of = build_renaming st in
-  let buf = Buffer.create 256 in
-  let add = Buffer.add_string buf in
-  let render = render_term ~tid_of ~mvar_of buf in
+  let render tag m = add tag; go [] 0 m in
   List.iter
-    (fun (tid, th) ->
-      add (Printf.sprintf "T%d" (tid_of tid));
+    (fun (t, th) ->
+      addc 'T';
+      add_int (tid t);
       (match th with
-      | Active (m, Runnable) ->
-          add "o:";
-          render m
-      | Active (m, Stuck_thread) ->
-          add "x:";
-          render m
-      | Finished (Done m) ->
-          add "d:";
-          render m
-      | Finished (Threw e) ->
-          add "e:";
-          add e);
-      add ";")
+      | Active (m, Runnable) -> render "o:" m
+      | Active (m, Stuck_thread) -> render "x:" m
+      | Finished (Done m) -> render "d:" m
+      | Finished (Threw e) -> add "e:"; add e);
+      addc ';')
     st.threads;
   List.iter
     (fun (m, contents) ->
-      add (Printf.sprintf "M%d" (mvar_of m));
-      (match contents with
-      | None -> add "()"
-      | Some v ->
-          add ":";
-          render v);
-      add ";")
+      addc 'M';
+      add_int (mvar m);
+      (match contents with None -> add "()" | Some v -> render ":" v);
+      addc ';')
     st.mvars;
   (* In-flight exceptions whose target has finished are inert; drop them and
      sort the rest so delivery bookkeeping does not distinguish states. *)
@@ -265,18 +234,25 @@ let canonical_key st =
     List.filter_map
       (fun (_, i) ->
         match List.assoc_opt i.target st.threads with
-        | Some (Finished _) -> None
-        | Some (Active _) -> Some (tid_of i.target, i.exn)
-        | None -> None)
+        | Some (Active _) -> Some (tid i.target, i.exn)
+        | Some (Finished _) | None -> None)
       st.inflight
   in
+  let by_target (t, e) (t', e') =
+    if t = t' then String.compare e e' else Int.compare t t'
+  in
   List.iter
-    (fun (t, e) -> add (Printf.sprintf "F%d<=%s;" t e))
-    (List.sort compare live);
+    (fun (t, e) ->
+      addc 'F';
+      add_int t;
+      add "<=";
+      add e;
+      addc ';')
+    (List.sort by_target live);
   add "I:";
-  List.iter (Buffer.add_char buf) st.input;
+  List.iter addc st.input;
   add ";O:";
-  List.iter (Buffer.add_char buf) (List.rev st.output);
+  add (output_string st);
   Buffer.contents buf
 
 let pp ppf st =

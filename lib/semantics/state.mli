@@ -61,10 +61,17 @@ val set_mvar : t -> Term.mvar_name -> Term.term option -> t
 val canonical_key : t -> string
 (** A string determining the state up to structural congruence (Figure 3)
     and α-equivalence: thread and MVar names are renumbered by first
-    occurrence, bound variables are printed as de-Bruijn indices, and
+    occurrence, bound variables are printed as de-Bruijn levels, and
     in-flight exceptions whose target has finished are dropped (they are
     inert: no rule can ever consume them). Two states with equal keys are
-    behaviourally identical. *)
+    behaviourally identical.
+
+    The key is rendered in one pass, and a name is numbered when the key
+    first mentions it: each thread's name and then its term, in thread
+    order; then each MVar's name and then its contents, in MVar order;
+    then the live in-flight exceptions' targets (already numbered, since
+    each is a thread). Within a term, names are met left to right in
+    constructor-argument order. *)
 
 val pp : Format.formatter -> t -> unit
 (** Render the state in the paper's notation, e.g.

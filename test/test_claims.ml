@@ -124,6 +124,12 @@ let c3_tests =
         Alcotest.(check bool) "never deadlocks" true (only_completions ks));
   ]
 
+(* C4d's program: timeout 10 (return 5), unwrapped to 5 or 0. *)
+let timeout_instant =
+  Bind
+    ( apps Ch_corpus.Combinators.timeout_t [ Lit_int 10; parse "return 5" ],
+      parse "\\r -> case r of { Just x -> return x; Nothing -> return 0 }" )
+
 (* C4: the §7 combinators, model-checked at the term level. *)
 let c4_tests =
   [
@@ -228,15 +234,7 @@ let c4_tests =
           (has_deadlock ks_bad));
     slow_case "C4d: timeout of an instant action is Just under all schedules"
       (fun () ->
-        let program =
-          Bind
-            ( apps Ch_corpus.Combinators.timeout_t
-                [ Lit_int 10; parse "return 5" ],
-              parse
-                "\\r -> case r of { Just x -> return x; Nothing -> return 0 }"
-            )
-        in
-        let ks = kinds_of program in
+        let ks = kinds_of timeout_instant in
         (* Both outcomes are legitimate: the semantics' clock is fully
            nondeterministic, so the sleep may always beat the action. What
            must NOT happen is deadlock or a leaked Timeout exception. *)
@@ -246,6 +244,22 @@ let c4_tests =
             | Space.Completed (State.Done (Lit_int (5 | 0))) -> ()
             | k -> Alcotest.failf "unexpected %a" Space.pp_terminal_kind k)
           ks);
+    slow_case "C4d's search visits the same keys in the same order" (fun () ->
+        (* The digest of every visited state's canonical key, in BFS
+           order: any change to the key bytes, the dedup or the visit
+           order of this search shows up here. *)
+        let keys = Buffer.create (1 lsl 20) in
+        let watch st =
+          Buffer.add_string keys (State.canonical_key st);
+          Buffer.add_char keys '\n';
+          false
+        in
+        let r = explore ~watch timeout_instant in
+        Alcotest.(check (pair int int))
+          "states, edges" (4638, 13774) (r.Space.visited, r.Space.edges);
+        Alcotest.(check string)
+          "key digest" "ce267c1f7351b81a00573ca012f2dcee"
+          (Digest.to_hex (Digest.string (Buffer.contents keys))));
     slow_case
       "C4f: either survives an external kill on every schedule (92k states)"
       (fun () ->

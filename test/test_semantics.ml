@@ -209,8 +209,115 @@ let fig4_tests =
         | _ -> Alcotest.fail "expected divergence stall");
   ]
 
-let state_tests =
+(* Hand-built states covering every term constructor and the key's edge
+   cases, each pinned to the exact key bytes. [Space.explore] dedups on
+   these strings, so any change to them changes every search. *)
+let every_constructor =
+  Bind
+    ( Catch
+        ( Block (Unblock (Fork (Throw_to (Tid 7, Lit_exn "Kill")))),
+          Lam ("e", Throw (Var "e")) ),
+      Lam
+        ( "x",
+          Let
+            ( "y",
+              Prim (Add, Var "x", Lit_int 42),
+              Case
+                ( Con ("Pair", [ Var "y"; Lit_char '\n' ]),
+                  [
+                    (* a repeated binder: the first one wins *)
+                    Alt
+                      ( "Pair",
+                        [ "a"; "b"; "a" ],
+                        If
+                          ( Prim (Eq, Var "a", Var "b"),
+                            Return (Var "free"),
+                            Raise (Lit_exn "Boom") ) );
+                    Alt ("Nil", [], Var "x");
+                    Default
+                      ( "z",
+                        App
+                          ( Fix (Lam ("x", Var "x")),
+                            Prim (Sub, Var "z", Lit_int (-17)) ) );
+                  ] ) ) ) )
+
+let io_constructors =
+  let seq m x k = Bind (m, Lam (x, k)) in
+  seq (Put_char (Lit_char '\'')) "_"
+  @@ seq Get_char "c"
+  @@ seq New_mvar "m"
+  @@ seq (Put_mvar (Mvar 4, Con ("()", []))) "u"
+  @@ seq (Take_mvar (Var "m")) "v"
+  @@ seq (Sleep (Lit_int 0)) "w"
+  @@ seq My_tid "me"
+  @@ Return
+       (Con
+          ( "Ops",
+            [
+              Prim (Mul, Var "c", Var "v");
+              Prim (Div, Var "w", Var "me");
+              Prim (Ne, Var "u", Lit_char '\\');
+              Prim (Lt, Tid 0, Mvar 1);
+              Prim (Le, Tid 2, Tid 5);
+            ] ))
+
+let pinned_keys : (string * State.t * string) list =
   [
+    ( "initial",
+      State.initial ~input:"hi" (parse "newEmptyMVar >>= \\m -> takeMVar m"),
+      "T0o:(>>= newmv (\\0.(take b0)));I:hi;O:" );
+    ( "every constructor, renamed names, in-flight, I/O",
+      {
+        State.threads =
+          [
+            (2, State.Active (every_constructor, State.Runnable));
+            (0, State.Active (io_constructors, State.Stuck_thread));
+            (7, State.Finished (State.Done (Tid 2)));
+            (5, State.Finished (State.Threw "E"));
+          ];
+        mvars = [ (4, Some (Mvar 0)); (0, None); (1, Some (Lit_int (-3))) ];
+        inflight =
+          [
+            (0, { State.target = 0; exn = "Z" });
+            (1, { State.target = 2; exn = "A" });
+            (2, { State.target = 7; exn = "Inert" });
+            (3, { State.target = 0; exn = "B" });
+            (4, { State.target = 99; exn = "Gone" });
+            (5, { State.target = 2; exn = "A" });
+          ];
+        input = [ 'a'; ';'; 'b' ];
+        output = [ 'y'; '\n'; 'x' ];
+        next_tid = 3;
+        next_mvar = 2;
+        next_inflight = 6;
+        main = 2;
+      },
+      "T0o:(>>= (catch (blk (ublk (fork (thto t1 #Kill)))) (\\0.(throw b0))) \
+       (\\0.(let1 (+ b0 42) (case (C:Pair b1 '\\n') [Pair/3 (if (== b2 b3) \
+       (ret v:free) (raise #Boom))] [Nil/0 b0] [_2 (@ (fix (\\3.b3)) (- b2 \
+       -17))]))));T2x:(>>= (putc '\\'') (\\0.(>>= getc (\\1.(>>= newmv \
+       (\\2.(>>= (put m0 (C:())) (\\3.(>>= (take b2) (\\4.(>>= (sleep 0) \
+       (\\5.(>>= mytid (\\6.(ret (C:Ops (* b1 b4) (/ b5 b6) (/= b3 '\\\\') \
+       (< t2 m1) (<= t0 t3)))))))))))))))));T1d:t0;T3e:E;M0:m2;M2();M1:-3;\
+       F0<=A;F0<=A;F2<=B;F2<=Z;I:a;b;O:x\ny" );
+    ( "no threads",
+      {
+        (State.initial Get_char) with
+        State.threads = [];
+        mvars = [ (9, None) ];
+        next_tid = 0;
+        next_mvar = 0;
+      },
+      "M0();I:;O:" );
+  ]
+
+let state_tests =
+  List.map
+    (fun (name, st, key) ->
+      case ("pinned key: " ^ name) (fun () ->
+          Alcotest.(check string) "key" key (State.canonical_key st)))
+    pinned_keys
+  @ [
     case "canonical key ignores name allocation order" (fun () ->
         let a =
           mk ~mvars:[ (3, None) ]
@@ -265,6 +372,13 @@ let state_tests =
         let b = { a with State.output = [ 'x' ] } in
         Alcotest.(check bool) "differ" false
           (String.equal (State.canonical_key a) (State.canonical_key b)));
+    case "output_string renders a long output oldest first" (fun () ->
+        let expected = String.init 700 (fun i -> Char.chr (32 + (i mod 95))) in
+        (* [output] holds the most recent character first *)
+        let output = List.rev (List.init 700 (String.get expected)) in
+        let st = { (mk (parse "return 0")) with State.output } in
+        Alcotest.(check string) "output" expected (State.output_string st);
+        Alcotest.(check string) "empty" "" (State.output_string (mk unit_v)));
   ]
 
 let suites =
