@@ -40,82 +40,10 @@ type stats = {
   restarts : int;
 }
 
-(* All accounting lives in an Obs.Metrics registry — the same registry the
-   caller can hand to the runtime collector, so one table reports both the
-   scheduler and the server. The handles below are just cached lookups. *)
-type instruments = {
-  m_served : Obs.Metrics.counter;
-  m_timeouts : Obs.Metrics.counter;
-  m_bad : Obs.Metrics.counter;
-  m_shed : Obs.Metrics.counter;
-  m_degraded : Obs.Metrics.counter;
-  m_rejected : Obs.Metrics.counter;
-  m_inflight : Obs.Metrics.gauge;
-  m_latency : Obs.Metrics.histogram;
-  m_io_fault : string -> Obs.Metrics.counter;
-      (* server_io_faults_total{kind}: transport faults absorbed instead
-         of escaping as crashes — registered lazily per kind so quiet
-         runs don't grow the metrics table. *)
-  m_dial : string -> Obs.Metrics.counter;
-      (* client_dial_errors_total{kind}: dials that came back with
-         nothing — timeout, refused, fd budget — counted on the server's
-         registry before the exception reaches the client. *)
-}
-
-(* When an explicit backend is in play every series carries a
-   [backend=sim|real] label, so one registry can compare the two side by
-   side. The default (no [?backend]) stays label-free: the pre-redesign
-   metric names are pinned by golden output. *)
-let instruments ?backend_name reg =
-  let extra =
-    match backend_name with None -> [] | Some n -> [ ("backend", n) ]
-  in
-  let outcome o =
-    Obs.Metrics.counter reg
-      ~labels:(("outcome", o) :: extra)
-      "server_requests_total"
-  in
-  {
-    m_served = outcome "ok";
-    m_timeouts = outcome "timeout";
-    m_bad = outcome "bad_request";
-    m_shed = outcome "shed";
-    m_degraded = outcome "degraded";
-    m_rejected = Obs.Metrics.counter reg ~labels:extra "server_rejected_total";
-    m_inflight = Obs.Metrics.gauge reg ~labels:extra "server_in_flight";
-    m_latency =
-      Obs.Metrics.histogram reg
-        ~buckets:[ 10; 20; 50; 100; 200; 500; 1000; 2000; 5000 ]
-        ~labels:extra "server_request_latency_steps";
-    m_io_fault =
-      (fun kind ->
-        Obs.Metrics.counter reg
-          ~labels:(("kind", kind) :: extra)
-          "server_io_faults_total");
-    m_dial =
-      (fun kind ->
-        Obs.Metrics.counter reg
-          ~labels:(("kind", kind) :: extra)
-          "client_dial_errors_total");
-  }
-
 exception Server_stopped
-exception Dial_timeout
+exception Dial_timeout = Pipeline.Dial_timeout
 
-(* Transport faults a hardened server absorbs (close/503/keep going)
-   rather than letting them escape as crashes; everything else — handler
-   bugs, kills — keeps its §5 semantics. *)
-let io_fault_kind = function
-  | End_of_file -> Some "eof"
-  | Ev.Backend.Connection_reset -> Some "reset"
-  | Ev.Backend.Connection_refused -> Some "refused"
-  | Ev.Backend.Accept_failed -> Some "accept"
-  | Ev.Backend.Too_many_fds -> Some "fds"
-  | Ev.Backend.Buffer_full -> Some "buffer"
-  | _ -> None
-
-let service_unavailable =
-  { Http.status = 503; reason = "Service Unavailable"; body = "" }
+open Pipeline
 
 type mode =
   | Supervised of { sup : Hsup.Sup.t; bulk : Hsup.Bulkhead.t }
@@ -138,215 +66,33 @@ type t = {
   ext : ext option;
 }
 
-let count c = lift (fun () -> Obs.Metrics.inc c)
-
-(* --- the serving protocol -------------------------------------------------
-
-   Each connection carries a [progress] ref shared by every incarnation
-   of its worker. A restarted worker (its predecessor was killed or
-   crashed mid-request) must not re-run the handler — the request stream
-   is already partly consumed and the effect may not be idempotent — so
-   it degrades: a never-answered connection gets a 503, a connection
-   whose response write was cut gets closed. Setting [`Answered] and
-   starting the response write happen under one mask, so a kill cannot
-   produce a second answer on the same connection. *)
-type progress = Fresh | Serving | Answered
-
-let count_io ins kind = lift (fun () -> Obs.Metrics.inc (ins.m_io_fault kind))
-let close_quietly conn = catch (Http.Conn.close conn) (fun _ -> return ())
-
-(* [counter] is bumped only after the full response is on the wire, so
-   outcome counters mean "answered", not "tried to answer". *)
-let respond progress conn counter response =
-  mask_
-    ( lift (fun () -> progress := Answered) >>= fun () ->
-      Http.write_response conn response >>= fun () -> count counter )
-
-(* A bounded, fault-tolerant response write for paths outside the main
-   request deadline (504/degrade fallbacks, shutdown drain): the write
-   gets its own deadline, and a transport fault — the peer reset or
-   vanished — closes the connection instead of propagating. *)
-let safe_respond config ins progress conn counter response =
-  catch
-    ( Combinators.timeout config.request_timeout
-        (respond progress conn counter response)
-      >>= function
-      | Some () -> return ()
-      | None -> count_io ins "deadline" >>= fun () -> close_quietly conn )
-    (fun e ->
-      match io_fault_kind e with
-      | Some kind -> count_io ins kind >>= fun () -> close_quietly conn
-      | None -> throw e)
-
-(* The per-request deadline fired. If the response write was already in
-   progress ([Answered]) the byte stream is unusable — close the
-   connection; otherwise answer 504 under its own bounded write. *)
-let deadline_exceeded config ins progress conn =
-  lift (fun () -> !progress) >>= function
-  | Answered -> count_io ins "deadline" >>= fun () -> close_quietly conn
-  | Fresh | Serving ->
-      safe_respond config ins progress conn ins.m_timeouts
-        Http.timeout_response
-
-(* Read + handle, mapping the two expected failures — a malformed
-   request, a peer that reset or closed mid-request — to data. *)
-let read_and_handle handler conn =
-  catch
-    ( Http.read_request conn >>= fun request ->
-      handler request >>= fun response -> return (`Reply response) )
-    (fun e ->
-      match e with
-      | Http.Bad_request m -> return (`Bad m)
-      | e -> (
-          match io_fault_kind e with
-          | Some kind -> return (`Peer_gone (kind, e))
-          | None -> throw e))
-
-(* --- the unsupervised (§11-prototype) path -------------------------------
-
-   Serve one connection end to end: the composable timeout covers the
-   admission wait, the (possibly trickling) request read, the handler,
-   {e and the response write} — a stalled reader can no longer hold a
-   worker past the deadline. Latency is measured on the virtual-step
-   clock, first step to final response byte. *)
-let serve_plain config ins admission handler conn dl =
-  steps >>= fun t0 ->
-  lift (fun () -> ref Fresh) >>= fun progress ->
-  Hsup.Deadline.timeout dl
-    ( Sem.with_unit admission (read_and_handle handler conn) >>= function
-      | `Reply response -> respond progress conn ins.m_served response
-      | `Bad m -> respond progress conn ins.m_bad (Http.bad_request m)
-      | `Peer_gone (kind, _) ->
-          (* nobody left to answer *)
-          count_io ins kind >>= fun () -> close_quietly conn )
-  >>= (function
-        | Some () -> return ()
-        | None -> deadline_exceeded config ins progress conn)
-  >>= fun () ->
-  steps >>= fun t1 -> lift (fun () -> Obs.Metrics.observe ins.m_latency (t1 - t0))
-
-(* Keep-alive variant of [serve_plain] (used only when
-   [config.keep_alive]). Serves requests off the same connection until
-   the peer closes or resets, a request times out, or it is malformed —
-   a parse error or timeout leaves the byte stream unsynchronized, so
-   the connection cannot be reused and is closed after the error
-   response. *)
-let serve_keep_alive config ins admission handler conn dl0 =
-  let serve_one dl =
-    steps >>= fun t0 ->
-    lift (fun () -> ref Fresh) >>= fun progress ->
-    Hsup.Deadline.timeout dl
-      ( Sem.with_unit admission (read_and_handle handler conn) >>= function
-        | `Reply response ->
-            respond progress conn ins.m_served response >>= fun () ->
-            return `Keep
-        | `Bad m ->
-            respond progress conn ins.m_bad (Http.bad_request m)
-            >>= fun () -> return `Close
-        | `Peer_gone (_, e) ->
-            (* at a request boundary this is the normal end of a
-               keep-alive conversation: re-throw so the outer loop
-               closes without booking a phantom request *)
-            throw e )
-    >>= (function
-          | Some verdict -> return verdict
-          | None ->
-              deadline_exceeded config ins progress conn >>= fun () ->
-              return `Close)
-    >>= fun verdict ->
-    steps >>= fun t1 ->
-    lift (fun () -> Obs.Metrics.observe ins.m_latency (t1 - t0)) >>= fun () ->
-    return verdict
+(* The accept loop: every backlogged connection gets one worker running
+   the shared pipeline — a Transient child of the tree (admission through
+   the bulkhead: at most [max_concurrent] requests run, at most
+   [max_waiting] more queue, the rest are shed with a 503), or, in plain
+   mode, a bare fork behind a semaphore. A plain worker has no supervisor
+   to restart it and close its connection when a write fault or a handler
+   crash escapes, so the fork closes it instead. *)
+let listener_body config ins mode backlog handler =
+  let serve ~admit conn progress dl =
+    worker ~request_timeout:config.request_timeout
+      ~keep_alive:config.keep_alive ~admit ~breaker:None ins handler conn
+      progress dl
   in
-  (* The accept-time deadline covers the first request (time queued in
-     the backlog counts); each later request on the connection is a new
-     arrival and mints a fresh budget. *)
-  let rec loop dl =
-    catch (serve_one dl) (function
-      | End_of_file | Ev.Backend.Connection_reset -> return `Close
-      | e -> throw e)
-    >>= function
-    | `Keep ->
-        Hsup.Deadline.mint config.request_timeout >>= fun dl -> loop dl
-    | `Close -> Http.Conn.close conn
-  in
-  loop dl0
-
-(* --- the supervised path --------------------------------------------------
-
-   Admission goes through a bulkhead instead of a bare semaphore: at most
-   [max_concurrent] requests run, at most [max_waiting] more queue, and
-   the rest are shed with an immediate 503 — saturation degrades service
-   instead of growing an unbounded queue.
-
-   The request deadline covers the response write. Transport faults
-   during the read are absorbed here (peer gone: close, count, exit Ok —
-   no restart burned); a fault {e during the response write} is counted
-   and then escapes the worker on purpose: the supervisor restarts it,
-   and the fresh incarnation finds [Answered] and degrades the
-   connection by closing it — the crash is contained one level up
-   instead of escalating. *)
-let counted_escape ins io =
-  catch io (fun e ->
-      match io_fault_kind e with
-      | Some kind -> count_io ins kind >>= fun () -> throw e
-      | None -> throw e)
-
-let serve_supervised config ins bulk handler conn progress dl =
-  steps >>= fun t0 ->
-  Hsup.Deadline.timeout dl
-    ( Hsup.Bulkhead.run bulk (read_and_handle handler conn) >>= function
-      | Ok (`Reply response) ->
-          counted_escape ins (respond progress conn ins.m_served response)
-      | Ok (`Bad m) ->
-          counted_escape ins
-            (respond progress conn ins.m_bad (Http.bad_request m))
-      | Ok (`Peer_gone (kind, _)) ->
-          count_io ins kind >>= fun () ->
-          mask_
-            ( lift (fun () -> progress := Answered) >>= fun () ->
-              close_quietly conn )
-      | Error `Shed ->
-          counted_escape ins
-            (respond progress conn ins.m_shed service_unavailable) )
-  >>= (function
-        | Some () -> return ()
-        | None -> deadline_exceeded config ins progress conn)
-  >>= fun () ->
-  steps >>= fun t1 -> lift (fun () -> Obs.Metrics.observe ins.m_latency (t1 - t0))
-
-let worker_body config ins bulk handler conn progress dl =
-  Combinators.bracket_
-    (lift (fun () -> Obs.Metrics.add ins.m_inflight 1))
-    ( lift (fun () -> !progress) >>= function
-      | Answered ->
-          (* the previous incarnation died after its answer started: the
-             response may be incomplete, so degrade the connection by
-             closing it — the peer sees EOF, not a stalled stream *)
-          close_quietly conn
-      | Serving ->
-          (* a previous incarnation was killed mid-request *)
-          safe_respond config ins progress conn ins.m_degraded
-            service_unavailable
-      | Fresh ->
-          Hsup.Deadline.expired dl >>= fun late ->
-          if late then
-            (* the budget burned away in the backlog: shed early (503)
-               instead of spending a worker on a guaranteed 504 *)
-            safe_respond config ins progress conn ins.m_shed
-              service_unavailable
-          else
-            lift (fun () -> progress := Serving) >>= fun () ->
-            serve_supervised config ins bulk handler conn progress dl )
-    (lift (fun () -> Obs.Metrics.add ins.m_inflight (-1)))
-
-let listener_body config ins sup bulk backlog handler =
   Combinators.forever
     ( Bchan.recv backlog >>= fun (conn, dl) ->
       lift (fun () -> ref Fresh) >>= fun progress ->
-      Hsup.Sup.start_child sup
-        (Hsup.Sup.child ~lifetime:Hsup.Sup.Transient "conn-worker"
-           (worker_body config ins bulk handler conn progress dl)) )
+      match mode with
+      | `Supervised (sup, bulk) ->
+          Hsup.Sup.start_child sup
+            (Hsup.Sup.child ~lifetime:Hsup.Sup.Transient "conn-worker"
+               (serve ~admit:(Hsup.Bulkhead.run bulk) conn progress dl))
+      | `Plain admission ->
+          let admit io = Sem.with_unit admission (map Result.ok io) in
+          fork ~name:"conn-worker"
+            (Combinators.on_exception (serve ~admit conn progress dl)
+               (close_quietly conn))
+          >>= fun _tid -> return () )
 
 let start_core ~config ~metrics ?backend_name handler =
   Bchan.create config.accept_queue >>= fun backlog ->
@@ -360,7 +106,17 @@ let start_core ~config ~metrics ?backend_name handler =
   let registry =
     match metrics with Some reg -> reg | None -> Obs.Metrics.create ()
   in
-  let ins = instruments ?backend_name registry in
+  (* When an explicit backend is in play every series carries a
+     [backend=sim|real] label, so one registry can compare the two side by
+     side. The default (no [?backend]) stays label-free: the pre-redesign
+     metric names are pinned by golden output. *)
+  let labels =
+    match backend_name with None -> [] | Some n -> [ ("backend", n) ]
+  in
+  let ins = instruments ~labels registry in
+  let server mode =
+    { backlog; registry; ins; config; accepting = true; mode; ext = None }
+  in
   if config.supervised then
     Hsup.Sup.start ~name:"supervisor" ~strategy:Hsup.Sup.One_for_one
       ~intensity:config.restart_intensity ~metrics:registry []
@@ -371,52 +127,20 @@ let start_core ~config ~metrics ?backend_name handler =
     >>= fun bulk ->
     Hsup.Sup.start_child sup
       (Hsup.Sup.child ~lifetime:Hsup.Sup.Permanent "listener"
-         (listener_body config ins sup bulk backlog handler))
-    >>= fun () ->
-    return
-      {
-        backlog;
-        registry;
-        ins;
-        config;
-        accepting = true;
-        mode = Supervised { sup; bulk };
-        ext = None;
-      }
+         (listener_body config ins (`Supervised (sup, bulk)) backlog handler))
+    >>= fun () -> return (server (Supervised { sup; bulk }))
   else
     Sem.create config.max_concurrent >>= fun admission ->
-    let serve =
-      if config.keep_alive then serve_keep_alive else serve_plain
-    in
-    let accept_loop =
-      Combinators.forever
-        ( Bchan.recv backlog >>= fun (conn, dl) ->
-          fork ~name:"conn-worker"
-            (Combinators.bracket_
-               (lift (fun () -> Obs.Metrics.add ins.m_inflight 1))
-               (serve config ins admission handler conn dl)
-               (lift (fun () -> Obs.Metrics.add ins.m_inflight (-1))))
-          >>= fun _tid -> return () )
-    in
-    fork ~name:"listener" (catch accept_loop (fun _ -> return ()))
-    >>= fun listener ->
-    return
-      {
-        backlog;
-        registry;
-        ins;
-        config;
-        accepting = true;
-        mode = Plain { listener; admission };
-        ext = None;
-      }
+    fork ~name:"listener"
+      (catch
+         (listener_body config ins (`Plain admission) backlog handler)
+         (fun _ -> return ()))
+    >>= fun listener -> return (server (Plain { listener; admission }))
 
-(* The default (no [?backend]) path is [start_core] verbatim — same
-   monadic structure as before the redesign, so every Sim golden trace
-   and sweep baseline is untouched. An explicit backend adds, after the
-   server is up, a listener from the backend plus an accept pump feeding
-   the same in-process backlog the workers already drain: the serving
-   pipeline is shared, only the byte source differs. *)
+(* The default (no [?backend]) path is [start_core] alone. An explicit
+   backend adds, after the server is up, a listener from the backend plus
+   an accept pump feeding the same in-process backlog the workers already
+   drain: the serving pipeline is shared, only the byte source differs. *)
 let start ?(config = default_config) ?metrics ?backend handler =
   match backend with
   | None -> start_core ~config ~metrics handler
@@ -424,25 +148,12 @@ let start ?(config = default_config) ?metrics ?backend handler =
       start_core ~config ~metrics ~backend_name:b.Ev.Backend.b_name handler
       >>= fun server ->
       b.Ev.Backend.b_listen ~backlog:config.accept_queue >>= fun el ->
-      (* A transient accept failure must not deafen the server: count it
-         and keep accepting. *)
       let pump_body =
-        Combinators.forever
-          (catch
-             ( el.Ev.Backend.l_accept () >>= fun conn ->
-               (* the deadline is minted at accept: time spent queued in
-                  the backlog counts against the request budget *)
-               Hsup.Deadline.mint config.request_timeout >>= fun dl ->
-               Bchan.send server.backlog (conn, dl) )
-             (fun e ->
-               match io_fault_kind e with
-               | Some kind ->
-                   (* count, then back off: a synchronously-failing
-                      accept (EMFILE under an fd budget) would otherwise
-                      spin the pump without ever reaching a blocking
-                      point *)
-                   count_io server.ins kind >>= fun () -> sleep 10
-               | None -> throw e))
+        accept_pump server.ins el (fun conn ->
+            (* the deadline is minted at accept: time spent queued in the
+               backlog counts against the request budget *)
+            Hsup.Deadline.mint config.request_timeout >>= fun dl ->
+            Bchan.send server.backlog (conn, dl))
       in
       (match server.mode with
       | Supervised { sup; _ } ->
@@ -462,35 +173,11 @@ let supervisor server =
   | Supervised { sup; _ } -> Some sup
   | Plain _ -> None
 
-(* Which [client_dial_errors_total] kind a failed dial books under. *)
-let dial_error_kind = function
-  | Dial_timeout -> Some "timeout"
-  | Ev.Backend.Connection_refused -> Some "refused"
-  | Ev.Backend.Too_many_fds -> Some "fds"
-  | Ev.Backend.Connection_reset -> Some "reset"
-  | End_of_file -> Some "eof"
-  | _ -> None
-
 let connect server =
   if not server.accepting then throw Server_stopped
   else
     match server.ext with
-    | Some { el; _ } ->
-        (* a dead, saturated or chaos-refusing listener yields
-           [Dial_timeout], not a forever-blocked client thread; every
-           flavour of dial failure is counted before it propagates *)
-        catch
-          ( Combinators.timeout server.config.dial_timeout
-              (el.Ev.Backend.l_dial ())
-          >>= function
-            | Some conn -> return conn
-            | None -> throw Dial_timeout )
-          (fun e ->
-            match dial_error_kind e with
-            | Some kind ->
-                lift (fun () -> Obs.Metrics.inc (server.ins.m_dial kind))
-                >>= fun () -> throw e
-            | None -> throw e)
+    | Some { el; _ } -> dial server.ins server.config.dial_timeout el
     | None ->
         (* no backend was given: the implicit simulated transport *)
         Ev.Backend.sim_pipe () >>= fun (client_side, server_side) ->
@@ -502,16 +189,6 @@ let shutdown server =
   lift (fun () -> server.accepting <- false) >>= fun () ->
   (* stop accepting: kill the accept loop (without restart, in the
      supervised mode) and wait until it is gone *)
-  let stop_sup_child sup name =
-    Hsup.Sup.stop_child sup name >>= fun () ->
-    let rec wait_child () =
-      Hsup.Sup.child_up sup name >>= fun up ->
-      Hsup.Sup.alive sup >>= fun alive ->
-      if up && alive then yield >>= fun () -> wait_child ()
-      else return ()
-    in
-    wait_child ()
-  in
   (match server.mode with
   | Plain { listener; _ } -> throw_to listener Kill_thread
   | Supervised { sup; _ } -> stop_sup_child sup "listener")

@@ -12,7 +12,9 @@
     [max_concurrent] requests in flight, at most [max_waiting] queued,
     everything beyond {e shed} with an immediate 503 instead of an
     unbounded queue. Set [supervised = false] for the original bare
-    [forkIO]+semaphore prototype (kept for comparison benchmarks).
+    [forkIO]+semaphore prototype (kept for comparison benchmarks). Both
+    modes, and {!Shard}, run the same connection worker; they differ
+    only in how it is spawned and admitted.
 
     Every robustness property comes from a §7 combinator: workers release
     their admission slot via [bracket]; a killed or timed-out worker
@@ -81,12 +83,13 @@ type config = {
   restart_intensity : Hsup.Sup.intensity;
       (** worker/listener restart budget before the tree escalates *)
   keep_alive : bool;
-      (** serve multiple requests per connection (plain mode only):
-          the worker loops until the peer closes, a request times out,
-          or parsing fails. Off by default — the one-shot path's step
-          counts are pinned by the sweep baselines. Ignored in
-          supervised mode, whose degrade-on-restart protocol is
-          per-request. *)
+      (** serve multiple requests per connection, in both modes: the
+          worker loops until the peer closes (counted as
+          [server_io_faults_total{kind=eof}]), a request times out, or
+          parsing fails. Each request mints a fresh deadline and runs
+          the degrade-on-restart protocol afresh. Off by default — the
+          one-shot path's step counts are pinned by the sweep
+          baselines. *)
 }
 
 val default_config : config
@@ -119,9 +122,10 @@ val start :
     [config.supervised = false]) and return a handle.
 
     [?backend] selects the transport. Omitted, the server speaks the
-    implicit simulated transport ({!connect} is the only way in) with
-    {e exactly} the pre-redesign behaviour — this default exists for
-    the golden traces and the kill sweep; new code that cares about the
+    implicit simulated transport ({!connect} is the only way in) —
+    this default exists for the golden traces and the kill sweep, and
+    serves exactly as a backend does (the worker closes its end of
+    every connection it served); new code that cares about the
     transport should pass [Ev.Backend.sim] or an [Ev.Real] backend
     explicitly. With a backend, the server opens a listener via
     [b_listen] and pumps its accepts into the same worker pipeline, and

@@ -1,62 +1,8 @@
 open Hio_std
 open Hio.Io
+open Pipeline
 
 type msg = [ `Serve of Http.Conn.t * Hsup.Deadline.t ]
-
-(* Breaker feed: what a shard's workers report about their own shard.
-   Private — these exist only to pass [count_error]. *)
-exception Shard_overload
-exception Shard_deadline
-
-(* Same instrument set as Server's, under a [layer="shard"] label so a
-   shared registry distinguishes the two, plus the routed-backlog gauge
-   (connections handed to the router/shard mailboxes and not yet picked
-   up by a worker) that shutdown's quiesce loop watches. *)
-type instruments = {
-  m_served : Obs.Metrics.counter;
-  m_timeouts : Obs.Metrics.counter;
-  m_bad : Obs.Metrics.counter;
-  m_shed : Obs.Metrics.counter;
-  m_degraded : Obs.Metrics.counter;
-  m_rejected : Obs.Metrics.counter;
-  m_inflight : Obs.Metrics.gauge;
-  m_queued : Obs.Metrics.gauge;
-  m_latency : Obs.Metrics.histogram;
-  m_io_fault : string -> Obs.Metrics.counter;
-  m_dial : string -> Obs.Metrics.counter;
-}
-
-let instruments reg =
-  let extra = [ ("layer", "shard") ] in
-  let outcome o =
-    Obs.Metrics.counter reg
-      ~labels:(("outcome", o) :: extra)
-      "server_requests_total"
-  in
-  {
-    m_served = outcome "ok";
-    m_timeouts = outcome "timeout";
-    m_bad = outcome "bad_request";
-    m_shed = outcome "shed";
-    m_degraded = outcome "degraded";
-    m_rejected = Obs.Metrics.counter reg ~labels:extra "server_rejected_total";
-    m_inflight = Obs.Metrics.gauge reg ~labels:extra "server_in_flight";
-    m_queued = Obs.Metrics.gauge reg ~labels:extra "shard_routed_backlog";
-    m_latency =
-      Obs.Metrics.histogram reg
-        ~buckets:[ 10; 20; 50; 100; 200; 500; 1000; 2000; 5000 ]
-        ~labels:extra "server_request_latency_steps";
-    m_io_fault =
-      (fun kind ->
-        Obs.Metrics.counter reg
-          ~labels:(("kind", kind) :: extra)
-          "server_io_faults_total");
-    m_dial =
-      (fun kind ->
-        Obs.Metrics.counter reg
-          ~labels:(("kind", kind) :: extra)
-          "client_dial_errors_total");
-  }
 
 type ext = { el : Ev.Backend.listener }
 
@@ -65,6 +11,10 @@ type t = {
   n_shards : int;
   registry : Obs.Metrics.t;
   ins : instruments;
+  queued : Obs.Metrics.gauge;
+      (* shard_routed_backlog: connections handed to the router/shard
+         mailboxes and not yet picked up by a worker — what shutdown's
+         quiesce loop watches *)
   handler : Server.handler;
   root : Hsup.Sup.t;
   rt : msg Hactor.Router.t;
@@ -76,160 +26,6 @@ type t = {
   ext : ext option;
 }
 
-let count c = lift (fun () -> Obs.Metrics.inc c)
-let count_io ins kind = lift (fun () -> Obs.Metrics.inc (ins.m_io_fault kind))
-let close_quietly conn = catch (Http.Conn.close conn) (fun _ -> return ())
-
-(* Same fault classification as Server's — duplicated rather than
-   exported because Server's module surface is pinned by its goldens. *)
-let io_fault_kind = function
-  | End_of_file -> Some "eof"
-  | Ev.Backend.Connection_reset -> Some "reset"
-  | Ev.Backend.Connection_refused -> Some "refused"
-  | Ev.Backend.Accept_failed -> Some "accept"
-  | Ev.Backend.Too_many_fds -> Some "fds"
-  | Ev.Backend.Buffer_full -> Some "buffer"
-  | _ -> None
-
-(* Client-side dial failure classification, mirroring Server's. *)
-let dial_error_kind = function
-  | Server.Dial_timeout -> Some "timeout"
-  | Ev.Backend.Connection_refused -> Some "refused"
-  | Ev.Backend.Too_many_fds -> Some "fds"
-  | Ev.Backend.Connection_reset -> Some "reset"
-  | End_of_file -> Some "eof"
-  | _ -> None
-
-let service_unavailable =
-  { Http.status = 503; reason = "Service Unavailable"; body = "" }
-
-(* --- the serving discipline ----------------------------------------------
-
-   Mirrors the hardened Server worker (progress protocol, bounded
-   writes, absorbed read faults, escaping write faults — see server.ml's
-   commentary), with keep-alive folded in: [progress] is reset per
-   request, and a response that left the stream synchronized loops for
-   the next request when [config.keep_alive]. *)
-type progress = Fresh | Serving | Answered
-
-let respond progress conn counter response =
-  mask_
-    ( lift (fun () -> progress := Answered) >>= fun () ->
-      Http.write_response conn response >>= fun () -> count counter )
-
-let safe_respond config ins progress conn counter response =
-  catch
-    ( Combinators.timeout config.Server.request_timeout
-        (respond progress conn counter response)
-      >>= function
-      | Some () -> return ()
-      | None -> count_io ins "deadline" >>= fun () -> close_quietly conn )
-    (fun e ->
-      match io_fault_kind e with
-      | Some kind -> count_io ins kind >>= fun () -> close_quietly conn
-      | None -> throw e)
-
-let deadline_exceeded config ins progress conn =
-  lift (fun () -> !progress) >>= function
-  | Answered -> count_io ins "deadline" >>= fun () -> close_quietly conn
-  | Fresh | Serving ->
-      safe_respond config ins progress conn ins.m_timeouts
-        Http.timeout_response
-
-let read_and_handle handler conn =
-  catch
-    ( Http.read_request conn >>= fun request ->
-      handler request >>= fun response -> return (`Reply response) )
-    (fun e ->
-      match e with
-      | Http.Bad_request m -> return (`Bad m)
-      | e -> (
-          match io_fault_kind e with
-          | Some kind -> return (`Peer_gone (kind, e))
-          | None -> throw e))
-
-let counted_escape ins io =
-  catch io (fun e ->
-      match io_fault_kind e with
-      | Some kind -> count_io ins kind >>= fun () -> throw e
-      | None -> throw e)
-
-(* One request. [`Keep] only when the response left the byte stream
-   synchronized and keep-alive is on; everything else closes. A peer
-   gone at the request boundary is the normal end of a keep-alive
-   conversation — counted, closed, no phantom request completes the
-   outcome counters because only [respond] bumps them. *)
-let serve_one config ins bulk brk handler conn progress dl =
-  steps >>= fun t0 ->
-  lift (fun () -> progress := Serving) >>= fun () ->
-  Hsup.Deadline.timeout dl
-    ( Hsup.Bulkhead.run bulk (read_and_handle handler conn) >>= function
-      | Ok (`Reply response) ->
-          counted_escape ins (respond progress conn ins.m_served response)
-          >>= fun () ->
-          Hsup.Breaker.note_success brk >>= fun () ->
-          return (if config.Server.keep_alive then `Keep else `Close)
-      | Ok (`Bad m) ->
-          counted_escape ins (respond progress conn ins.m_bad (Http.bad_request m))
-          >>= fun () -> return `Close
-      | Ok (`Peer_gone (kind, _)) ->
-          count_io ins kind >>= fun () ->
-          mask_
-            ( lift (fun () -> progress := Answered) >>= fun () ->
-              close_quietly conn )
-          >>= fun () -> return `Close
-      | Error `Shed ->
-          Hsup.Breaker.note_failure brk Shard_overload >>= fun () ->
-          counted_escape ins (respond progress conn ins.m_shed service_unavailable)
-          >>= fun () -> return `Close )
-  >>= (function
-        | Some verdict -> return verdict
-        | None ->
-            Hsup.Breaker.note_failure brk Shard_deadline >>= fun () ->
-            deadline_exceeded config ins progress conn >>= fun () ->
-            return `Close)
-  >>= fun verdict ->
-  steps >>= fun t1 ->
-  lift (fun () -> Obs.Metrics.observe ins.m_latency (t1 - t0)) >>= fun () ->
-  return verdict
-
-let worker_body config ins bulk brk handler conn progress dl0 =
-  Combinators.bracket_
-    (lift (fun () -> Obs.Metrics.add ins.m_inflight 1))
-    ( lift (fun () -> !progress) >>= function
-      | Answered ->
-          (* predecessor died with a response possibly half-written:
-             the stream is unusable, degrade by closing *)
-          close_quietly conn
-      | Serving ->
-          (* predecessor killed mid-request *)
-          safe_respond config ins progress conn ins.m_degraded
-            service_unavailable
-          >>= fun () -> close_quietly conn
-      | Fresh ->
-          (* Early shed: a request whose deadline lapsed while it sat in
-             the router/shard mailboxes cannot be served in budget —
-             answer 503 now instead of burning a worker on a sure 504.
-             A keep-alive follow-up gets a fresh budget: queueing debt
-             is per-request, not per-connection. *)
-          let rec loop dl =
-            Hsup.Deadline.expired dl >>= fun late ->
-            if late then
-              safe_respond config ins progress conn ins.m_shed
-                service_unavailable
-              >>= fun () -> close_quietly conn
-            else
-              serve_one config ins bulk brk handler conn progress dl
-              >>= function
-              | `Keep ->
-                  lift (fun () -> progress := Fresh) >>= fun () ->
-                  Hsup.Deadline.mint config.Server.request_timeout
-                  >>= fun dl -> loop dl
-              | `Close -> close_quietly conn
-          in
-          loop dl0 )
-    (lift (fun () -> Obs.Metrics.add ins.m_inflight (-1)))
-
 (* --- the shard actor ------------------------------------------------------
 
    The serving loop is an actor body: connections arrive as mailbox
@@ -238,17 +34,20 @@ let worker_body config ins bulk brk handler conn progress dl0 =
    itself a Permanent child of that supervisor — killed, it restarts
    and resumes draining the same mailbox: that is the property the
    sweep leans on (a routed connection is never lost, only delayed). *)
-let serve_loop config ins sub bulk brk handler self =
+let serve_loop t sub bulk brk self =
   Combinators.forever
     ( Hactor.Actor.receive self (fun (`Serve (conn, dl)) -> Some (conn, dl))
       >>= fun (conn, dl) ->
       lift (fun () ->
-          Obs.Metrics.add ins.m_queued (-1);
+          Obs.Metrics.add t.queued (-1);
           ref Fresh)
       >>= fun progress ->
       Hsup.Sup.start_child sub
         (Hsup.Sup.child ~lifetime:Hsup.Sup.Transient "conn-worker"
-           (worker_body config ins bulk brk handler conn progress dl)) )
+           (worker ~request_timeout:t.config.Server.request_timeout
+              ~keep_alive:t.config.Server.keep_alive
+              ~admit:(Hsup.Bulkhead.run bulk) ~breaker:(Some brk) t.ins
+              t.handler conn progress dl)) )
 
 (* The root-level child that owns one shard's whole subtree. Its own
    death (kill, escalation) takes the nested supervisor down with it
@@ -277,7 +76,7 @@ let shard_child_body t i =
       Hsup.Sup.start_child sub
         (Hsup.Sup.child ~lifetime:Hsup.Sup.Permanent "shard-serve"
            (Hactor.Actor.body t.actors.(i)
-              (serve_loop t.config t.ins sub bulk t.breakers.(i) t.handler)))
+              (serve_loop t sub bulk t.breakers.(i))))
       >>= fun () ->
       Hsup.Sup.await sub >>= function
       | Stdlib.Ok () -> return ()
@@ -302,34 +101,24 @@ let shard_index t key =
    breaker's reset window decides when traffic resumes. *)
 let brownout t conn =
   let progress = ref Serving in
-  safe_respond t.config t.ins progress conn t.ins.m_degraded
-    service_unavailable
+  safe_respond t.config.Server.request_timeout t.ins progress conn
+    t.ins.m_degraded service_unavailable
   >>= fun () -> close_quietly conn
 
 let route_or_brownout t key conn =
   Hsup.Breaker.rejecting t.breakers.(shard_index t key) >>= fun browned ->
   if browned then brownout t conn
   else
-    lift (fun () -> Obs.Metrics.add t.ins.m_queued 1) >>= fun () ->
+    lift (fun () -> Obs.Metrics.add t.queued 1) >>= fun () ->
     Hsup.Deadline.mint t.config.Server.request_timeout >>= fun dl ->
     Hactor.Router.route t.rt key (`Serve (conn, dl))
 
 let pump_body t el =
-  Combinators.forever
-    (catch
-       ( el.Ev.Backend.l_accept () >>= fun conn ->
-         lift (fun () ->
-             t.conn_seq <- t.conn_seq + 1;
-             Printf.sprintf "conn-%d" t.conn_seq)
-         >>= fun key -> route_or_brownout t key conn )
-       (fun e ->
-         match io_fault_kind e with
-         | Some kind ->
-             (* back off as Server's pump does: EMFILE fails accept
-                synchronously, and an unthrottled retry loop would spin
-                without a blocking point *)
-             count_io t.ins kind >>= fun () -> sleep 10
-         | None -> throw e))
+  accept_pump t.ins el (fun conn ->
+      lift (fun () ->
+          t.conn_seq <- t.conn_seq + 1;
+          Printf.sprintf "conn-%d" t.conn_seq)
+      >>= fun key -> route_or_brownout t key conn)
 
 let start ?(config = Server.default_config) ?metrics ?backend ~shards handler =
   let n_shards = max 1 shards in
@@ -337,13 +126,15 @@ let start ?(config = Server.default_config) ?metrics ?backend ~shards handler =
   lift (fun () ->
       match metrics with Some reg -> reg | None -> Obs.Metrics.create ())
   >>= fun registry ->
-  let ins = instruments registry in
+  let labels = [ ("layer", "shard") ] in
+  let ins = instruments ~labels registry in
+  let queued = Obs.Metrics.gauge registry ~labels "shard_routed_backlog" in
   (* A shed routed connection has already been counted into the routed
      backlog: undo that, and count the shed so the sweep's conservation
      law still balances. The client's own deadline turns the dropped
      connection into a timeout on its side. *)
   let on_drop (`Serve ((_ : Http.Conn.t), (_ : Hsup.Deadline.t))) =
-    Obs.Metrics.add ins.m_queued (-1);
+    Obs.Metrics.add queued (-1);
     Obs.Metrics.inc ins.m_rejected
   in
   let rec mk i acc =
@@ -382,6 +173,7 @@ let start ?(config = Server.default_config) ?metrics ?backend ~shards handler =
       n_shards;
       registry;
       ins;
+      queued;
       handler;
       root;
       rt;
@@ -420,19 +212,7 @@ let connect ?key t =
   if not t.accepting then throw Server.Server_stopped
   else
     match t.ext with
-    | Some { el } ->
-        catch
-          ( Combinators.timeout t.config.Server.dial_timeout
-              (el.Ev.Backend.l_dial ())
-          >>= function
-            | Some conn -> return conn
-            | None -> throw Server.Dial_timeout )
-          (fun e ->
-            match dial_error_kind e with
-            | Some kind ->
-                lift (fun () -> Obs.Metrics.inc (t.ins.m_dial kind))
-                >>= fun () -> throw e
-            | None -> throw e)
+    | Some { el } -> dial t.ins t.config.Server.dial_timeout el
     | None ->
         lift (fun () ->
             match key with
@@ -443,16 +223,6 @@ let connect ?key t =
         >>= fun k ->
         Ev.Backend.sim_pipe () >>= fun (client_side, server_side) ->
         route_or_brownout t k server_side >>= fun () -> return client_side
-
-let stop_sup_child sup name =
-  Hsup.Sup.stop_child sup name >>= fun () ->
-  let rec wait_child () =
-    Hsup.Sup.child_up sup name >>= fun up ->
-    Hsup.Sup.alive sup >>= fun alive ->
-    if up && alive then yield >>= fun () -> wait_child ()
-    else return ()
-  in
-  wait_child ()
 
 let shutdown t =
   lift (fun () -> t.accepting <- false) >>= fun () ->
@@ -475,7 +245,7 @@ let shutdown t =
   let deadline = t0 + (10 * t.config.Server.request_timeout) in
   let rec quiesce () =
     lift (fun () ->
-        Obs.Metrics.gauge_value t.ins.m_queued = 0
+        Obs.Metrics.gauge_value t.queued = 0
         && Obs.Metrics.gauge_value t.ins.m_inflight = 0)
     >>= fun quiet ->
     if quiet then return ()

@@ -20,11 +20,13 @@
     router, even shard-root — degrades (503s, closed connections, a
     routed backlog held in mailboxes until the restart) and never
     wedges: the [actor] kill-sweep suite drives a client load against
-    every one of those targets. Serving discipline (progress protocol,
-    degrade-on-restart, bounded writes, absorbed read faults, escaping
-    write faults) is the hardened {!Server} worker's, plus keep-alive:
-    with [config.keep_alive] a worker serves requests off one
-    connection until close/timeout/parse error.
+    every one of those targets. Each connection worker runs the request
+    pipeline {!Server} runs — the same code, not a copy: progress
+    protocol, degrade-on-restart, bounded writes, absorbed read faults,
+    escaping write faults, and keep-alive (with [config.keep_alive] a
+    worker serves requests off one connection until close/timeout/parse
+    error). A shard's worker is admitted through its shard's bulkhead
+    and feeds its shard's breaker.
 
     Overload posture (the pieces the [overload] sweep drives):
     every routed connection carries an {!Hsup.Deadline} minted at the

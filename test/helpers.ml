@@ -46,6 +46,17 @@ let yields n = Hio_std.Combinators.repeat n Io.yield
 let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f
 
+(* The real-backend smokes ride the host's loopback stack, timers and
+   thread scheduler, so a loaded CI machine can occasionally stall a
+   request past its timeout or stretch a sleep beyond the generous
+   bound. Each smoke gets a bounded number of attempts — a transient
+   miss retries silently, a systematic failure still fails (with the
+   last attempt's assertion) — and keeps its slow marking. *)
+let rec retrying attempts f =
+  try f () with _ when attempts > 1 -> retrying (attempts - 1) f
+
+let flaky_slow_case name f = slow_case name (fun () -> retrying 3 f)
+
 (* Object-language helpers. *)
 let parse = Ch_lang.Parser.parse
 let term = Alcotest.testable Ch_lang.Pretty.pp_term ( = )

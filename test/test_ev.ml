@@ -383,16 +383,8 @@ let run_real io =
   in
   (backend, Runtime.run ~config (io backend))
 
-(* The real-backend smokes ride the host's loopback stack, timers and
-   thread scheduler, so a loaded CI machine can occasionally stall a
-   request past its timeout or stretch a sleep beyond the generous
-   bound. Each smoke gets a bounded number of attempts — a transient
-   miss retries silently, a systematic failure still fails (with the
-   last attempt's assertion) — and keeps its slow marking. *)
-let rec retrying attempts f =
-  try f () with _ when attempts > 1 -> retrying (attempts - 1) f
-
-let flaky_slow_case name f = slow_case name (fun () -> retrying 3 f)
+(* This process's open file descriptors (needs Linux's /proc). *)
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
 let real_tests =
   [
@@ -467,6 +459,49 @@ let real_tests =
              (Obs.Metrics.histogram reg
                 ~labels:[ ("backend", "real") ]
                 "server_request_latency_steps")));
+    (* The server closes its end of every connection it served: N
+       one-shot requests through a supervised server leave the process
+       with exactly the descriptors it had before the server started
+       (shutdown closes the listener, each worker its accepted socket,
+       the client its own). *)
+    flaky_slow_case "real: one-shot requests leave no fd behind" (fun () ->
+        if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+        let n = 20 in
+        let config =
+          {
+            Hserver.Server.default_config with
+            Hserver.Server.request_timeout = 2_000_000;
+          }
+        in
+        let _, r =
+          run_real (fun backend ->
+              lift open_fds >>= fun before ->
+              Hserver.Server.start ~config ~backend handler >>= fun server ->
+              Combinators.repeat n
+                ( Hserver.Server.connect server >>= fun conn ->
+                  Hserver.Http.write_request conn
+                    {
+                      Hserver.Http.meth = "GET";
+                      path = "/hello";
+                      headers = [];
+                      body = "";
+                    }
+                  >>= fun () ->
+                  Hserver.Http.read_response conn >>= fun _ ->
+                  Hserver.Http.Conn.close conn )
+              >>= fun () ->
+              Hserver.Server.shutdown server >>= fun stats ->
+              lift open_fds >>= fun after ->
+              return (stats.Hserver.Server.served, before, after))
+        in
+        match r.Runtime.outcome with
+        | Runtime.Value (served, before, after) ->
+            Alcotest.check int_v "served" n served;
+            Alcotest.check int_v "fds back to the start count" before after
+        | Runtime.Uncaught e ->
+            Alcotest.failf "uncaught: %s" (Printexc.to_string e)
+        | Runtime.Deadlock -> Alcotest.fail "deadlock"
+        | Runtime.Out_of_steps -> Alcotest.fail "out of steps");
   ]
 
 let suites =

@@ -209,4 +209,195 @@ let server_tests =
         Alcotest.check int_v "server still fine" 200 second);
   ]
 
-let suites = [ ("server:http", http_tests); ("server:behaviour", server_tests) ]
+(* ---- the server closes what it served ----------------------------------
+
+   A sim backend whose accepted connections record their own close: the
+   server end of every served one-shot connection must be closed by its
+   worker, or on a real transport each request leaks a socket. *)
+let closing_backend closed =
+  let b = Ev.Backend.sim () in
+  let listen ~backlog =
+    b.Ev.Backend.b_listen ~backlog >>= fun l ->
+    let accept () =
+      l.Ev.Backend.l_accept () >>= fun c ->
+      let seen = ref false in
+      let close () =
+        lift (fun () ->
+            if not !seen then begin
+              seen := true;
+              incr closed
+            end)
+        >>= fun () -> c.Ev.Backend.c_close ()
+      in
+      return { c with Ev.Backend.c_close = close }
+    in
+    return { l with Ev.Backend.l_accept = accept }
+  in
+  { b with Ev.Backend.b_listen = listen }
+
+let one_shot_closes ?(handler = echo_handler) ~served supervised =
+  let n = 5 in
+  let closed = ref 0 in
+  let config = { Server.default_config with Server.supervised } in
+  let stats =
+    value
+      ( Server.start ~config ~backend:(closing_backend closed) handler
+      >>= fun server ->
+        Combinators.repeat n
+          (catch (ignore_result (get server "/hello")) (fun _ -> return ()))
+        >>= fun () -> Server.shutdown server )
+  in
+  Alcotest.check int_v "served" served stats.Server.served;
+  Alcotest.check int_v "server ends closed" n !closed
+
+(* A handler bug escapes the worker: supervised, the restarted worker
+   answers 503 and closes; plain, there is no restart, and the
+   connection must still be closed rather than left for the peer to
+   wait on. *)
+let crashing _ = throw (Failure "handler bug")
+
+let close_tests =
+  [
+    case "supervised: every one-shot connection is closed by the server"
+      (fun () -> one_shot_closes ~served:5 true);
+    case "plain: every one-shot connection is closed by the server"
+      (fun () -> one_shot_closes ~served:5 false);
+    case "supervised: a crashed worker's connection is closed" (fun () ->
+        one_shot_closes ~handler:crashing ~served:0 true);
+    case "plain: a crashed worker's connection is closed" (fun () ->
+        one_shot_closes ~handler:crashing ~served:0 false);
+  ]
+
+(* ---- differential: one script, every server ------------------------------
+
+   The same client script runs against the supervised and plain Server,
+   Shard with one and two shards, and (slow) the supervised Server over
+   real loopback TCP. All run with keep-alive on — the supervised Server
+   honours it like the others. Each must give the same statuses and the
+   same request/fault tallies once the [layer]/[backend] labels are set
+   aside. *)
+let script connect =
+  let request path = { Http.meth = "GET"; path; headers = []; body = "" } in
+  (* a response that never comes reads as status 0, not a hung client *)
+  let status conn =
+    catch
+      ( Combinators.timeout 1_000_000 (Http.read_response conn) >>= function
+        | Some r -> return r.Http.status
+        | None -> return 0 )
+      (fun _ -> return 0)
+  in
+  let exchange conn path =
+    Http.write_request conn (request path) >>= fun () -> status conn
+  in
+  let one_shot f =
+    connect () >>= fun conn ->
+    f conn >>= fun status ->
+    Http.Conn.close conn >>= fun () -> return status
+  in
+  (* First, a peer that leaves mid-request — first, so its worker is
+     long done by the time the script ends and shutdown begins. *)
+  connect () >>= fun gone ->
+  Http.Conn.send_string gone "GET /hello HTTP/1.0\r\n" >>= fun () ->
+  Http.Conn.close gone >>= fun () ->
+  one_shot (fun c -> exchange c "/hello") >>= fun ok ->
+  one_shot (fun c -> exchange c "/nope") >>= fun missing ->
+  one_shot (fun c ->
+      Http.Conn.send_string c "BROKEN\r\n\r\n" >>= fun () -> status c)
+  >>= fun bad ->
+  connect () >>= fun kept ->
+  exchange kept "/hello" >>= fun first ->
+  exchange kept "/hello" >>= fun second ->
+  Http.Conn.close kept >>= fun () -> return [ ok; missing; bad; first; second ]
+
+(* Request outcomes and absorbed faults, read under a server's own
+   labels and reported without them. *)
+let tallies reg labels =
+  let read name (k, v) =
+    ( Printf.sprintf "%s{%s=%s}" name k v,
+      Obs.Metrics.counter_value
+        (Obs.Metrics.counter reg ~labels:((k, v) :: labels) name) )
+  in
+  List.map
+    (fun o -> read "server_requests_total" ("outcome", o))
+    [ "ok"; "timeout"; "bad_request"; "shed"; "degraded" ]
+  @ List.map
+      (fun k -> read "server_io_faults_total" ("kind", k))
+      [ "eof"; "reset"; "deadline" ]
+
+let expected_statuses = [ 200; 404; 400; 200; 200 ]
+
+(* ok: /hello, /nope and the two keep-alive requests; eof: the peer
+   that left mid-request, and each keep-alive peer that closed at a
+   request boundary (the 400 closes from the server side instead). *)
+let expected_tallies =
+  [
+    ("server_requests_total{outcome=ok}", 4);
+    ("server_requests_total{outcome=timeout}", 0);
+    ("server_requests_total{outcome=bad_request}", 1);
+    ("server_requests_total{outcome=shed}", 0);
+    ("server_requests_total{outcome=degraded}", 0);
+    ("server_io_faults_total{kind=eof}", 4);
+    ("server_io_faults_total{kind=reset}", 0);
+    ("server_io_faults_total{kind=deadline}", 0);
+  ]
+
+let diff_config =
+  {
+    Server.default_config with
+    Server.request_timeout = 2_000_000;
+    keep_alive = true;
+  }
+
+let via_server ?(config = diff_config) backend reg =
+  Server.start ~config ~metrics:reg ~backend echo_handler >>= fun server ->
+  script (fun () -> Server.connect server) >>= fun statuses ->
+  Server.shutdown server >>= fun _ ->
+  return (statuses, [ ("backend", backend.Ev.Backend.b_name) ])
+
+let via_shard shards reg =
+  Shard.start ~config:diff_config ~metrics:reg ~shards echo_handler
+  >>= fun srv ->
+  script (fun () -> Shard.connect srv) >>= fun statuses ->
+  Shard.shutdown srv >>= fun _ -> return (statuses, [ ("layer", "shard") ])
+
+let agrees run =
+  let reg = Obs.Metrics.create () in
+  let statuses, labels = run reg in
+  Alcotest.(check (list int_v)) "statuses" expected_statuses statuses;
+  Alcotest.(check (list (pair str_v int_v)))
+    "tallies" expected_tallies (tallies reg labels)
+
+let on_sim io reg = value (io reg)
+
+let on_real io reg =
+  let backend = Ev.Real.create () in
+  let config =
+    Ev.Backend.install backend
+      { Runtime.Config.default with Runtime.Config.max_steps = 200_000_000 }
+  in
+  match (Runtime.run ~config (io backend reg)).Runtime.outcome with
+  | Runtime.Value v -> v
+  | Runtime.Uncaught e -> Alcotest.failf "uncaught: %s" (Printexc.to_string e)
+  | Runtime.Deadlock -> Alcotest.fail "deadlock"
+  | Runtime.Out_of_steps -> Alcotest.fail "out of steps"
+
+let differential_tests =
+  [
+    case "Server, supervised, sim" (fun () ->
+        agrees (on_sim (via_server (Ev.Backend.sim ()))));
+    case "Server, plain, sim" (fun () ->
+        let config = { diff_config with Server.supervised = false } in
+        agrees (on_sim (via_server ~config (Ev.Backend.sim ()))));
+    case "Shard, 1 shard, sim" (fun () -> agrees (on_sim (via_shard 1)));
+    case "Shard, 2 shards, sim" (fun () -> agrees (on_sim (via_shard 2)));
+    flaky_slow_case "Server, supervised, real TCP" (fun () ->
+        agrees (on_real (fun backend -> via_server backend)));
+  ]
+
+let suites =
+  [
+    ("server:http", http_tests);
+    ("server:behaviour", server_tests);
+    ("server:close", close_tests);
+    ("server:differential", differential_tests);
+  ]
