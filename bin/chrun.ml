@@ -369,13 +369,24 @@ let max_states_arg =
     value & opt int 200_000
     & info [ "max-states" ] ~docv:"N" ~doc:"State bound for exploration.")
 
+(* A count option: a value below [lo] is a usage error up front, not a
+   crash deep inside a run or a sweep gate that silently checks nothing. *)
+let int_at_least lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < lo ->
+        Error (`Msg (Fmt.str "invalid value '%s', expected >= %d" s lo))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 (* Shared by check (parallel BFS frontier) and sweep (parallel faulted
    re-runs). [None] means "the machine's recommended domain count"; the
    resolved value never changes any output, only the wall clock. *)
 let jobs_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (int_at_least 1)) None
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Worker domains to use. Defaults to the machine's recommended \
@@ -383,7 +394,7 @@ let jobs_arg =
            value of $(docv).")
 
 let resolve_jobs = function
-  | Some n -> max 1 n
+  | Some n -> n
   | None -> Par.recommended_jobs ()
 
 let witness_arg =
@@ -566,7 +577,7 @@ let suite_arg =
 let max_points_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (int_at_least 1)) None
     & info [ "max-points" ] ~docv:"N"
         ~doc:
           "Down-sample each case's kill points to at most $(docv), evenly \
@@ -574,7 +585,7 @@ let max_points_arg =
 
 let max_sites_arg =
   Arg.(
-    value & opt int 6
+    value & opt (int_at_least 1) 6
     & info [ "max-sites" ] ~docv:"N"
         ~doc:
           "Chaos suite: down-sample each case's I/O sites to at most \
@@ -584,7 +595,7 @@ let max_sites_arg =
 
 let kills_per_point_arg =
   Arg.(
-    value & opt int 2
+    value & opt (int_at_least 0) 2
     & info [ "kills-per-point" ] ~docv:"N"
         ~doc:
           "Chaos suite: for each clean fault point, additionally re-record \
@@ -608,7 +619,7 @@ let json_arg =
 
 let sweep_domains_arg =
   Arg.(
-    value & opt int 1
+    value & opt (int_at_least 1) 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
           "Record each hio case's baseline live on $(docv) scheduler \

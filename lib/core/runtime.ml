@@ -246,6 +246,12 @@ let bump_depth t k =
 
 let set_run t packed = t.t_state <- T_run packed
 
+(* Wake a blocked thread normally, resuming it at [packed]. *)
+let wake st t packed =
+  emit st (Ev_wakeup { tid = t.t_id });
+  set_run t packed;
+  enqueue st t
+
 (* Pop the head of the pending queue and raise it at the thread's current
    evaluation point — rules (Receive)/(Interrupt). *)
 let deliver_pending st t frames_of =
@@ -258,6 +264,30 @@ let deliver_pending st t frames_of =
       (match p.p_on_delivered with Some f -> f () | None -> ());
       frames_of p.p_exn
 
+(* The step-boundary delivery check of §8.1 ("at regular intervals during
+   execution inside unblock, the pending exceptions queue must be
+   checked"): an unmasked thread with pending exceptions takes the head
+   one instead of its next step. Every engine's boundary goes through
+   [take_pending]. *)
+let[@inline] deliverable t = t.t_mask = Mask_none && t.t_pending <> []
+
+(* The delivery itself, out of line: its closure would stop [take_pending]
+   from inlining into every engine's per-step path. *)
+let raise_pending st t (Pack (_, frames)) =
+  deliver_pending st t (fun e -> Pack (Throw_async e, frames))
+
+let[@inline] take_pending st t packed =
+  if deliverable t then raise_pending st t packed else packed
+
+(* A waiter that would be woken but has a pending asynchronous exception
+   receives the exception instead (it is still at an interruptible wait, so
+   rule (Interrupt) applies in any masking context). This mirrors GHC: a
+   racing throwTo beats the wakeup, so the MVar value is never handed to a
+   resumption that an exception is about to discard. *)
+let wake_with_pending st thread raise_into =
+  set_run thread (deliver_pending st thread raise_into);
+  enqueue st thread
+
 (* Wake a blocked target by raising the head pending exception into it —
    rule (Interrupt): applies in any masking context, because a blocked
    thread is by definition waiting on an unavailable resource (§5.3). *)
@@ -266,16 +296,15 @@ let interrupt_if_blocked st target =
   | T_blocked _, _ :: _ when target.t_mask = Mask_uninterruptible -> ()
   | T_blocked b, _ :: _ ->
       b.b_cancel ();
-      let packed = deliver_pending st target (fun e -> b.b_interrupt e) in
-      set_run target packed;
-      enqueue st target
+      wake_with_pending st target b.b_interrupt
   | (T_run _ | T_dead _ | T_blocked _), _ -> ()
 
 (* Append [entry] to [target]'s pending queue and apply rule (Interrupt)
-   if it is blocked. When the target is running on another domain, its
-   owner is poked so the boundary delivery check of §8.1 notices the new
-   entry promptly (the poke's atomic write also publishes the append
-   under the OCaml memory model). A no-op distinction on one domain. *)
+   if it is blocked — the only code that appends to a pending queue. When
+   the target is running on another domain, its owner is poked so the
+   boundary delivery check of §8.1 notices the new entry promptly (the
+   poke's atomic write also publishes the append under the OCaml memory
+   model). A no-op distinction on one domain. *)
 let post_now st target entry =
   target.t_pending <- target.t_pending @ [ entry ];
   interrupt_if_blocked st target;
@@ -295,16 +324,6 @@ let rec pop_putter q =
   | None -> None
   | Some pt -> if pt.pt_cancelled then pop_putter q else Some pt
 
-(* A waiter that would be woken but has a pending asynchronous exception
-   receives the exception instead (it is still at an interruptible wait, so
-   rule (Interrupt) applies in any masking context). This mirrors GHC: a
-   racing throwTo beats the wakeup, so the MVar value is never handed to a
-   resumption that an exception is about to discard. *)
-let wake_with_pending st thread raise_into =
-  let packed = deliver_pending st thread raise_into in
-  set_run thread packed;
-  enqueue st thread
-
 (* Remove a value from a full MVar; if a putter is waiting, its value fills
    the box in the same atomic step (no barging past the queue). *)
 let rec mvar_remove st (m : _ mvar) v_now =
@@ -316,9 +335,7 @@ let rec mvar_remove st (m : _ mvar) v_now =
       ignore (mvar_remove st m v_now)
   | Some pt ->
       m.mv_contents <- Some pt.pt_value;
-      emit st (Ev_wakeup { tid = pt.pt_thread.t_id });
-      set_run pt.pt_thread (pt.pt_wake ());
-      enqueue st pt.pt_thread
+      wake st pt.pt_thread (pt.pt_wake ())
   | None -> m.mv_contents <- None);
   v_now
 
@@ -333,9 +350,7 @@ let rec mvar_insert st (m : _ mvar) v =
       mvar_insert st m v
   | Some tk ->
       m.mv_last_taker <- Some tk.tk_thread.t_id;
-      emit st (Ev_wakeup { tid = tk.tk_thread.t_id });
-      set_run tk.tk_thread (tk.tk_wake v);
-      enqueue st tk.tk_thread
+      wake st tk.tk_thread (tk.tk_wake v)
   | None -> m.mv_contents <- Some v
 
 (* --- fd waiter plumbing -------------------------------------------------- *)
@@ -506,6 +521,13 @@ let exec_prim : type a. state -> thread -> a prim -> a frames -> unit =
             | T_run _ -> target.t_dom <> st.cur_dom
             | T_blocked _ | T_dead _ -> false
           in
+          let post entry =
+            if remote_running then begin
+              Queue.add (target, entry) st.boxes.(target.t_dom);
+              st.poke target.t_dom
+            end
+            else post_now st target entry
+          in
           if st.config.sync_throw_to then
             if target == t then
               (* §9: the synchronous version needs a special case for a
@@ -531,32 +553,14 @@ let exec_prim : type a. state -> thread -> a prim -> a frames -> unit =
                 Some
                   (fun () ->
                     match sender.t_state with
-                    | T_blocked _ ->
-                        emit st (Ev_wakeup { tid = sender.t_id });
-                        set_run sender (Pack (Pure (), frames));
-                        enqueue st sender
+                    | T_blocked _ -> wake st sender (Pack (Pure (), frames))
                     | T_run _ | T_dead _ -> ());
-              if remote_running then begin
-                Queue.add (target, entry) st.boxes.(target.t_dom);
-                st.poke target.t_dom
-              end
-              else begin
-                target.t_pending <- target.t_pending @ [ entry ];
-                interrupt_if_blocked st target
-              end
+              post entry
             end
           else begin
             (* §8.2: place the exception on the target's pending queue and
                return immediately. *)
-            let entry = { p_exn = e; p_on_delivered = None } in
-            if remote_running then begin
-              Queue.add (target, entry) st.boxes.(target.t_dom);
-              st.poke target.t_dom
-            end
-            else begin
-              target.t_pending <- target.t_pending @ [ entry ];
-              interrupt_if_blocked st target
-            end;
+            post { p_exn = e; p_on_delivered = None };
             continue ()
           end)
   | Sleep d ->
@@ -588,8 +592,7 @@ let exec_prim : type a. state -> thread -> a prim -> a frames -> unit =
         (* an expired deadline: the token is pending before the thread
            takes another interruptible step, exactly as if the wheel had
            fired at this instant *)
-        t.t_pending <-
-          t.t_pending @ [ { p_exn = Timer_signal id; p_on_delivered = None } ];
+        post_now st t { p_exn = Timer_signal id; p_on_delivered = None };
         continue { th_id = id; th_cancel = (fun () -> ()) }
       end
       else begin
@@ -670,12 +673,17 @@ let exec_prim : type a. state -> thread -> a prim -> a frames -> unit =
   | Frame_depth -> continue t.t_frame_depth
   | Domain_ix -> continue st.cur_dom
 
+(* Install mask state [b], emitting the transition if it changes. *)
+let[@inline] set_mask st t b =
+  if t.t_mask <> b then
+    emit st (Ev_mask { tid = t.t_id; masked = b <> Mask_none });
+  t.t_mask <- b
+
 let enter_mask st t new_mask body frames =
   if t.t_mask = new_mask then set_run t (Pack (body, frames))
   else begin
     let old_mask = t.t_mask in
-    t.t_mask <- new_mask;
-    emit st (Ev_mask { tid = t.t_id; masked = new_mask <> Mask_none });
+    set_mask st t new_mask;
     match frames with
     | F_mask (b, rest) when st.config.Config.collapse_mask_frames && b = new_mask ->
         (* §8.1: the frame on top would restore exactly the state we just
@@ -688,6 +696,40 @@ let enter_mask st t new_mask body frames =
         bump_depth t 1;
         set_run t (Pack (body, F_mask (old_mask, frames)))
   end
+
+(* Re-raise [e] into the next frame, keeping its synchrony. *)
+let[@inline] rethrow t ~async e rest =
+  set_run t (Pack ((if async then Throw_async e else Throw e), rest))
+
+(* One unwinding step of a raised exception. [async] marks an
+   asynchronously delivered one: the §9 "alerts" reading — plain [Catch]
+   intercepts it, [Catch_sync] does not. *)
+let unwind : type a. state -> thread -> async:bool -> exn -> a frames -> unit =
+ fun st t ~async e frames ->
+  match frames with
+  | F_stop sink ->
+      t.t_state <- T_dead (Some e);
+      emit st (Ev_exit { tid = t.t_id; uncaught = Some e });
+      sink (Error e)
+  | F_bind (_, rest) ->
+      (* rule (Propagate) *)
+      bump_depth t (-1);
+      rethrow t ~async e rest
+  | F_catch_sync (_, _, rest) when async ->
+      (* alerts pass through synchronous-only handlers *)
+      bump_depth t (-1);
+      rethrow t ~async e rest
+  | F_catch (h, saved_mask, rest) | F_catch_sync (h, saved_mask, rest) ->
+      (* rule (Catch): the handler runs with the mask state saved when
+         the catch frame was pushed (§8.1) *)
+      bump_depth t (-1);
+      set_mask st t saved_mask;
+      set_run t (Pack (h e, rest))
+  | F_mask (b, rest) ->
+      (* rules (Block Throw)/(Unblock Throw) *)
+      bump_depth t (-1);
+      set_mask st t b;
+      rethrow t ~async e rest
 
 let exec_step : state -> thread -> packed -> unit =
  fun st t (Pack (io, frames)) ->
@@ -708,62 +750,10 @@ let exec_step : state -> thread -> packed -> unit =
       | F_mask (b, rest) ->
           (* rules (Block Return)/(Unblock Return) *)
           bump_depth t (-1);
-          if t.t_mask <> b then
-            emit st (Ev_mask { tid = t.t_id; masked = b <> Mask_none });
-          t.t_mask <- b;
+          set_mask st t b;
           set_run t (Pack (Pure v, rest)))
-  | Throw e -> (
-      match frames with
-      | F_stop sink ->
-          t.t_state <- T_dead (Some e);
-          emit st (Ev_exit { tid = t.t_id; uncaught = Some e });
-          sink (Error e)
-      | F_bind (_, rest) ->
-          (* rule (Propagate) *)
-          bump_depth t (-1);
-          set_run t (Pack (Throw e, rest))
-      | F_catch (h, saved_mask, rest) | F_catch_sync (h, saved_mask, rest) ->
-          (* rule (Catch): the handler runs with the mask state saved when
-             the catch frame was pushed (§8.1) *)
-          bump_depth t (-1);
-          if t.t_mask <> saved_mask then
-            emit st (Ev_mask { tid = t.t_id; masked = saved_mask <> Mask_none });
-          t.t_mask <- saved_mask;
-          set_run t (Pack (h e, rest))
-      | F_mask (b, rest) ->
-          (* rules (Block Throw)/(Unblock Throw) *)
-          bump_depth t (-1);
-          if t.t_mask <> b then
-            emit st (Ev_mask { tid = t.t_id; masked = b <> Mask_none });
-          t.t_mask <- b;
-          set_run t (Pack (Throw e, rest)))
-  | Throw_async e -> (
-      (* an asynchronously delivered exception: the §9 "alerts" reading —
-         plain [Catch] intercepts it, [Catch_sync] does not *)
-      match frames with
-      | F_stop sink ->
-          t.t_state <- T_dead (Some e);
-          emit st (Ev_exit { tid = t.t_id; uncaught = Some e });
-          sink (Error e)
-      | F_bind (_, rest) ->
-          bump_depth t (-1);
-          set_run t (Pack (Throw_async e, rest))
-      | F_catch (h, saved_mask, rest) ->
-          bump_depth t (-1);
-          if t.t_mask <> saved_mask then
-            emit st (Ev_mask { tid = t.t_id; masked = saved_mask <> Mask_none });
-          t.t_mask <- saved_mask;
-          set_run t (Pack (h e, rest))
-      | F_catch_sync (_, _, rest) ->
-          (* alerts pass through synchronous-only handlers *)
-          bump_depth t (-1);
-          set_run t (Pack (Throw_async e, rest))
-      | F_mask (b, rest) ->
-          bump_depth t (-1);
-          if t.t_mask <> b then
-            emit st (Ev_mask { tid = t.t_id; masked = b <> Mask_none });
-          t.t_mask <- b;
-          set_run t (Pack (Throw_async e, rest)))
+  | Throw e -> unwind st t ~async:false e frames
+  | Throw_async e -> unwind st t ~async:true e frames
   | Bind (m, k) ->
       bump_depth t 1;
       set_run t (Pack (m, F_bind (k, frames)))
@@ -783,6 +773,13 @@ let exec_step : state -> thread -> packed -> unit =
       in
       enter_mask st t level (f (fun m -> Mask (saved, m))) frames
   | Prim p -> exec_prim st t p frames
+
+(* One counted scheduler step: the global and per-thread step counters,
+   then the step itself. *)
+let[@inline] counted_step st t packed =
+  st.steps <- st.steps + 1;
+  t.t_steps <- t.t_steps + 1;
+  exec_step st t packed
 
 (* The fault-injection hook: consulted once per scheduler step (before the
    step executes) with the global step index and the thread about to run.
@@ -805,31 +802,23 @@ let apply_injection st t =
               | T_dead _ -> ()
               | T_run _ | T_blocked _ ->
                   st.injections <- st.injections + 1;
-                  target.t_pending <-
-                    target.t_pending @ [ { p_exn = e; p_on_delivered = None } ];
-                  interrupt_if_blocked st target)))
+                  post_now st target { p_exn = e; p_on_delivered = None })))
+
+(* Stamp the step journal with the thread about to run. *)
+let[@inline] note_step st t =
+  match st.config.Config.journal with
+  | None -> ()
+  | Some j -> Step_journal.note j ~step:st.steps ~running:t.t_id
 
 (* Run one scheduling slice of [t]: the step-boundary delivery check of
-   §8.1 ("at regular intervals during execution inside unblock, the pending
-   exceptions queue must be checked"), then one step. *)
+   §8.1, then one step. *)
 let run_slice st t =
   match t.t_state with
   | T_blocked _ | T_dead _ -> () (* stale queue entry *)
   | T_run packed ->
-      (match st.config.Config.journal with
-      | None -> ()
-      | Some j -> Step_journal.note j ~step:st.steps ~running:t.t_id);
+      note_step st t;
       apply_injection st t;
-      let packed =
-        if t.t_mask = Mask_none && t.t_pending <> [] then
-          deliver_pending st t (fun e ->
-              let (Pack (_, frames)) = packed in
-              Pack (Throw_async e, frames))
-        else packed
-      in
-      st.steps <- st.steps + 1;
-      t.t_steps <- t.t_steps + 1;
-      exec_step st t packed;
+      counted_step st t (take_pending st t packed);
       (match t.t_state with
       | T_run _ -> enqueue st t
       | T_blocked _ | T_dead _ -> ())
@@ -846,10 +835,7 @@ let pick_nonempty st =
 (* One fired wheel entry: a sleeper wakes normally; an armed alarm posts
    its token to the arming thread (rule (Interrupt) if it is blocked). *)
 let fire_timer st = function
-  | Tk_sleep { tm_thread; tm_wake } ->
-      emit st (Ev_wakeup { tid = tm_thread.t_id });
-      set_run tm_thread (tm_wake ());
-      enqueue st tm_thread
+  | Tk_sleep { tm_thread; tm_wake } -> wake st tm_thread (tm_wake ())
   | Tk_alarm { al_thread; al_id } -> (
       match al_thread.t_state with
       | T_dead _ -> ()
@@ -883,9 +869,7 @@ let wake_fd_waiters st tbl fd =
         if not w.fw_cancelled then begin
           st.fd_live <- st.fd_live - 1;
           woke := true;
-          emit st (Ev_wakeup { tid = w.fw_thread.t_id });
-          set_run w.fw_thread (w.fw_wake ());
-          enqueue st w.fw_thread
+          wake st w.fw_thread (w.fw_wake ())
         end
       done;
       if !woke then update_interest st fd
@@ -988,6 +972,13 @@ let make_main st main_io result =
   st.all_threads <- [ main_thread ];
   main_thread
 
+(* The outcome of a run whose main thread finished. *)
+let outcome_of result =
+  match !result with
+  | Some (Ok v) -> Value v
+  | Some (Error e) -> Uncaught e
+  | None -> assert false
+
 (* The single-domain scheduling loop — the seed scheduler, also the
    continuation a replay falls back to when it diverges from its log. *)
 let main_loop st config result =
@@ -996,11 +987,7 @@ let main_loop st config result =
   while !running do
     if st.finished then begin
       running := false;
-      outcome :=
-        (match !result with
-        | Some (Ok v) -> Value v
-        | Some (Error e) -> Uncaught e
-        | None -> assert false)
+      outcome := outcome_of result
     end
     else if st.steps >= config.Config.max_steps then begin
       running := false;
@@ -1158,9 +1145,10 @@ type multi = {
 let quantum = 64 (* steps one thread may run before requeueing *)
 let local_flush = 1024 (* local steps between global-budget flushes *)
 
-(* Entering the lock-held region: subsequent shared-state mutations
-   (wakeups, forks) must attribute to this domain. *)
-let set_ctx st d =
+(* Take the shared-state lock for domain [d]: subsequent shared-state
+   mutations (wakeups, forks) must attribute to this domain. *)
+let lock_shared st m d =
+  Mutex.lock m.m_gl;
   st.cur_dom <- d.d_ix;
   st.enqueue_hook <- d.d_enq
 
@@ -1168,6 +1156,20 @@ let next_seq m =
   let s = m.m_seq in
   m.m_seq <- s + 1;
   s
+
+(* Append one record to this domain's replay buffer. [seq] is the global
+   sequence number, taken under the shared-state lock ([next_seq]), or 0
+   for an unsequenced [K_end]. *)
+let record d kind ~tid ~tseq ~steps ~seq =
+  Rlog.buf_add d.d_buf
+    {
+      Rlog.r_kind = kind;
+      r_dom = d.d_ix;
+      r_tid = tid;
+      r_tseq = tseq;
+      r_steps = steps;
+      r_seq = seq;
+    }
 
 let flush_steps st d =
   if d.d_steps > d.d_flushed then begin
@@ -1183,6 +1185,14 @@ let stop_multi m =
     Condition.broadcast m.m_cond
   end
 
+(* The [max_steps] budget stop, under the lock after a flush. *)
+let check_budget st m =
+  if st.steps >= st.config.Config.max_steps && not (Atomic.get m.m_stop)
+  then begin
+    m.m_late <- Some `Out_of_steps;
+    stop_multi m
+  end
+
 (* Drain one mailbox under the lock: each entry lands on its target's
    pending queue exactly as a same-domain throwTo would have, and is
    recorded so the replay re-posts it at the same global instant. *)
@@ -1190,15 +1200,7 @@ let drain_box st m d box =
   let q = st.boxes.(box) in
   while not (Queue.is_empty q) do
     let u, entry = Queue.pop q in
-    Rlog.buf_add d.d_buf
-      {
-        Rlog.r_kind = Rlog.K_post;
-        r_dom = d.d_ix;
-        r_tid = u.t_id;
-        r_tseq = box;
-        r_steps = 0;
-        r_seq = next_seq m;
-      };
+    record d Rlog.K_post ~tid:u.t_id ~tseq:box ~steps:0 ~seq:(next_seq m);
     d.d_posts <- d.d_posts + 1;
     post_now st u entry
   done
@@ -1216,15 +1218,7 @@ let quiesce st m d =
     if m.m_runnable > 0 then () (* a drain woke someone *)
     else if st.finished then stop_multi m
     else if Timer_wheel.next_deadline st.wheel <> None then begin
-      Rlog.buf_add d.d_buf
-        {
-          Rlog.r_kind = Rlog.K_clock;
-          r_dom = d.d_ix;
-          r_tid = 0;
-          r_tseq = 0;
-          r_steps = 0;
-          r_seq = next_seq m;
-        };
+      record d Rlog.K_clock ~tid:0 ~tseq:0 ~steps:0 ~seq:(next_seq m);
       ignore (advance_clock st)
     end
     else begin
@@ -1240,8 +1234,7 @@ let requeue d t =
 
 (* The mailbox hint fired: drain our own box under the lock. *)
 let service_poke st m d =
-  Mutex.lock m.m_gl;
-  set_ctx st d;
+  lock_shared st m d;
   Atomic.set d.d_poke false;
   drain_box st m d d.d_ix;
   Mutex.unlock m.m_gl
@@ -1251,16 +1244,9 @@ let service_poke st m d =
    delivery that preempts it), and record the segment. Returns whether
    the thread is still runnable. *)
 let boundary st m d t packed seg =
-  Mutex.lock m.m_gl;
-  set_ctx st d;
-  let deliver = t.t_mask = Mask_none && t.t_pending <> [] in
-  let packed =
-    if deliver then
-      deliver_pending st t (fun e ->
-          let (Pack (_, frames)) = packed in
-          Pack (Throw_async e, frames))
-    else packed
-  in
+  lock_shared st m d;
+  let deliver = deliverable t in
+  let packed = take_pending st t packed in
   d.d_steps <- d.d_steps + 1;
   t.t_steps <- t.t_steps + 1;
   flush_steps st d;
@@ -1269,15 +1255,9 @@ let boundary st m d t packed seg =
      Mutex.unlock m.m_gl;
      raise e);
   t.t_tseq <- t.t_tseq + 1;
-  Rlog.buf_add d.d_buf
-    {
-      Rlog.r_kind = (if deliver then Rlog.K_deliver else Rlog.K_op);
-      r_dom = d.d_ix;
-      r_tid = t.t_id;
-      r_tseq = t.t_tseq;
-      r_steps = seg + 1;
-      r_seq = next_seq m;
-    };
+  record d
+    (if deliver then Rlog.K_deliver else Rlog.K_op)
+    ~tid:t.t_id ~tseq:t.t_tseq ~steps:(seg + 1) ~seq:(next_seq m);
   let still =
     match t.t_state with T_run _ -> true | T_blocked _ | T_dead _ -> false
   in
@@ -1285,12 +1265,7 @@ let boundary st m d t packed seg =
     m.m_runnable <- m.m_runnable - 1;
     if m.m_runnable = 0 then quiesce st m d
   end;
-  if st.finished then stop_multi m
-  else if st.steps >= st.config.Config.max_steps && not (Atomic.get m.m_stop)
-  then begin
-    m.m_late <- Some `Out_of_steps;
-    stop_multi m
-  end;
+  if st.finished then stop_multi m else check_budget st m;
   Mutex.unlock m.m_gl;
   still
 
@@ -1298,15 +1273,7 @@ let boundary st m d t packed seg =
 let end_segment d t seg =
   if seg > 0 then begin
     t.t_tseq <- t.t_tseq + 1;
-    Rlog.buf_add d.d_buf
-      {
-        Rlog.r_kind = Rlog.K_end;
-        r_dom = d.d_ix;
-        r_tid = t.t_id;
-        r_tseq = t.t_tseq;
-        r_steps = seg;
-        r_seq = 0;
-      }
+    record d Rlog.K_end ~tid:t.t_id ~tseq:t.t_tseq ~steps:seg ~seq:0
   end
 
 (* Run one thread for up to a quantum: purely local steps execute
@@ -1315,6 +1282,12 @@ let end_segment d t seg =
 let run_thread st m d t =
   let total = ref 0 and seg = ref 0 in
   let running = ref true in
+  (* Close the open segment and put the thread back on our deque. *)
+  let hand_back () =
+    end_segment d t !seg;
+    requeue d t;
+    running := false
+  in
   while !running do
     if Atomic.get d.d_poke then service_poke st m d;
     match t.t_state with
@@ -1324,16 +1297,12 @@ let run_thread st m d t =
            late (we re-check under the lock in [boundary]; any purely
            local stretch is bounded by [local_flush] lock acquisitions,
            which also synchronize this read). *)
-        let want_deliver = t.t_mask = Mask_none && t.t_pending <> [] in
-        if want_deliver || not (step_is_local packed) then begin
+        if deliverable t || not (step_is_local packed) then begin
           let still = boundary st m d t packed !seg in
           seg := 0;
           incr total;
           if (not still) || Atomic.get m.m_stop then running := false
-          else if !total >= quantum then begin
-            requeue d t;
-            running := false
-          end
+          else if !total >= quantum then hand_back ()
         end
         else begin
           d.d_steps <- d.d_steps + 1;
@@ -1344,32 +1313,15 @@ let run_thread st m d t =
             match packed with Pack (Prim Yield, _) -> true | _ -> false
           in
           exec_step st t packed;
-          if yielded || !total >= quantum then begin
-            end_segment d t !seg;
-            seg := 0;
-            requeue d t;
-            running := false
-          end
+          if yielded || !total >= quantum then hand_back ()
           else if d.d_steps - d.d_flushed >= local_flush then begin
             (* A long purely-local stretch: fold the step count into the
                global budget so [max_steps] still bounds local livelock. *)
-            Mutex.lock m.m_gl;
-            set_ctx st d;
+            lock_shared st m d;
             flush_steps st d;
-            if
-              st.steps >= st.config.Config.max_steps
-              && not (Atomic.get m.m_stop)
-            then begin
-              m.m_late <- Some `Out_of_steps;
-              stop_multi m
-            end;
+            check_budget st m;
             Mutex.unlock m.m_gl;
-            if Atomic.get m.m_stop then begin
-              end_segment d t !seg;
-              seg := 0;
-              requeue d t;
-              running := false
-            end
+            if Atomic.get m.m_stop then hand_back ()
           end
         end
   done
@@ -1384,27 +1336,16 @@ let try_steal st m d =
     if not !found then begin
       let v = m.m_doms.((d.d_victim + k) mod n) in
       if v.d_ix <> d.d_ix && Runq.length v.d_deque > 0 then begin
-        Mutex.lock m.m_gl;
-        set_ctx st d;
+        lock_shared st m d;
         Mutex.lock v.d_lock;
         let half = (Runq.length v.d_deque + 1) / 2 in
         for _ = 1 to half do
           if not (Runq.is_empty v.d_deque) then begin
             let t = Runq.pop_back v.d_deque in
             t.t_dom <- d.d_ix;
-            Rlog.buf_add d.d_buf
-              {
-                Rlog.r_kind = Rlog.K_steal;
-                r_dom = d.d_ix;
-                r_tid = t.t_id;
-                r_tseq = 0;
-                r_steps = 0;
-                r_seq = next_seq m;
-              };
+            record d Rlog.K_steal ~tid:t.t_id ~tseq:0 ~steps:0 ~seq:(next_seq m);
             d.d_steals <- d.d_steals + 1;
-            Mutex.lock d.d_lock;
-            Runq.push d.d_deque t;
-            Mutex.unlock d.d_lock;
+            requeue d t;
             found := true
           end
         done;
@@ -1428,8 +1369,7 @@ let pop_own d =
    quiescence (this domain runs the clock/deadlock decision) or park on
    the condition until a producer signals. *)
 let idle st m d =
-  Mutex.lock m.m_gl;
-  set_ctx st d;
+  lock_shared st m d;
   drain_all_boxes st m d;
   let work =
     Runq.length d.d_deque > 0
@@ -1511,9 +1451,7 @@ let run_multi config main_io =
         (fun t ->
           t.t_dom <- d.d_ix;
           m.m_runnable <- m.m_runnable + 1;
-          Mutex.lock d.d_lock;
-          Runq.push d.d_deque t;
-          Mutex.unlock d.d_lock;
+          requeue d t;
           if m.m_idlers > 0 then Condition.signal m.m_cond))
     doms;
   st.poke <- (fun i -> Atomic.set doms.(i).d_poke true);
@@ -1550,11 +1488,7 @@ let run_multi config main_io =
           | Rlog.K_post | Rlog.K_steal | Rlog.K_clock -> ())
         log.Rlog.records);
   let outcome =
-    if st.finished then
-      match !result with
-      | Some (Ok v) -> Value v
-      | Some (Error e) -> Uncaught e
-      | None -> assert false
+    if st.finished then outcome_of result
     else
       match m.m_late with
       | Some `Deadlock -> Deadlock
@@ -1620,11 +1554,6 @@ let run_replay config log main_io =
       known := st.next_tid
     end
   in
-  let note_step t =
-    match config.Config.journal with
-    | None -> ()
-    | Some j -> Step_journal.note j ~step:st.steps ~running:t.t_id
-  in
   let diverged = ref false in
   let records = log.Rlog.records in
   let nrec = Array.length records in
@@ -1655,7 +1584,7 @@ let run_replay config log main_io =
               match t.t_state with
               | T_blocked _ | T_dead _ -> diverged := true
               | T_run packed ->
-                  note_step t;
+                  note_step st t;
                   let before = st.injections in
                   apply_injection st t;
                   if st.injections > before then begin
@@ -1663,69 +1592,36 @@ let run_replay config log main_io =
                        step with full single-domain semantics (delivery
                        check included) and hand over to the free
                        scheduler. *)
-                    let packed =
-                      if t.t_mask = Mask_none && t.t_pending <> [] then
-                        deliver_pending st t (fun e ->
-                            let (Pack (_, frames)) = packed in
-                            Pack (Throw_async e, frames))
-                      else packed
-                    in
-                    st.steps <- st.steps + 1;
-                    t.t_steps <- t.t_steps + 1;
-                    exec_step st t packed;
+                    counted_step st t (take_pending st t packed);
                     diverged := true
                   end
                   else if last && r.Rlog.r_kind = Rlog.K_deliver then
-                    if t.t_mask <> Mask_none || t.t_pending = [] then
-                      diverged := true
-                    else begin
-                      let packed =
-                        deliver_pending st t (fun e ->
-                            let (Pack (_, frames)) = packed in
-                            Pack (Throw_async e, frames))
-                      in
-                      st.steps <- st.steps + 1;
-                      t.t_steps <- t.t_steps + 1;
-                      exec_step st t packed
-                    end
+                    if deliverable t then
+                      counted_step st t (take_pending st t packed)
+                    else diverged := true
                   else begin
                     (* A recorded plain step: local everywhere except the
                        sequenced step a [K_op] segment ends in. Pending
                        exceptions wait for their recorded [K_deliver] —
                        live domains notice cross-domain posts with the
                        same bounded lag. *)
-                    let local = step_is_local packed in
-                    let expect_local = not (last && r.Rlog.r_kind = Rlog.K_op)
-                    in
-                    if local <> expect_local then diverged := true
-                    else begin
-                      st.steps <- st.steps + 1;
-                      t.t_steps <- t.t_steps + 1;
-                      exec_step st t packed
-                    end
+                    let sequenced = last && r.Rlog.r_kind = Rlog.K_op in
+                    if step_is_local packed = sequenced then diverged := true
+                    else counted_step st t packed
                   end
             done;
             sync_threads ())
   done;
   if st.finished && not !diverged then
-    let outcome =
-      match !result with
-      | Some (Ok v) -> Value v
-      | Some (Error e) -> Uncaught e
-      | None -> assert false
-    in
-    finish st ~outcome ~replay_log:log ()
+    finish st ~outcome:(outcome_of result) ~replay_log:log ()
   else if !diverged then begin
     (* Flush undrained mailbox entries (their throwTo already returned),
        then continue under the free single-domain scheduler from the
        exact divergence state. *)
     Array.iter
       (fun box ->
-        while not (Queue.is_empty box) do
-          let u, entry = Queue.pop box in
-          u.t_pending <- u.t_pending @ [ entry ];
-          interrupt_if_blocked st u
-        done)
+        Queue.iter (fun (u, entry) -> post_now st u entry) box;
+        Queue.clear box)
       st.boxes;
     st.cur_dom <- 0;
     List.iter (fun u -> u.t_dom <- 0) st.all_threads;

@@ -69,12 +69,6 @@ let classify config ~exn init (run : Sched.run) =
           | [] -> Completed
           | stranded -> Wedged stranded))
 
-let sample n arr =
-  let len = Array.length arr in
-  if len <= n then Array.to_list arr
-  else
-    List.init n (fun i -> arr.(if n = 1 then 0 else i * (len - 1) / (n - 1)))
-
 let sweep ?(config = Step.default_config) ?(max_steps = 20_000) ?max_points
     ?(target = Acting) ?(exn = "KillThread") ?(jobs = 1) name init =
   let baseline = Sched.run ~config ~max_steps Sched.Round_robin init in
@@ -91,7 +85,7 @@ let sweep ?(config = Step.default_config) ?(max_steps = 20_000) ?max_points
   let points =
     match max_points with
     | None -> Array.to_list kill_points
-    | Some n -> sample n kill_points
+    | Some n -> Sweep.sample n kill_points
   in
   (* Faulted runs are pure recursion over immutable [State.t]s, so kill
      points farm straight to worker domains; [Par.map] keeps results in

@@ -69,16 +69,6 @@ type report = {
   ir_failures : io_failure list;
 }
 
-(* Down-sample to at most [n], evenly spaced, keeping first and last —
-   same policy as the kill sweep's step sampling. *)
-let sample n l =
-  let arr = Array.of_list l in
-  let len = Array.length arr in
-  if len <= n then l
-  else
-    List.init n (fun i ->
-        arr.(if n = 1 then 0 else i * (len - 1) / (n - 1)))
-
 (* Move a failing rule's site as early as it will go while still
    failing: earlier sites make shorter, more readable counterexamples
    (the fault lands before most of the run has happened). *)
@@ -109,11 +99,10 @@ let sweep ?max_sites_per_op ?(kills_per_point = 0) ?(shrink = true)
   let points =
     List.concat_map
       (fun (op, n) ->
-        let site_list = List.init n Fun.id in
         let site_list =
           match max_sites_per_op with
-          | None -> site_list
-          | Some m -> sample m site_list
+          | None -> List.init n Fun.id
+          | Some m -> Sweep.sample m (Array.init n Fun.id)
         in
         List.concat_map
           (fun at ->
@@ -178,7 +167,7 @@ let sweep ?max_sites_per_op ?(kills_per_point = 0) ?(shrink = true)
                       if_shrunk = rule; if_kill = kshrunk;
                       if_reason = reason }
                     :: !failures)
-            (sample kills_per_point armed_steps)
+            (Sweep.sample kills_per_point (Array.of_list armed_steps))
         end);
     (!steps, !kill_runs, List.rev !failures)
   in

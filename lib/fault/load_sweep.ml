@@ -89,14 +89,6 @@ type report = {
   lr_failures : load_failure list;
 }
 
-(* Down-sample to at most [n], evenly spaced, keeping first and last —
-   the kill sweep's sampling policy. *)
-let sample n l =
-  let arr = Array.of_list l in
-  let len = Array.length arr in
-  if len <= n then l
-  else List.init n (fun i -> arr.(if n = 1 then 0 else i * (len - 1) / (n - 1)))
-
 let armed_steps schedule =
   List.sort_uniq compare (List.map fst (Array.to_list schedule.Sweep.s_armed))
 
@@ -209,7 +201,7 @@ let sweep ?(multipliers = [ 1; 2; 5; 10 ]) ?(kills_per_ramp = 0)
           match v with
           | None -> ()
           | Some reason -> fail ~mult ?resource ~kill:plan reason)
-        (sample kills_per_ramp (armed_steps schedule))
+        (Sweep.sample kills_per_ramp (Array.of_list (armed_steps schedule)))
     in
     (match item with
     | Clean_kills (m, schedule) ->

@@ -170,9 +170,10 @@ type report = {
   r_failures : failure list;
 }
 
-(* Down-sample [arr] to at most [n] entries, evenly spaced, keeping the
-   first and last — a bounded sweep still probes both ends of the run. *)
+(* A bounded sweep still probes both ends of the run: first and last are
+   kept. Every sweep driver samples through this one policy. *)
 let sample n arr =
+  if n < 1 then invalid_arg "Sweep.sample: n must be >= 1";
   let len = Array.length arr in
   if len <= n then Array.to_list arr
   else

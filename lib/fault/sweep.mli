@@ -82,6 +82,12 @@ type report = {
 val run_plan : case -> schedule -> Plan.t -> string option * unit Hio.Runtime.result
 (** One faulted run; [None] means all invariants held. *)
 
+val sample : int -> 'a array -> 'a list
+(** [sample n arr] down-samples [arr] to at most [n] entries, evenly
+    spaced, keeping the first and last — the sampling policy of every
+    sweep driver.
+    @raise Invalid_argument if [n < 1]. *)
+
 val sweep :
   ?max_points:int ->
   ?target:Plan.target ->

@@ -5,13 +5,16 @@
      MVar traffic, cross-domain throwTo, timers);
    - record/replay fidelity: a live multi-domain run's log, replayed on
      one domain, reproduces outcome, output, forks, per-thread
-     statistics, the step journal, and [Io.domain_index] observations;
+     statistics, the step journal, and [Io.domain_index] observations —
+     including a run whose threads really cross domains (a mailbox
+     post, every record kind, records after main's exit);
    - replay determinism: replaying twice is byte-identical;
    - graceful divergence: a fault-injection hook perturbing a replay
      flips [replay_diverged] and continues deterministically;
    - the log survives its text encoding;
    - configuration guards ([tracer]/[inject]/[event_source]/[Random]
-     are rejected on live multi-domain runs). *)
+     are rejected on live multi-domain runs, [event_source] under
+     replay too). *)
 
 open Hio
 open Io.Syntax
@@ -68,8 +71,10 @@ let kill_the_spinners n =
   in
   wait ts
 
-(* A mixed workload exercising every record kind: forks, MVar ping-pong,
-   cross-domain throwTo, timers, masked sections, console output. *)
+(* A mixed workload: forks, MVar ping-pong, throwTo, timers, masked
+   sections, console output. Its threads seldom leave the first domain
+   they run on, so its log rarely holds a cross-domain post; [crossing]
+   below is the program that does. *)
 let mixed () =
   let* box = Mvar.new_empty in
   let* done_ = Mvar.new_empty in
@@ -106,6 +111,46 @@ let mixed () =
   let* d = Io.domain_index in
   let* () = Io.put_string (string_of_int d) in
   Mvar.take done_
+
+(* Main and a spinning victim stay runnable until [Io.domain_index] shows
+   them on different domains; main then kills the victim cross-domain
+   (a mailbox post, drained on the victim's domain), sleeps until the
+   scheduler is quiescent (a clock advance), and forks a daemon spinner
+   that runs alongside main's last steps and outlives it, so the log holds
+   records after main's last. Both the victim's write of its index and
+   main's read of it are [Io.lift] steps: sequenced, so the replay
+   observes the same values (the cell itself is made inside the run, so
+   the live run and its replay each get a fresh one). Returns whether the
+   two threads were seen apart. *)
+let crossing () =
+  let* victim_dom = Io.lift (fun () -> ref (-1)) in
+  let rec spin () = Io.bind Io.yield (fun () -> spin ()) in
+  let* victim =
+    Io.fork
+      (Io.catch
+         (let rec report () =
+            let* d = Io.domain_index in
+            let* () = Io.lift (fun () -> victim_dom := d) in
+            let* () = Io.yield in
+            report ()
+          in
+          report ())
+         (fun _ -> Io.put_string "killed"))
+  in
+  let rec wait_apart n =
+    if n = 0 then Io.return false
+    else
+      let* mine = Io.domain_index in
+      let* theirs = Io.lift (fun () -> !victim_dom) in
+      if theirs >= 0 && theirs <> mine then Io.return true
+      else Io.bind Io.yield (fun () -> wait_apart (n - 1))
+  in
+  let* apart = wait_apart 20_000 in
+  let* () = Io.throw_to victim Io.Kill_thread in
+  let* () = Io.sleep 100 in
+  let* _ = Io.fork (spin ()) in
+  let* () = yields 20 in
+  Io.return apart
 
 (* --- live multi-domain runs ----------------------------------------------- *)
 
@@ -153,6 +198,23 @@ let multi_tests =
           | _ -> Alcotest.failf "%s: expected Invalid_argument" name
         in
         let base = mconfig ~domains:2 () in
+        let event_source =
+          Some
+            {
+              Runtime.es_now = (fun () -> 0);
+              es_modify = (fun ~fd:_ ~read:_ ~write:_ -> ());
+              es_wait = (fun ~timeout_us:_ -> []);
+            }
+        in
+        reject "event_source" { base with Runtime.Config.event_source };
+        let log =
+          Option.get (Runtime.run ~config:base (Io.return ())).Runtime.replay_log
+        in
+        reject "event_source under replay"
+          {
+            (mconfig ~domains:1 ~replay:log ()) with
+            Runtime.Config.event_source;
+          };
         reject "tracer"
           { base with Runtime.Config.tracer = Some (fun _ -> ()) };
         reject "inject"
@@ -217,6 +279,37 @@ let replay_tests =
     case "mixed workload: replay reproduces the live run" (fun () ->
         let live, replay = record_and_replay (mixed ()) in
         check_faithful "mixed" (Fmt.any "()") live replay);
+    case "cross-domain kill: every record kind, replayed past main's exit"
+      (fun () ->
+        (* only a run whose threads never separated is retried *)
+        let live, replay =
+          retrying 5 (fun () ->
+              let live, replay = record_and_replay ~domains:2 (crossing ()) in
+              match live.Runtime.outcome with
+              | Runtime.Value true -> (live, replay)
+              | _ -> Alcotest.fail "main and victim never ran apart")
+        in
+        let log = Option.get live.Runtime.replay_log in
+        let module R = Step_journal.Replay in
+        List.iter
+          (fun (name, k) ->
+            if R.count k log < 1 then Alcotest.failf "no %s record" name)
+          [
+            ("K_op", R.K_op); ("K_deliver", R.K_deliver); ("K_end", R.K_end);
+            ("K_post", R.K_post); ("K_steal", R.K_steal); ("K_clock", R.K_clock);
+          ];
+        let records = log.R.records in
+        let main_last = ref (-1) in
+        Array.iteri
+          (fun i r ->
+            match r.R.r_kind with
+            | (R.K_op | R.K_deliver | R.K_end) when r.R.r_tid = 0 ->
+                main_last := i
+            | _ -> ())
+          records;
+        if !main_last >= Array.length records - 1 then
+          Alcotest.fail "no record after main's last";
+        check_faithful "crossing" Fmt.bool live replay);
     case "fork/join tree: replay reproduces the live run" (fun () ->
         let live, replay = record_and_replay (tree 5) in
         check_faithful "tree" Fmt.int live replay);

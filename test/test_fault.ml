@@ -85,6 +85,18 @@ let sweep_tests =
               Alcotest.check Alcotest.int "shrunk to a single injection" 1
                 (List.length f.Sweep.f_shrunk))
             r.Sweep.r_failures);
+      case "sample keeps both ends and rejects n < 1" (fun () ->
+          let arr = Array.init 10 Fun.id in
+          Alcotest.(check (list int)) "3 of 10" [ 0; 4; 9 ] (Sweep.sample 3 arr);
+          Alcotest.(check (list int)) "1 of 10" [ 0 ] (Sweep.sample 1 arr);
+          Alcotest.(check (list int)) "more than there are" [ 0; 1 ]
+            (Sweep.sample 5 [| 0; 1 |]);
+          List.iter
+            (fun n ->
+              match Sweep.sample n arr with
+              | _ -> Alcotest.failf "sample %d: expected Invalid_argument" n
+              | exception Invalid_argument _ -> ())
+            [ 0; -1 ]);
       case "record refuses a baseline that strands threads" (fun () ->
           let wedged =
             Sweep.case "wedged"
