@@ -528,23 +528,16 @@ let equiv_cmd =
 
 (* --- chrun sweep ------------------------------------------------------------- *)
 
-(* The suite names, in the order the suites run and the JSON lists
-   them. Parsed by hand (not Arg.enum) so an unknown suite can exit 2
-   with the full list — cmdliner's enum error exits 124 and its
-   message drifts from the actual suite set. *)
+(* The suite names, in the order the unknown-suite message lists them:
+   corpus, the hio suites of [Fault.Cases.suites] with chaos listed
+   before actor (the order the suites were added), overload, all.
+   Checked by hand (not Arg.enum) so an unknown suite can exit 2 with
+   the full list — cmdliner's enum error exits 124 and its message
+   drifts from the actual suite set. *)
 let suite_names =
-  [ "corpus"; "std"; "server"; "sup"; "chaos"; "actor"; "overload"; "all" ]
-
-let suite_of_string = function
-  | "corpus" -> Some `Corpus
-  | "std" -> Some `Std
-  | "server" -> Some `Server
-  | "sup" -> Some `Sup
-  | "chaos" -> Some `Chaos
-  | "actor" -> Some `Actor
-  | "overload" -> Some `Overload
-  | "all" -> Some `All
-  | _ -> None
+  let hio = List.map fst Fault.Cases.suites in
+  ("corpus" :: List.filter (( <> ) "actor") hio)
+  @ [ "chaos"; "actor"; "overload"; "all" ]
 
 let suite_arg =
   Arg.(
@@ -581,7 +574,9 @@ let max_points_arg =
     & info [ "max-points" ] ~docv:"N"
         ~doc:
           "Down-sample each case's kill points to at most $(docv), evenly \
-           spaced (first and last kept). Default: sweep every point.")
+           spaced (first and last kept). Default: sweep every point. The \
+           $(b,chaos) and $(b,overload) suites ignore it: they sample with \
+           $(b,--max-sites) and $(b,--kills-per-point).")
 
 let max_sites_arg =
   Arg.(
@@ -656,7 +651,8 @@ let strip_jobs argv =
   let rec go = function
     | [] -> []
     | ("--jobs" | "-j" | "--json") :: _ :: rest -> go rest
-    | a :: rest when prefixed "--jobs=" a || prefixed "-j=" a -> go rest
+    (* [-j] glued to its value too: [-jN], [-j=N] *)
+    | a :: rest when prefixed "--jobs=" a || prefixed "-j" a -> go rest
     | a :: rest when prefixed "--json=" a -> go rest
     | a :: rest -> a :: go rest
   in
@@ -664,8 +660,7 @@ let strip_jobs argv =
 
 (* JSON by hand (no JSON library in the tree): every string we emit is a
    known identifier, so escaping is not needed. *)
-let sweep_json path ~argv ~domains ~corpus ~std ~server ~sup ~actor ~chaos
-    ~overload ~failures =
+let sweep_json path ~argv ~domains ~corpus ~hio ~chaos ~overload ~failures =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
@@ -716,7 +711,7 @@ let sweep_json path ~argv ~domains ~corpus ~std ~server ~sup ~actor ~chaos
     String.concat ", "
       (List.map (fun (k, n) -> Printf.sprintf "\"%s\": %d" k n) kinds)
   in
-  let hio_rows name rows =
+  let hio_rows (name, rows) =
     add "  \"%s\": [\n" name;
     List.iteri
       (fun i (r : Fault.Sweep.report) ->
@@ -733,10 +728,7 @@ let sweep_json path ~argv ~domains ~corpus ~std ~server ~sup ~actor ~chaos
       rows;
     add "  ],\n"
   in
-  hio_rows "std" std;
-  hio_rows "server" server;
-  hio_rows "sup" sup;
-  hio_rows "actor" actor;
+  List.iter hio_rows hio;
   add "  \"chaos\": [\n";
   List.iteri
     (fun i (r : Fault.Io_sweep.report) ->
@@ -789,8 +781,7 @@ let sweep_json path ~argv ~domains ~corpus ~std ~server ~sup ~actor ~chaos
       0 corpus
     + List.fold_left
         (fun a (r : Fault.Sweep.report) -> a + r.r_kill_points)
-        0
-        (std @ server @ sup @ actor)
+        0 (List.concat_map snd hio)
   in
   let fp =
     List.fold_left
@@ -817,19 +808,16 @@ let sweep_cmd =
   let run suite max_points max_sites kills_per_point jobs domains json
       strict =
     handle_syntax (fun () ->
-        let suite =
-          match suite_of_string suite with
-          | Some s -> s
-          | None ->
-              Fmt.epr "chrun sweep: unknown suite %S (expected one of: %s)@."
-                suite
-                (String.concat ", " suite_names);
-              exit 2
-        in
+        if not (List.mem suite suite_names) then begin
+          Fmt.epr "chrun sweep: unknown suite %S (expected one of: %s)@." suite
+            (String.concat ", " suite_names);
+          exit 2
+        end;
+        let selected name = suite = name || suite = "all" in
         let jobs = resolve_jobs jobs in
         let failures = ref 0 in
         let corpus =
-          if suite <> `Corpus && suite <> `All then []
+          if not (selected "corpus") then []
           else
             List.map
               (fun (name, init) ->
@@ -840,59 +828,27 @@ let sweep_cmd =
                 r)
               Fault.Ch_sweep.corpus
         in
-        let std =
-          if suite <> `Std && suite <> `All then []
-          else
-            List.map
-              (fun c ->
-                let r = Fault.Sweep.sweep ?max_points ~jobs ~domains c in
-                Fmt.pr "%a@." Fault.Sweep.pp_report r;
-                failures := !failures + List.length r.Fault.Sweep.r_failures;
-                r)
-              Fault.Cases.std
-        in
-        let server =
-          if suite <> `Server && suite <> `All then []
-          else
-            List.map
-              (fun target ->
-                let r =
-                  Fault.Sweep.sweep ?max_points ~jobs ~domains ~target
-                    Fault.Cases.server
-                in
-                Fmt.pr "%a@." Fault.Sweep.pp_report r;
-                failures := !failures + List.length r.Fault.Sweep.r_failures;
-                r)
-              Fault.Cases.server_targets
-        in
-        let sup =
-          if suite <> `Sup && suite <> `All then []
-          else
-            List.map
-              (fun (case, target) ->
-                let r =
-                  Fault.Sweep.sweep ?max_points ~jobs ~domains ~target case
-                in
-                Fmt.pr "%a@." Fault.Sweep.pp_report r;
-                failures := !failures + List.length r.Fault.Sweep.r_failures;
-                r)
-              Fault.Cases.sup_sweeps
-        in
-        let actor =
-          if suite <> `Actor && suite <> `All then []
-          else
-            List.map
-              (fun (case, target) ->
-                let r =
-                  Fault.Sweep.sweep ?max_points ~jobs ~domains ~target case
-                in
-                Fmt.pr "%a@." Fault.Sweep.pp_report r;
-                failures := !failures + List.length r.Fault.Sweep.r_failures;
-                r)
-              Fault.Cases.actor_sweeps
+        let hio =
+          List.map
+            (fun (name, sweeps) ->
+              ( name,
+                if not (selected name) then []
+                else
+                  List.map
+                    (fun (case, target) ->
+                      let r =
+                        Fault.Sweep.sweep ?max_points ~jobs ~domains ~target
+                          case
+                      in
+                      Fmt.pr "%a@." Fault.Sweep.pp_report r;
+                      failures :=
+                        !failures + List.length r.Fault.Sweep.r_failures;
+                      r)
+                    sweeps ))
+            Fault.Cases.suites
         in
         let chaos =
-          if suite <> `Chaos && suite <> `All then []
+          if not (selected "chaos") then []
           else
             List.map
               (fun c ->
@@ -907,13 +863,13 @@ let sweep_cmd =
               Fault.Io_cases.chaos
         in
         let overload =
-          if suite <> `Overload && suite <> `All then []
+          if not (selected "overload") then []
           else
             List.map
               (fun c ->
                 let r =
-                  Fault.Load_sweep.sweep ~kills_per_ramp:kills_per_point
-                    ~resources:Fault.Load_cases.overload_resources ~jobs c
+                  Fault.Load_sweep.sweep ~kills_per_ramp:kills_per_point ~jobs
+                    c
                 in
                 Fmt.pr "%a@." Fault.Load_sweep.pp_report r;
                 failures :=
@@ -925,8 +881,7 @@ let sweep_cmd =
         | Some path ->
             sweep_json path
               ~argv:(Array.to_list Sys.argv)
-              ~domains ~corpus ~std ~server ~sup ~actor ~chaos ~overload
-              ~failures:!failures
+              ~domains ~corpus ~hio ~chaos ~overload ~failures:!failures
         | None -> ());
         if !failures > 0 then begin
           Fmt.pr "%d FAILING sweep%s@." !failures

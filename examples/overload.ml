@@ -78,10 +78,7 @@ let () =
   let reports =
     List.map
       (fun c ->
-        let r =
-          Fault.Load_sweep.sweep ~kills_per_ramp:!kills
-            ~resources:Fault.Load_cases.overload_resources ~jobs:!jobs c
-        in
+        let r = Fault.Load_sweep.sweep ~kills_per_ramp:!kills ~jobs:!jobs c in
         Format.printf "%a@." Fault.Load_sweep.pp_report r;
         r)
       Fault.Load_cases.overload

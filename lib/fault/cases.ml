@@ -456,17 +456,6 @@ let sup_server_targets =
     Plan.Named "conn-worker";
   ]
 
-let sup_sweeps =
-  [
-    (sup_one_for_one, Plan.Acting);
-    (sup_one_for_one, Plan.Named "supervisor");
-    (sup_one_for_one, Plan.Named "a");
-    (sup_all_for_one, Plan.Acting);
-    (sup_retry_breaker, Plan.Acting);
-    (sup_bulkhead, Plan.Acting);
-  ]
-  @ List.map (fun t -> (sup_server, t)) sup_server_targets
-
 (* --- the actor layer ----------------------------------------------------
 
    Links are throwTo, monitors are messages, and the exit protocol runs
@@ -764,18 +753,35 @@ let actor_shard_targets =
     Plan.Named "shard-root";
   ]
 
-let actor_sweeps =
+(* --- the hio suites, as chrun sweeps them ------------------------------- *)
+
+let suites =
   [
-    (actor_link, Plan.Acting);
-    (actor_link, Plan.Named "watcher");
-    (actor_link, Plan.Named "parent");
-    (actor_link, Plan.Named "child");
-    (actor_call, Plan.Acting);
-    (actor_call, Plan.Named "counter");
-    (actor_ring, Plan.Acting);
-    (actor_ring, Plan.Named "ring-1");
+    ("std", List.map (fun c -> (c, Plan.Acting)) std);
+    ("server", List.map (fun t -> (server, t)) server_targets);
+    ( "sup",
+      [
+        (sup_one_for_one, Plan.Acting);
+        (sup_one_for_one, Plan.Named "supervisor");
+        (sup_one_for_one, Plan.Named "a");
+        (sup_all_for_one, Plan.Acting);
+        (sup_retry_breaker, Plan.Acting);
+        (sup_bulkhead, Plan.Acting);
+      ]
+      @ List.map (fun t -> (sup_server, t)) sup_server_targets );
+    ( "actor",
+      [
+        (actor_link, Plan.Acting);
+        (actor_link, Plan.Named "watcher");
+        (actor_link, Plan.Named "parent");
+        (actor_link, Plan.Named "child");
+        (actor_call, Plan.Acting);
+        (actor_call, Plan.Named "counter");
+        (actor_ring, Plan.Acting);
+        (actor_ring, Plan.Named "ring-1");
+      ]
+      @ List.map (fun t -> (actor_shard, t)) actor_shard_targets );
   ]
-  @ List.map (fun t -> (actor_shard, t)) actor_shard_targets
 
 (* --- a deliberately broken abstraction, to test the harness ------------- *)
 

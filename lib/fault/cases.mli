@@ -55,10 +55,6 @@ val sup_server : Sweep.case
 val sup_server_targets : Plan.target list
 (** [Acting; Named "supervisor"; Named "listener"; Named "conn-worker"]. *)
 
-val sup_sweeps : (Sweep.case * Plan.target) list
-(** The full [sup] suite: each generic case with its targets, then
-    {!sup_server} against each of {!sup_server_targets}. *)
-
 val actor_link : Sweep.case
 (** A monitored, linked child that crashes on demand: whatever single
     kill lands (watcher, parent, child, main), a monitor's [Down]
@@ -90,9 +86,14 @@ val actor_shard_targets : Plan.target list
     Named "shard-serve"; Named "conn-worker"; Named "shard-root"] —
     every layer of the sharded tree. *)
 
-val actor_sweeps : (Sweep.case * Plan.target) list
-(** The full [actor] suite: link/call/ring cases with their targets,
-    then {!actor_shard} against each of {!actor_shard_targets}. *)
+val suites : (string * (Sweep.case * Plan.target) list) list
+(** The hio kill-sweep suites by name, in the order [chrun sweep] runs
+    them: [std] (each {!std} case, {!Plan.Acting}), [server] ({!server}
+    against each of {!server_targets}), [sup] (each supervision case
+    with its targets, then {!sup_server} against each of
+    {!sup_server_targets}) and [actor] (link/call/ring with their
+    targets, then {!actor_shard} against each of
+    {!actor_shard_targets}). *)
 
 val naive_lock : Sweep.case
 (** A deliberately §5.2-violating lock (bare [take]/[put], nothing

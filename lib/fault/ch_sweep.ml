@@ -2,8 +2,6 @@ open Ch_lang
 open Ch_semantics
 open Ch_explore
 
-type target = Acting | Tid of Term.tid
-
 type verdict =
   | Completed
   | Killed
@@ -26,7 +24,13 @@ type report = {
   rc_points : point list;
 }
 
-let inject_inflight (st : State.t) ~target ~exn =
+(* The adversary: KillThread into the acting thread, under the default
+   rules, with a step bound on every run. *)
+let config = Step.default_config
+let max_steps = 20_000
+let exn = "KillThread"
+
+let inject_inflight (st : State.t) ~target =
   {
     st with
     State.inflight =
@@ -46,7 +50,7 @@ let pre_gc_state init (run : Sched.run) =
   in
   go init run.Sched.trace
 
-let classify config ~exn init (run : Sched.run) =
+let classify init (run : Sched.run) =
   match run.Sched.outcome with
   | Sched.Out_of_steps -> Livelock
   | Sched.Terminated -> (
@@ -69,8 +73,7 @@ let classify config ~exn init (run : Sched.run) =
           | [] -> Completed
           | stranded -> Wedged stranded))
 
-let sweep ?(config = Step.default_config) ?(max_steps = 20_000) ?max_points
-    ?(target = Acting) ?(exn = "KillThread") ?(jobs = 1) name init =
+let sweep ?max_points ?(jobs = 1) name init =
   let baseline = Sched.run ~config ~max_steps Sched.Round_robin init in
   (if baseline.Sched.outcome <> Sched.Terminated then
      Fmt.failwith "ch_sweep: %s: baseline hit the step bound" name);
@@ -89,51 +92,38 @@ let sweep ?(config = Step.default_config) ?(max_steps = 20_000) ?max_points
   in
   (* Faulted runs are pure recursion over immutable [State.t]s, so kill
      points farm straight to worker domains; [Par.map] keeps results in
-     kill-point order and the fold below is sequential, so the report
-     does not depend on [jobs]. *)
-  let eval (at_step, acting) =
-    let victim = match target with Acting -> acting | Tid t -> t in
+     kill-point order and the counts below read them sequentially, so
+     the report does not depend on [jobs]. *)
+  let eval (at_step, victim) =
     let intervene ~step st =
-      if step = at_step then Some (inject_inflight st ~target:victim ~exn)
+      if step = at_step then Some (inject_inflight st ~target:victim)
       else None
     in
     let run =
       Sched.run ~config ~intervene ~max_steps Sched.Round_robin init
     in
-    (at_step, victim, run.Sched.steps, classify config ~exn init run)
+    (at_step, victim, run.Sched.steps, classify init run)
   in
-  let results = Par.map ~jobs eval (Array.of_list points) in
-  let completed = ref 0
-  and killed = ref 0
-  and wedged = ref 0
-  and broken = ref 0
-  and livelocked = ref 0
-  and faulted = ref 0
-  and bad = ref [] in
-  Array.iter
-    (fun (at_step, victim, steps, verdict) ->
-      faulted := !faulted + steps;
-      (match verdict with
-      | Completed -> incr completed
-      | Killed -> incr killed
-      | Wedged _ -> incr wedged
-      | Broken _ -> incr broken
-      | Livelock -> incr livelocked);
-      match verdict with
-      | Completed | Killed -> ()
-      | _ -> bad := { at_step; victim; verdict } :: !bad)
-    results;
+  let results = Array.to_list (Par.map ~jobs eval (Array.of_list points)) in
+  let count p = List.length (List.filter (fun (_, _, _, v) -> p v) results) in
   {
     rc_name = name;
     rc_baseline_steps = baseline.Sched.steps;
     rc_kill_points = List.length points;
-    rc_completed = !completed;
-    rc_killed = !killed;
-    rc_wedged = !wedged;
-    rc_broken = !broken;
-    rc_livelocked = !livelocked;
-    rc_faulted_steps = !faulted;
-    rc_points = List.rev !bad;
+    rc_completed = count (( = ) Completed);
+    rc_killed = count (( = ) Killed);
+    rc_wedged = count (function Wedged _ -> true | _ -> false);
+    rc_broken = count (function Broken _ -> true | _ -> false);
+    rc_livelocked = count (( = ) Livelock);
+    rc_faulted_steps =
+      List.fold_left (fun n (_, _, steps, _) -> n + steps) 0 results;
+    rc_points =
+      List.filter_map
+        (fun (at_step, victim, _, verdict) ->
+          match verdict with
+          | Completed | Killed -> None
+          | _ -> Some { at_step; victim; verdict })
+        results;
   }
 
 let quiescent r = r.rc_wedged = 0 && r.rc_broken = 0 && r.rc_livelocked = 0

@@ -19,10 +19,6 @@
 open Ch_lang
 open Ch_semantics
 
-type target = Acting | Tid of Term.tid
-(** Victim selection: the thread acting at the kill point, or a fixed
-    thread id. *)
-
 type verdict =
   | Completed  (** main finished with a value *)
   | Killed  (** main finished by throwing the injected exception *)
@@ -47,22 +43,15 @@ type report = {
   rc_points : point list;  (** every non-[Completed]/[Killed] point *)
 }
 
-val sweep :
-  ?config:Step.config ->
-  ?max_steps:int ->
-  ?max_points:int ->
-  ?target:target ->
-  ?exn:Term.exn_name ->
-  ?jobs:int ->
-  string ->
-  State.t ->
-  report
+val sweep : ?max_points:int -> ?jobs:int -> string -> State.t -> report
 (** [sweep name init]: record the round-robin baseline (which must
-    terminate), then re-run once per kill point (down-sampled evenly to
-    [max_points] if given) injecting [exn] (default ["KillThread"]) into
-    [target] (default {!Acting}). [jobs] (default 1) runs the faulted
-    re-runs on that many domains; the report is identical for every
-    [jobs] value (indexed results, ordered merge — see {!Par}).
+    terminate within 20,000 steps), then re-run once per kill point
+    (down-sampled evenly to [max_points] if given) injecting
+    ["KillThread"] into the thread acting at that step, under
+    {!Step.default_config} with the same step bound. [jobs] (default 1)
+    runs the faulted re-runs on that many domains; the report is
+    identical for every [jobs] value (indexed results, ordered merge —
+    see {!Par}).
     @raise Failure if the baseline run does not terminate. *)
 
 val quiescent : report -> bool

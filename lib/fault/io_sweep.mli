@@ -21,27 +21,17 @@
     re-runs are farmed to worker domains with results merged in point
     order, so reports are byte-identical for every [jobs] value. *)
 
-type case
-(** A named program prepared for I/O sweeping. The body receives the
-    per-run {!Ev.Chaos.ctl} so it can build a wrapped backend (or wrap
+type case = Ev.Chaos.plan -> Ev.Chaos.ctl option ref -> Sweep.case
+(** A named program prepared for I/O sweeping: given one run's chaos
+    plan, it builds that run's {!Sweep.case}, which creates the run's
+    {!Ev.Chaos.ctl} in its first [lift] step and stores it in the ref.
+    The body receives the ctl so it can build a wrapped backend (or wrap
     bare pipe ends) and call {!Ev.Chaos.disarm} before its probe
     phase. *)
 
 val case :
   ?max_steps:int -> string -> (Ev.Chaos.ctl -> unit Hio.Io.t) -> case
 (** Default [max_steps] is [400_000] — I/O cases run servers. *)
-
-val case_name : case -> string
-
-type io_failure = {
-  if_case : string;
-  if_rule : Ev.Chaos.rule;  (** the failing fault injection *)
-  if_shrunk : Ev.Chaos.rule;  (** its site moved as early as it will go *)
-  if_kill : Plan.t;
-      (** the kill plan layered on top ([[]] for a pure I/O failure);
-          already {!Shrink.minimize}d *)
-  if_reason : string;
-}
 
 type report = {
   ir_case : string;
@@ -55,7 +45,9 @@ type report = {
   ir_by_kind : (string * int) list;
       (** fault points per {!Ev.Chaos.fault_label} kind (plus a ["kill"]
           entry for combined runs), label-sorted *)
-  ir_failures : io_failure list;
+  ir_failures : Sweep.failure list;
+      (** each with a {!Sweep.Io} context; [f_plan] is the layered kill
+          plan, [[]] for a pure I/O failure *)
 }
 
 val record :
@@ -81,7 +73,6 @@ val run_rule :
 val sweep :
   ?max_sites_per_op:int ->
   ?kills_per_point:int ->
-  ?shrink:bool ->
   ?jobs:int ->
   ?domains:int ->
   case ->
@@ -91,7 +82,10 @@ val sweep :
     {!Ev.Chaos.default_faults} — and re-run the case once per point.
     [kills_per_point] (default [0]) additionally re-records each clean
     point's faulted schedule and layers a kill at that many of its armed
-    steps, evenly sampled. [jobs] farms points to worker domains; the
+    steps, evenly sampled ({!Sweep.layered_kills}). A failing rule's
+    site is moved as early as it still fails; a failing layered kill
+    plan is {!Shrink.minimize}d within its schedule's armed steps.
+    [jobs] farms points to worker domains; the
     report is identical for every value. [domains] (default 1) records
     the baseline on that many scheduler domains; faulted runs replay
     its log until the injected fault diverges the schedule, then

@@ -44,17 +44,6 @@ let overload_config =
     restart_intensity = { Hsup.Sup.max_restarts = 16; window = 1_000_000 };
   }
 
-(* The resource-exhaustion plans the chrun overload suite arms on top
-   of the clean ramps: a budget of live connections (EMFILE), a capped
-   listener backlog (dial refusals), a capped send buffer (short
-   writes + Buffer_full). Budgets sized to bite at 2x and above. *)
-let overload_resources =
-  [
-    ("fd-budget", { Ev.Chaos.no_resources with fd_budget = Some 6 });
-    ("backlog", { Ev.Chaos.no_resources with backlog_cap = Some 4 });
-    ("send-cap", { Ev.Chaos.no_resources with send_cap = Some 8 });
-  ]
-
 let request = { Http.meth = "GET"; path = "/hello"; headers = []; body = "" }
 
 (* One client: arrive at [at], dial, ask, classify. [`Other] is the

@@ -1,11 +1,5 @@
 open Hio
 
-(* Per-domain plumbing, exactly [Io_sweep]'s pattern: the driver picks
-   the ramp multiplier and the resource plan per run, the case builds
-   its chaos ctl fresh inside the run and hands its tally back through
-   a domain-local cell — race-free under [Par.map] because each worker
-   domain runs its evaluations sequentially. *)
-
 type tally = {
   lt_offered : int;  (** arrivals the ramp issued *)
   lt_ok : int;  (** 200s — goodput *)
@@ -16,67 +10,42 @@ type tally = {
   lt_max_qdelay : int;  (** worst bulkhead queue sojourn observed, µs *)
 }
 
-let mult_key = Domain.DLS.new_key (fun () -> ref 1)
-
-let resources_key =
-  Domain.DLS.new_key (fun () -> ref Ev.Chaos.no_resources)
-
-let tally_key = Domain.DLS.new_key (fun () -> ref (None : tally option))
-
+(* A case builds each run's [Sweep.case] from that run's multiplier and
+   resource plan: one [lift] step creates the ctl fresh inside the run,
+   the body runs the ramp and checks its own invariants, and a last
+   [lift] parks the tally in the run's own [tally] ref for the driver.
+   Nothing is shared between runs, so [Par.map] can farm them to worker
+   domains. *)
 type case = {
   lc_name : string;
-  lc_max_steps : int;
   lc_qdelay_bound : int option;
-  lc_body : Ev.Chaos.ctl -> mult:int -> tally Io.t;
+  lc_run :
+    mult:int -> resources:Ev.Chaos.resources -> tally option ref -> Sweep.case;
 }
 
 let case ?(max_steps = 2_000_000) ?qdelay_bound name body =
-  {
-    lc_name = name;
-    lc_max_steps = max_steps;
-    lc_qdelay_bound = qdelay_bound;
-    lc_body = body;
-  }
-
-let case_name c = c.lc_name
-
-(* The [Sweep.case] view: one [lift] step reads the domain's multiplier
-   and resource plan and builds the ctl; the body runs the ramp, checks
-   its own invariants, and returns the tally, parked for the driver. *)
-let kill_case c =
-  Sweep.case ~max_steps:c.lc_max_steps c.lc_name
-    (Io.bind
-       (Io.lift (fun () ->
-            Domain.DLS.get tally_key := None;
-            let resources = !(Domain.DLS.get resources_key) in
-            (Ev.Chaos.create ~resources [], !(Domain.DLS.get mult_key))))
-       (fun (ctl, mult) ->
-         Io.bind (c.lc_body ctl ~mult) (fun tally ->
-             Io.lift (fun () -> Domain.DLS.get tally_key := Some tally))))
+  let run ~mult ~resources tally =
+    Sweep.case ~max_steps name
+      (Io.bind
+         (Io.lift (fun () -> Ev.Chaos.create ~resources []))
+         (fun ctl ->
+           Io.bind (body ctl ~mult) (fun t ->
+               Io.lift (fun () -> tally := Some t))))
+  in
+  { lc_name = name; lc_qdelay_bound = qdelay_bound; lc_run = run }
 
 let record c ~mult ~resources =
-  Domain.DLS.get mult_key := mult;
-  Domain.DLS.get resources_key := resources;
-  let schedule = Sweep.record (kill_case c) in
-  (schedule, !(Domain.DLS.get tally_key))
+  let tally = ref None in
+  let schedule = Sweep.record (c.lc_run ~mult ~resources tally) in
+  (schedule, !tally)
 
 let run_kill c schedule ~mult ~resources plan =
-  Domain.DLS.get mult_key := mult;
-  Domain.DLS.get resources_key := resources;
-  Sweep.run_plan (kill_case c) schedule plan
+  Sweep.run_plan (c.lc_run ~mult ~resources (ref None)) schedule plan
 
 type point = {
   lp_mult : int;
   lp_tally : tally;
   lp_steps : int;
-}
-
-type load_failure = {
-  lf_case : string;
-  lf_mult : int;
-  lf_resource : string option;
-  lf_kill : Plan.t;
-  lf_reason : string;
 }
 
 type report = {
@@ -86,11 +55,21 @@ type report = {
   lr_kill_runs : int;
   lr_resource_ramps : int;
   lr_faulted_steps : int;
-  lr_failures : load_failure list;
+  lr_failures : Sweep.failure list;
 }
 
-let armed_steps schedule =
-  List.sort_uniq compare (List.map fst (Array.to_list schedule.Sweep.s_armed))
+let multipliers = [ 1; 2; 5; 10 ]
+
+(* The resource-exhaustion plans armed on top of the clean ramps: a
+   budget of live connections (EMFILE), a capped listener backlog (dial
+   refusals), a capped send buffer (short writes + Buffer_full). Budgets
+   sized to bite at 2x and above. *)
+let resources =
+  [
+    ("fd-budget", { Ev.Chaos.no_resources with fd_budget = Some 6 });
+    ("backlog", { Ev.Chaos.no_resources with backlog_cap = Some 4 });
+    ("send-cap", { Ev.Chaos.no_resources with send_cap = Some 8 });
+  ]
 
 (* What [Par.map] farms out after the clean ramps are in: kill runs over
    a clean ramp's schedule, or a whole resource-faulted ramp (its own
@@ -99,8 +78,16 @@ type item =
   | Clean_kills of int * Sweep.schedule
   | Faulted of int * string * Ev.Chaos.resources
 
-let sweep ?(multipliers = [ 1; 2; 5; 10 ]) ?(kills_per_ramp = 0)
-    ?(resources = []) ?(jobs = 1) c =
+let sweep ?(kills_per_ramp = 0) ?(jobs = 1) c =
+  let failure ~mult ?resource reason =
+    {
+      Sweep.f_case = c.lc_name;
+      f_fault = Sweep.Load { mult; resource };
+      f_plan = [];
+      f_shrunk = [];
+      f_reason = reason;
+    }
+  in
   (* Phase 1 — one clean open-loop ramp per multiplier, sequentially on
      the driver domain: these runs define capacity and the goodput
      curve, so their tallies go into the report verbatim. *)
@@ -114,17 +101,7 @@ let sweep ?(multipliers = [ 1; 2; 5; 10 ]) ?(kills_per_ramp = 0)
       multipliers
   in
   let failures = ref [] in
-  let fail ~mult ?resource ?(kill = []) reason =
-    failures :=
-      {
-        lf_case = c.lc_name;
-        lf_mult = mult;
-        lf_resource = resource;
-        lf_kill = kill;
-        lf_reason = reason;
-      }
-      :: !failures
-  in
+  let fail ~mult reason = failures := failure ~mult reason :: !failures in
   let points =
     List.filter_map
       (function
@@ -135,7 +112,7 @@ let sweep ?(multipliers = [ 1; 2; 5; 10 ]) ?(kills_per_ramp = 0)
             None)
       clean
   in
-  (* Capacity: goodput of the lowest clean multiplier (1x by default). *)
+  (* Capacity: goodput of the lowest clean multiplier (1x when it ran). *)
   let capacity =
     match points with [] -> 0 | p :: _ -> p.lp_tally.lt_ok
   in
@@ -173,66 +150,48 @@ let sweep ?(multipliers = [ 1; 2; 5; 10 ]) ?(kills_per_ramp = 0)
         match r with
         | Error _ -> []
         | Ok (schedule, _) ->
-            (if kills_per_ramp > 0 then [ Clean_kills (m, schedule) ] else [])
-            @ List.map (fun (name, res) -> Faulted (m, name, res)) resources)
+            Clean_kills (m, schedule)
+            :: List.map (fun (name, res) -> Faulted (m, name, res)) resources)
       clean
   in
-  let eval item =
-    let steps = ref 0 and kill_runs = ref 0 and ramps = ref 0 in
-    let fails = ref [] in
-    let fail ~mult ?resource ?(kill = []) reason =
-      fails :=
-        {
-          lf_case = c.lc_name;
-          lf_mult = mult;
-          lf_resource = resource;
-          lf_kill = kill;
-          lf_reason = reason;
-        }
-        :: !fails
-    in
-    let kills ~mult ?resource ~res schedule =
-      List.iter
-        (fun step ->
-          incr kill_runs;
-          let plan = [ Plan.kill step ] in
-          let v, r = run_kill c schedule ~mult ~resources:res plan in
-          steps := !steps + r.Runtime.steps;
-          match v with
-          | None -> ()
-          | Some reason -> fail ~mult ?resource ~kill:plan reason)
-        (Sweep.sample kills_per_ramp (Array.of_list (armed_steps schedule)))
-    in
-    (match item with
-    | Clean_kills (m, schedule) ->
-        kills ~mult:m ~res:Ev.Chaos.no_resources schedule
-    | Faulted (m, rname, res) -> (
-        incr ramps;
-        match record c ~mult:m ~resources:res with
-        | exception Failure msg -> fail ~mult:m ~resource:rname msg
-        | schedule, _ ->
-            steps := !steps + schedule.Sweep.s_steps;
-            if kills_per_ramp > 0 then
-              kills ~mult:m ~resource:rname ~res schedule));
-    (!steps, !kill_runs, !ramps, List.rev !fails)
+  let eval = function
+    | Clean_kills (mult, schedule) ->
+        let runs, steps, fs =
+          Sweep.layered_kills
+            ~fault:(Sweep.Load { mult; resource = None })
+            kills_per_ramp
+            (c.lc_run ~mult ~resources:Ev.Chaos.no_resources (ref None))
+            schedule
+        in
+        (steps, runs, 0, fs)
+    | Faulted (mult, rname, res) -> (
+        let kc = c.lc_run ~mult ~resources:res (ref None) in
+        match Sweep.record kc with
+        | exception Failure msg ->
+            (0, 0, 1, [ failure ~mult ~resource:rname msg ])
+        | schedule ->
+            let runs, steps, fs =
+              Sweep.layered_kills
+                ~fault:(Sweep.Load { mult; resource = Some rname })
+                kills_per_ramp kc schedule
+            in
+            (schedule.Sweep.s_steps + steps, runs, 1, fs))
   in
-  let results = Par.map ~jobs eval (Array.of_list items) in
-  let faulted_steps = ref 0 and kill_runs = ref 0 and ramps = ref 0 in
-  Array.iter
-    (fun (steps, kr, rr, fs) ->
-      faulted_steps := !faulted_steps + steps;
-      kill_runs := !kill_runs + kr;
-      ramps := !ramps + rr;
-      List.iter (fun f -> failures := f :: !failures) fs)
-    results;
+  let faulted_steps, kill_runs, ramps, composed_failures =
+    Array.fold_right
+      (fun (steps, kr, rr, fs) (n, k, r, acc) ->
+        (n + steps, k + kr, r + rr, fs @ acc))
+      (Par.map ~jobs eval (Array.of_list items))
+      (0, 0, 0, [])
+  in
   {
     lr_case = c.lc_name;
     lr_capacity = capacity;
     lr_points = points;
-    lr_kill_runs = !kill_runs;
-    lr_resource_ramps = !ramps;
-    lr_faulted_steps = !faulted_steps;
-    lr_failures = List.rev !failures;
+    lr_kill_runs = kill_runs;
+    lr_resource_ramps = ramps;
+    lr_faulted_steps = faulted_steps;
+    lr_failures = List.rev !failures @ composed_failures;
   }
 
 let pp_tally ppf t =
@@ -258,16 +217,4 @@ let pp_report ppf r =
     r.lr_case r.lr_capacity curve qdelay r.lr_kill_runs r.lr_resource_ramps
     (List.length r.lr_failures)
     (if List.length r.lr_failures = 1 then "" else "s");
-  List.iter
-    (fun f ->
-      Fmt.pf ppf "@.  FAIL at %dx%a%a@.    %s" f.lf_mult
-        (fun ppf -> function
-          | None -> ()
-          | Some r -> Fmt.pf ppf " resources=%s" r)
-        f.lf_resource
-        (fun ppf -> function
-          | [] -> ()
-          | kill -> Fmt.pf ppf " + kill %a" Plan.pp kill)
-        f.lf_kill
-        (String.concat "\n    " (String.split_on_char '\n' f.lf_reason)))
-    r.lr_failures
+  List.iter (Sweep.pp_failure ppf) r.lr_failures

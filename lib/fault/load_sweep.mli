@@ -9,7 +9,7 @@
     deterministic open-loop ramp — arrivals on the timer wheel at a rate
     scaled by a multiplier, each client recording a lawful outcome — and
     returns a {!tally}. The driver runs the ramp clean at each
-    multiplier (1x, 2x, 5x, 10x of nominal by default), then re-runs it
+    multiplier (1x, 2x, 5x, 10x of nominal), then re-runs it
     with resource-exhaustion plans armed (fd budgets, backlog caps, send
     caps) and with kills layered at sampled armed steps.
 
@@ -23,8 +23,9 @@
     dropped mailbox pushes — not wedge or starve.
 
     Everything is deterministic: arrivals are virtual-clock sleeps,
-    multipliers and resource plans travel through domain-local cells
-    (set per run, read in the case's first [lift] step), and re-runs are
+    each run's program is built from a closure over its multiplier and
+    resource plan (the ctl is created in its first [lift] step, the
+    tally comes back through a ref local to the run), and re-runs are
     farmed to worker domains with results merged in item order, so
     reports are byte-identical for every [jobs] value. *)
 
@@ -59,8 +60,6 @@ val case :
     to the bulkhead's CoDel target plus scheduling slop); the driver
     fails any clean ramp that exceeds it. *)
 
-val case_name : case -> string
-
 val record :
   case ->
   mult:int ->
@@ -88,15 +87,6 @@ type point = {
 }
 (** One clean ramp's result. *)
 
-type load_failure = {
-  lf_case : string;
-  lf_mult : int;
-  lf_resource : string option;
-      (** the armed resource plan's name, [None] for a clean ramp *)
-  lf_kill : Plan.t;  (** [[]] when no kill was layered *)
-  lf_reason : string;
-}
-
 type report = {
   lr_case : string;
   lr_capacity : int;  (** goodput of the lowest clean multiplier *)
@@ -104,23 +94,22 @@ type report = {
   lr_kill_runs : int;
   lr_resource_ramps : int;
   lr_faulted_steps : int;  (** total steps across phase-2 runs *)
-  lr_failures : load_failure list;
+  lr_failures : Sweep.failure list;
+      (** each with a {!Sweep.Load} context; [f_plan] is the layered kill
+          plan, [[]] for a ramp or gate failure *)
 }
 
-val sweep :
-  ?multipliers:int list ->
-  ?kills_per_ramp:int ->
-  ?resources:(string * Ev.Chaos.resources) list ->
-  ?jobs:int ->
-  case ->
-  report
-(** Run the clean ramps ([multipliers], default [1; 2; 5; 10]), judge
-    the goodput and queue-delay gates, then compose: [kills_per_ramp]
-    (default 0) kills at that many evenly-sampled armed steps of every
-    clean and resource-faulted schedule; [resources] re-records the
-    ramp per named resource plan at every multiplier. [jobs] farms
-    phase 2 to worker domains; the report is identical for every
-    value. *)
+val sweep : ?kills_per_ramp:int -> ?jobs:int -> case -> report
+(** Run the clean ramps at 1x, 2x, 5x and 10x, judge the goodput and
+    queue-delay gates, then compose: the ramp is re-recorded at every
+    multiplier under each named resource plan — [fd-budget] (live
+    connections, EMFILE), [backlog] (listener backlog, dial refusals),
+    [send-cap] (send buffer, short writes) — and [kills_per_ramp]
+    (default 0) kills land at that many evenly-sampled armed steps of
+    every clean and resource-faulted schedule
+    ({!Sweep.layered_kills}; a failing kill plan is shrunk within the
+    schedule's armed steps). [jobs] farms phase 2 to worker domains;
+    the report is identical for every value. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** One line per case — capacity, the goodput curve per multiplier, the

@@ -1,5 +1,8 @@
 let set_nth plan i inj = List.mapi (fun j x -> if j = i then inj else x) plan
 
+let earlier at =
+  if at = 0 then [] else List.sort_uniq compare [ 0; at / 2; at - 1 ]
+
 let candidates plan =
   let drops =
     List.mapi (fun i _ -> List.filteri (fun j _ -> j <> i) plan) plan
@@ -8,11 +11,9 @@ let candidates plan =
     List.concat
       (List.mapi
          (fun i (inj : Plan.injection) ->
-           let at k = set_nth plan i { inj with Plan.at_step = k } in
-           if inj.Plan.at_step = 0 then []
-           else
-             List.sort_uniq compare
-               [ at 0; at (inj.Plan.at_step / 2); at (inj.Plan.at_step - 1) ])
+           List.map
+             (fun k -> set_nth plan i { inj with Plan.at_step = k })
+             (earlier inj.Plan.at_step))
          plan)
   in
   drops @ moves

@@ -153,8 +153,14 @@ let run_plan c schedule (plan : Plan.t) =
   let r = Runtime.run ~config c.c_io in
   (classify ~main_hit:!main_hit r, r)
 
+type fault =
+  | Kill
+  | Io of { rule : Ev.Chaos.rule; shrunk_rule : Ev.Chaos.rule }
+  | Load of { mult : int; resource : string option }
+
 type failure = {
   f_case : string;
+  f_fault : fault;
   f_plan : Plan.t;
   f_shrunk : Plan.t;
   f_reason : string;
@@ -180,6 +186,47 @@ let sample n arr =
     List.init n (fun i ->
         arr.(if n = 1 then 0 else i * (len - 1) / (n - 1)))
 
+let armed_steps schedule =
+  List.sort_uniq compare (List.map fst (Array.to_list schedule.s_armed))
+
+let probe ?(shrink = true) ~fault c schedule plan =
+  let verdict, r = run_plan c schedule plan in
+  let failure =
+    Option.map
+      (fun reason ->
+        let shrunk =
+          if not shrink then plan
+          else
+            (* Only armed steps are admissible counterexamples: a shrink
+               candidate landing in the disarmed probe phase would
+               "fail" for the wrong reason. *)
+            let armed = armed_steps schedule in
+            Shrink.minimize
+              (fun p ->
+                List.for_all (fun i -> List.mem i.Plan.at_step armed) p
+                && fst (run_plan c schedule p) <> None)
+              plan
+        in
+        { f_case = c.c_name; f_fault = fault; f_plan = plan;
+          f_shrunk = shrunk; f_reason = reason })
+      verdict
+  in
+  (r, failure)
+
+let layered_kills ~fault k c schedule =
+  if k = 0 then (0, 0, [])
+  else
+    let runs =
+      List.map
+        (fun step ->
+          let r, failure = probe ~fault c schedule [ Plan.kill step ] in
+          (r.Runtime.steps, failure))
+        (sample k (Array.of_list (armed_steps schedule)))
+    in
+    ( List.length runs,
+      List.fold_left (fun n (steps, _) -> n + steps) 0 runs,
+      List.filter_map snd runs )
+
 let sweep ?max_points ?(target = Plan.Acting) ?(shrink = true) ?(jobs = 1)
     ?(domains = 1) c =
   let schedule = record ~domains c in
@@ -187,9 +234,6 @@ let sweep ?max_points ?(target = Plan.Acting) ?(shrink = true) ?(jobs = 1)
     match max_points with
     | None -> Array.to_list schedule.s_armed
     | Some n -> sample n schedule.s_armed
-  in
-  let armed_steps =
-    List.sort_uniq compare (List.map fst (Array.to_list schedule.s_armed))
   in
   (* One faulted run (plus shrinking, if it failed) per kill point. Each
      evaluation is independent: [Runtime.run] builds all its state per
@@ -199,48 +243,44 @@ let sweep ?max_points ?(target = Plan.Acting) ?(shrink = true) ?(jobs = 1)
      report is byte-identical whatever [jobs] is. *)
   let eval (step, _acting) =
     let plan = [ { Plan.at_step = step; target; exn = Io.Kill_thread } ] in
-    let verdict, r = run_plan c schedule plan in
-    let failure =
-      match verdict with
-      | None -> None
-      | Some reason ->
-          let shrunk =
-            if not shrink then plan
-            else
-              (* Only armed steps are admissible counterexamples: a
-                 shrink candidate landing in the disarmed probe phase
-                 would "fail" for the wrong reason. *)
-              Shrink.minimize
-                (fun p ->
-                  List.for_all
-                    (fun i -> List.mem i.Plan.at_step armed_steps)
-                    p
-                  && fst (run_plan c schedule p) <> None)
-                plan
-          in
-          Some
-            { f_case = c.c_name; f_plan = plan; f_shrunk = shrunk;
-              f_reason = reason }
-    in
+    let r, failure = probe ~shrink ~fault:Kill c schedule plan in
     ((if r.Runtime.injections > 0 then 1 else 0), r.Runtime.steps, failure)
   in
-  let results = Par.map ~jobs eval (Array.of_list points) in
-  let applied = ref 0 and faulted_steps = ref 0 and failures = ref [] in
-  Array.iter
-    (fun (app, steps, failure) ->
-      applied := !applied + app;
-      faulted_steps := !faulted_steps + steps;
-      Option.iter (fun f -> failures := f :: !failures) failure)
-    results;
+  let applied, faulted_steps, failures =
+    Array.fold_right
+      (fun (app, steps, failure) (a, n, fs) ->
+        (a + app, n + steps, Option.to_list failure @ fs))
+      (Par.map ~jobs eval (Array.of_list points))
+      (0, 0, [])
+  in
   {
     r_case = c.c_name;
     r_target = target;
     r_baseline_steps = schedule.s_steps;
     r_kill_points = List.length points;
-    r_applied = !applied;
-    r_faulted_steps = !faulted_steps;
-    r_failures = List.rev !failures;
+    r_applied = applied;
+    r_faulted_steps = faulted_steps;
+    r_failures = failures;
   }
+
+let pp_failure ppf f =
+  let kill ppf = function
+    | [] -> ()
+    | plan -> Fmt.pf ppf " + kill %a" Plan.pp plan
+  in
+  (match f.f_fault with
+  | Kill ->
+      Fmt.pf ppf "@.  FAIL %a@.    shrunk to %a" Plan.pp f.f_plan Plan.pp
+        f.f_shrunk
+  | Io { rule; shrunk_rule } ->
+      Fmt.pf ppf "@.  FAIL %a@.    shrunk to %a%a" Ev.Chaos.pp_rule rule
+        Ev.Chaos.pp_rule shrunk_rule kill f.f_shrunk
+  | Load { mult; resource } ->
+      Fmt.pf ppf "@.  FAIL at %dx%a%a" mult
+        (Fmt.option (fun ppf -> Fmt.pf ppf " resources=%s"))
+        resource kill f.f_shrunk);
+  Fmt.pf ppf "@.    %s"
+    (String.concat "\n    " (String.split_on_char '\n' f.f_reason))
 
 let pp_report ppf r =
   Fmt.pf ppf "%-18s target=%a: %d kill points (%d applied), baseline %d \
@@ -249,9 +289,4 @@ let pp_report ppf r =
     r.r_baseline_steps
     (List.length r.r_failures)
     (if List.length r.r_failures = 1 then "" else "s");
-  List.iter
-    (fun f ->
-      Fmt.pf ppf "@.  FAIL %a@.    shrunk to %a@.    %s" Plan.pp f.f_plan
-        Plan.pp f.f_shrunk
-        (String.concat "\n    " (String.split_on_char '\n' f.f_reason)))
-    r.r_failures
+  List.iter (pp_failure ppf) r.r_failures

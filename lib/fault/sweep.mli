@@ -62,12 +62,23 @@ val record : ?domains:int -> case -> schedule
     @raise Failure if the baseline does not end in [Value ()] with no
     blocked threads — a case must be correct before it is swept. *)
 
+type fault =
+  | Kill  (** nothing: the kill sweep *)
+  | Io of { rule : Ev.Chaos.rule; shrunk_rule : Ev.Chaos.rule }
+      (** {!Io_sweep}'s transport fault and its site moved as early as
+          it still fails ([rule] itself under a layered kill) *)
+  | Load of { mult : int; resource : string option }
+      (** {!Load_sweep}'s ramp multiplier and resource plan name *)
+(** What a failing run had armed besides its kill plan. *)
+
 type failure = {
   f_case : string;
-  f_plan : Plan.t;  (** the sweep's failing single-injection plan *)
+  f_fault : fault;
+  f_plan : Plan.t;  (** the failing kill plan ([[]] when none was layered) *)
   f_shrunk : Plan.t;  (** its {!Shrink.minimize} reduction *)
   f_reason : string;
 }
+(** One failure of any hio sweep driver. *)
 
 type report = {
   r_case : string;
@@ -87,6 +98,25 @@ val sample : int -> 'a array -> 'a list
     spaced, keeping the first and last — the sampling policy of every
     sweep driver.
     @raise Invalid_argument if [n < 1]. *)
+
+val probe :
+  ?shrink:bool ->
+  fault:fault ->
+  case ->
+  schedule ->
+  Plan.t ->
+  unit Hio.Runtime.result * failure option
+(** [probe ~fault c schedule plan]: one {!run_plan}; if it fails, the
+    failure (with [fault] as its context) carries the plan reduced by
+    {!Shrink.minimize} within [schedule]'s armed steps — a candidate
+    naming a disarmed step would fail for the wrong reason. With
+    [~shrink:false] the plan is reported unreduced. *)
+
+val layered_kills :
+  fault:fault -> int -> case -> schedule -> int * int * failure list
+(** [layered_kills ~fault k c schedule] {!probe}s a kill at each of [k]
+    evenly {!sample}d armed steps of [schedule] (none when [k = 0]):
+    the runs made, their total steps, and the failures in step order. *)
 
 val sweep :
   ?max_points:int ->
@@ -112,6 +142,10 @@ val sweep :
     indexed by position, and the driver merges them in kill-point
     order. Safe because each [Hio.Runtime.run] builds its entire
     scheduler state per call and the armed flag is domain-local. *)
+
+val pp_failure : Format.formatter -> failure -> unit
+(** The failure block every driver's report prints: a leading newline,
+    the fault context and kill plan, the shrunk form, the reason. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** One line per sweep, plus one block per failure. *)

@@ -3,7 +3,9 @@
    stay clean, a deliberately fragile case is caught and shrunk), and
    the headline robustness demonstration — a reset injected into the
    server's response write restarts the worker and degrades that one
-   connection instead of escaping the supervisor. *)
+   connection instead of escaping the supervisor — and the layered-kill
+   failures of both composed drivers (Io_sweep combined mode and
+   Load_sweep): named, shrunk to armed steps, and replayable. *)
 
 open Hio_std
 open Hio.Io
@@ -239,6 +241,12 @@ let fragile =
       lift (fun () -> Buffer.contents got) >>= fun got ->
       Sweep.require "fragile: the whole payload arrived" (got = payload))
 
+(* The fault rule of an {!Io_sweep} failure, and its shrunk form. *)
+let io_rules f =
+  match f.Sweep.f_fault with
+  | Sweep.Io { rule; shrunk_rule } -> (rule, shrunk_rule)
+  | Sweep.Kill | Sweep.Load _ -> Alcotest.fail "not an io failure"
+
 let sweep_tests =
   [
     case "io-pipe survives every fault at every site (plus kills)"
@@ -250,8 +258,7 @@ let sweep_tests =
         (match r.Io_sweep.ir_failures with
         | [] -> ()
         | f :: _ ->
-            Alcotest.failf "unexpected failure: %a then %s" Ev.Chaos.pp_rule
-              f.Io_sweep.if_rule f.Io_sweep.if_reason);
+            Alcotest.failf "unexpected failure:%a" Sweep.pp_failure f);
         Alcotest.(check bool) "send sites seen" true
           (List.assoc Ev.Chaos.Send r.Io_sweep.ir_sites >= 1));
     slow_case "io-server survives a sampled fault+kill sweep" (fun () ->
@@ -262,8 +269,7 @@ let sweep_tests =
         (match r.Io_sweep.ir_failures with
         | [] -> ()
         | f :: _ ->
-            Alcotest.failf "unexpected failure: %a then %s" Ev.Chaos.pp_rule
-              f.Io_sweep.if_rule f.Io_sweep.if_reason);
+            Alcotest.failf "unexpected failure:%a" Sweep.pp_failure f);
         Alcotest.(check bool) "reached dial sites" true
           (List.assoc Ev.Chaos.Dial r.Io_sweep.ir_sites >= 1));
     case "a fragile case is caught and the rule shrinks to an early site"
@@ -273,16 +279,15 @@ let sweep_tests =
           (r.Io_sweep.ir_failures <> []);
         List.iter
           (fun f ->
+            let rule, shrunk_rule = io_rules f in
             Alcotest.(check bool) "shrunk site is no later" true
-              (f.Io_sweep.if_shrunk.Ev.Chaos.r_at
-              <= f.Io_sweep.if_rule.Ev.Chaos.r_at))
+              (shrunk_rule.Ev.Chaos.r_at <= rule.Ev.Chaos.r_at))
           r.Io_sweep.ir_failures;
         (* replay: a reported (shrunk) counterexample still fails *)
         let schedule, _ = Io_sweep.record fragile in
-        let f = List.hd r.Io_sweep.ir_failures in
+        let _, shrunk_rule = io_rules (List.hd r.Io_sweep.ir_failures) in
         Alcotest.(check bool) "replay fails" true
-          (fst (Io_sweep.run_rule fragile schedule f.Io_sweep.if_shrunk [])
-          <> None));
+          (fst (Io_sweep.run_rule fragile schedule shrunk_rule []) <> None));
     case "io-pipe sweeps clean over a 2-domain replay log" (fun () ->
         (* the baseline runs live on two domains; every faulted run
            replays its captured log until the chaos fault diverges it,
@@ -295,8 +300,7 @@ let sweep_tests =
         match r.Io_sweep.ir_failures with
         | [] -> ()
         | f :: _ ->
-            Alcotest.failf "unexpected failure: %a then %s" Ev.Chaos.pp_rule
-              f.Io_sweep.if_rule f.Io_sweep.if_reason);
+            Alcotest.failf "unexpected failure:%a" Sweep.pp_failure f);
     case "sweep reports are identical across job counts" (fun () ->
         let strip (r : Io_sweep.report) =
           ( r.Io_sweep.ir_points,
@@ -304,7 +308,7 @@ let sweep_tests =
             r.ir_faulted_steps,
             r.ir_by_kind,
             List.map
-              (fun f -> (f.Io_sweep.if_rule, f.if_shrunk, f.if_kill))
+              (fun f -> (f.Sweep.f_fault, f.f_plan, f.f_shrunk))
               r.ir_failures )
         in
         let r1 =
@@ -316,9 +320,117 @@ let sweep_tests =
         Alcotest.(check bool) "same report" true (strip r1 = strip r4));
   ]
 
+(* --- layered kills in the composed drivers ------------------------------ *)
+
+(* Survives any single fault or ramp, but not a kill: two workers share
+   a lock with bare take/put (nothing masked), so a kill landing while
+   one holds it strands the other — and the probe after [disarm]. *)
+let naive_lock =
+  Hio.Mvar.new_filled () >>= fun lock ->
+  let worker =
+    Hio.Mvar.take lock >>= fun () -> yields 2 >>= fun () -> Hio.Mvar.put lock ()
+  in
+  Task.spawn ~name:"n1" worker >>= fun t1 ->
+  Task.spawn ~name:"n2" worker >>= fun t2 ->
+  Fault.Cases.join t1 >>= fun () ->
+  Fault.Cases.join t2 >>= fun () ->
+  Sweep.disarm >>= fun () -> Hio.Mvar.take lock
+
+(* The chaos half: a one-byte pipe exchange that tolerates every fault
+   (the writer closes before the reader reads, so the read ends in data
+   or EOF), then the lock. *)
+let lock_after_pipe =
+  Io_sweep.case ~max_steps:50_000 "lock-after-pipe" (fun ctl ->
+      Ev.Backend.sim_pipe ~capacity:8 () >>= fun (a, b) ->
+      let a = Ev.Chaos.wrap_conn ctl a and b = Ev.Chaos.wrap_conn ctl b in
+      let tolerant io = catch io (fun _ -> return ()) in
+      tolerant (a.Ev.Backend.c_send "x") >>= fun () ->
+      tolerant (a.Ev.Backend.c_close ()) >>= fun () ->
+      tolerant (ignore_result (b.Ev.Backend.c_recv_char ())) >>= fun () ->
+      tolerant (b.Ev.Backend.c_close ()) >>= fun () ->
+      Ev.Chaos.disarm ctl >>= fun () -> naive_lock)
+
+(* The overload half: a "ramp" of [mult] yields whose goodput scales
+   with the load (so the driver's gates hold), then the lock. It never
+   touches the transport, so no resource plan changes its schedule. *)
+let lock_after_ramp =
+  Load_sweep.case ~max_steps:50_000 "lock-after-ramp" (fun ctl ~mult ->
+      yields mult >>= fun () ->
+      naive_lock >>= fun () ->
+      Ev.Chaos.disarm ctl >>= fun () ->
+      return
+        {
+          Load_sweep.lt_offered = mult;
+          lt_ok = mult;
+          lt_shed = 0;
+          lt_late = 0;
+          lt_transport = 0;
+          lt_max_qdelay = 0;
+        })
+
+(* A layered-kill failure names its kill plan, shrunk within the armed
+   steps of the schedule it was found on; [replay] re-runs a kill plan
+   over that schedule. The shrunk plan still fails, and it is a fixed
+   point of the shrinker: no one-step reduction on armed steps fails. *)
+let check_layered_kill ~schedule ~replay f =
+  Alcotest.(check bool) "names the kill plan" true (f.Sweep.f_plan <> []);
+  let armed = List.map fst (Array.to_list schedule.Sweep.s_armed) in
+  let on_armed p = List.for_all (fun i -> List.mem i.Plan.at_step armed) p in
+  Alcotest.(check bool) "shrunk to armed steps" true
+    (f.Sweep.f_shrunk <> [] && on_armed f.Sweep.f_shrunk);
+  Alcotest.(check bool) "shrunk plan replays as a failure" true
+    (replay f.Sweep.f_shrunk <> None);
+  List.iter
+    (fun p ->
+      if on_armed p && replay p <> None then
+        Alcotest.failf "shrunk plan %a is not minimal: %a fails too" Plan.pp
+          f.Sweep.f_shrunk Plan.pp p)
+    (Shrink.candidates f.Sweep.f_shrunk)
+
+let layered_kill_tests =
+  [
+    case "Io_sweep combined mode shrinks and replays a kill failure"
+      (fun () ->
+        let r = Io_sweep.sweep ~kills_per_point:1_000 lock_after_pipe in
+        Alcotest.(check bool) "kill failures found" true
+          (r.Io_sweep.ir_failures <> []);
+        List.iter
+          (fun f ->
+            let rule, shrunk_rule = io_rules f in
+            Alcotest.(check bool) "the clean rule is reported as is" true
+              (shrunk_rule = rule);
+            let schedule = Sweep.record (lock_after_pipe [ rule ] (ref None)) in
+            check_layered_kill ~schedule
+              ~replay:(fun p ->
+                fst (Io_sweep.run_rule lock_after_pipe schedule rule p))
+              f)
+          r.Io_sweep.ir_failures);
+    case "Load_sweep shrinks and replays a kill failure" (fun () ->
+        let r = Load_sweep.sweep ~kills_per_ramp:1_000 lock_after_ramp in
+        Alcotest.(check bool) "kill failures found" true
+          (r.Load_sweep.lr_failures <> []);
+        List.iter
+          (fun f ->
+            match f.Sweep.f_fault with
+            | Sweep.Load { mult; _ } ->
+                let resources = Ev.Chaos.no_resources in
+                let schedule, _ =
+                  Load_sweep.record lock_after_ramp ~mult ~resources
+                in
+                check_layered_kill ~schedule
+                  ~replay:(fun p ->
+                    fst
+                      (Load_sweep.run_kill lock_after_ramp schedule ~mult
+                         ~resources p))
+                  f
+            | Sweep.Kill | Sweep.Io _ -> Alcotest.fail "not a load failure")
+          r.Load_sweep.lr_failures);
+  ]
+
 let suites =
   [
     ("chaos:decorator", decorator_tests);
     ("chaos:mid-response-reset", mid_response_reset_tests);
     ("chaos:sweep", sweep_tests);
+    ("chaos:layered-kills", layered_kill_tests);
   ]
