@@ -53,6 +53,9 @@ let load_phase ~conns ~reqs ~reg ~lat backend =
     {
       Hserver.Server.default_config with
       Hserver.Server.request_timeout = 5_000_000;
+      (* 256 dials in flight on one scheduler can take longer than the
+         default 50 ms to connect; a load run must not die of that. *)
+      dial_timeout = 5_000_000;
       max_concurrent = conns;
       accept_queue = 512;
       supervised = false;

@@ -201,6 +201,9 @@ let advance t ~now =
         t.levels.(0).(slot) <- rest;
         let due = compact due in
         t.live <- t.live - List.length due;
+        (* a fired entry is spent: a later [cancel] must not count it
+           again, or [live] undercounts and a pending timer is lost *)
+        List.iter (fun e -> e.e_cancelled <- true) due;
         let due = List.sort (fun a b -> compare b.e_seq a.e_seq) due in
         groups := due :: !groups;
         loop ()

@@ -35,7 +35,8 @@ val add : 'a t -> deadline:int -> 'a -> 'a entry
     past fires at the current instant. O(1). *)
 
 val cancel : 'a t -> 'a entry -> unit
-(** Withdraw an entry. Idempotent; O(1) (lazy removal). *)
+(** Withdraw an entry. Idempotent, and a no-op once the entry has fired;
+    O(1) (lazy removal). *)
 
 val cancelled : 'a entry -> bool
 

@@ -19,11 +19,22 @@ let () =
 
 type conn = {
   c_send : string -> unit Io.t;
+  c_recv : upto:char option -> max:int -> string Io.t;
   c_recv_char : unit -> char Io.t;
   c_try_recv : unit -> char option Io.t;
   c_close : unit -> unit Io.t;
   c_fd : int option;
 }
+
+let make_conn ~send ~recv ~try_recv ~close ~fd =
+  {
+    c_send = send;
+    c_recv = recv;
+    c_recv_char = (fun () -> map (fun s -> s.[0]) (recv ~upto:None ~max:1));
+    c_try_recv = try_recv;
+    c_close = close;
+    c_fd = fd;
+  }
 
 type listener = {
   l_accept : unit -> conn Io.t;
@@ -49,6 +60,10 @@ let install b (config : Runtime.Config.t) =
    behaviour — and a reader already blocked on an empty pipe is woken
    immediately.
 
+   The bytes live in a ring of [capacity] slots. A read takes a whole
+   chunk and a send pushes as much as fits, each in one [lift], so both
+   cost one atomic scheduler step per chunk rather than per byte.
+
    Parked readers/writers wait on private one-shot MVars and are woken
    with [Mvar.try_put] (never blocks, so a waiter that was killed while
    parked leaves only harmless garbage). All state changes happen inside
@@ -59,21 +74,63 @@ let install b (config : Runtime.Config.t) =
    discipline. *)
 
 type pipe = {
-  p_q : char Queue.t;
-  p_cap : int;
+  p_buf : Bytes.t; (* the ring; its length is the capacity *)
+  mutable p_head : int;
+  mutable p_len : int;
   mutable p_closed : bool;
-  mutable p_readers : unit Mvar.t list; (* oldest first *)
-  mutable p_writers : unit Mvar.t list;
+  p_readers : unit Mvar.t list ref; (* oldest first *)
+  p_writers : unit Mvar.t list ref;
 }
 
 let pipe_create cap =
+  if cap < 1 then invalid_arg "Backend.sim_pipe: capacity < 1";
   {
-    p_q = Queue.create ();
-    p_cap = cap;
+    p_buf = Bytes.create cap;
+    p_head = 0;
+    p_len = 0;
     p_closed = false;
-    p_readers = [];
-    p_writers = [];
+    p_readers = ref [];
+    p_writers = ref [];
   }
+
+(* Pop up to [max] buffered bytes, through the first [upto]. *)
+let ring_take p ~upto ~max =
+  let cap = Bytes.length p.p_buf in
+  let avail = min max p.p_len in
+  let n =
+    match upto with
+    | None -> avail
+    | Some c ->
+        let rec scan i =
+          if i >= avail then avail
+          else if Bytes.get p.p_buf ((p.p_head + i) mod cap) = c then i + 1
+          else scan (i + 1)
+        in
+        scan 0
+  in
+  let s = Bytes.create n in
+  let first = min n (cap - p.p_head) in
+  Bytes.blit p.p_buf p.p_head s 0 first;
+  Bytes.blit p.p_buf 0 s first (n - first);
+  p.p_head <- (p.p_head + n) mod cap;
+  p.p_len <- p.p_len - n;
+  Bytes.unsafe_to_string s
+
+(* Push as much of [s] from [off] as fits; returns the count pushed. *)
+let ring_put p s off =
+  let cap = Bytes.length p.p_buf in
+  let n = min (cap - p.p_len) (String.length s - off) in
+  let tail = (p.p_head + p.p_len) mod cap in
+  let first = min n (cap - tail) in
+  Bytes.blit_string s off p.p_buf tail first;
+  Bytes.blit_string s (off + first) p.p_buf 0 (n - first);
+  p.p_len <- p.p_len + n;
+  n
+
+let take_all q =
+  let ws = !q in
+  q := [];
+  ws
 
 let rec wake = function
   | [] -> return ()
@@ -84,77 +141,60 @@ let rec wake = function
 let park w ~unregister =
   catch (Mvar.take w) (fun e -> unregister () >>= fun () -> throw e)
 
-let pipe_recv p =
+type 'a attempt = Done of 'a * unit Mvar.t list | Closed | Wait
+
+(* One blocking pipe operation, for either direction: [attempt] runs in
+   a single [lift] and settles ([Done] with the waiters to wake, or
+   [Closed]) or asks to [Wait], in which case the caller parks on [q]
+   until a peer's state change wakes it, then retries. *)
+let pipe_blocking q attempt =
   block
     (let rec go () =
        Mvar.new_empty >>= fun w ->
        lift (fun () ->
-           if not (Queue.is_empty p.p_q) then begin
-             let c = Queue.pop p.p_q in
-             let ws = p.p_writers in
-             p.p_writers <- [];
-             `Got (c, ws)
-           end
-           else if p.p_closed then `Eof
-           else begin
-             p.p_readers <- p.p_readers @ [ w ];
-             `Wait
-           end)
+           match attempt () with
+           | Wait ->
+               q := !q @ [ w ];
+               Wait
+           | r -> r)
        >>= function
-       | `Got (c, ws) -> wake ws >>= fun () -> return c
-       | `Eof -> throw End_of_file
-       | `Wait ->
+       | Done (v, ws) -> wake ws >>= fun () -> return v
+       | Closed -> throw End_of_file
+       | Wait ->
            park w ~unregister:(fun () ->
-               lift (fun () ->
-                   p.p_readers <- List.filter (fun x -> x != w) p.p_readers))
-           >>= fun () -> go ()
+               lift (fun () -> q := List.filter (fun x -> x != w) !q))
+           >>= go
      in
      go ())
 
+let pipe_recv p ~upto ~max =
+  pipe_blocking p.p_readers (fun () ->
+      if p.p_len > 0 then Done (ring_take p ~upto ~max, take_all p.p_writers)
+      else if p.p_closed then Closed
+      else Wait)
+
 let pipe_try_recv p =
   lift (fun () ->
-      if not (Queue.is_empty p.p_q) then begin
-        let c = Queue.pop p.p_q in
-        let ws = p.p_writers in
-        p.p_writers <- [];
-        `Got (c, ws)
-      end
+      if p.p_len > 0 then
+        let s = ring_take p ~upto:None ~max:1 in
+        `Got (s.[0], take_all p.p_writers)
       else `Empty)
   >>= function
   | `Got (c, ws) -> wake ws >>= fun () -> return (Some c)
   | `Empty -> return None
 
-let pipe_send_char p c =
-  block
-    (let rec go () =
-       Mvar.new_empty >>= fun w ->
-       lift (fun () ->
-           if p.p_closed then `Closed
-           else if Queue.length p.p_q < p.p_cap then begin
-             Queue.push c p.p_q;
-             let rs = p.p_readers in
-             p.p_readers <- [];
-             `Sent rs
-           end
-           else begin
-             p.p_writers <- p.p_writers @ [ w ];
-             `Wait
-           end)
-       >>= function
-       | `Sent rs -> wake rs
-       | `Closed -> throw End_of_file
-       | `Wait ->
-           park w ~unregister:(fun () ->
-               lift (fun () ->
-                   p.p_writers <- List.filter (fun x -> x != w) p.p_writers))
-           >>= fun () -> go ()
-     in
-     go ())
-
+(* Each chunk is its own masked step, so a kill between chunks leaves a
+   prefix of [s] sent. *)
 let pipe_send p s =
-  let rec go i =
-    if i >= String.length s then return ()
-    else pipe_send_char p s.[i] >>= fun () -> go (i + 1)
+  let rec go off =
+    if off >= String.length s then return ()
+    else
+      pipe_blocking p.p_writers (fun () ->
+          if p.p_closed then Closed
+          else if p.p_len < Bytes.length p.p_buf then
+            Done (ring_put p s off, take_all p.p_readers)
+          else Wait)
+      >>= fun n -> go (off + n)
   in
   go 0
 
@@ -165,26 +205,20 @@ let pipe_close p =
       if p.p_closed then []
       else begin
         p.p_closed <- true;
-        let all = p.p_readers @ p.p_writers in
-        p.p_readers <- [];
-        p.p_writers <- [];
-        all
+        let rs = take_all p.p_readers in
+        rs @ take_all p.p_writers
       end)
   >>= wake
 
 let sim_conn ~incoming ~outgoing =
-  {
-    c_send = (fun s -> pipe_send outgoing s);
-    c_recv_char = (fun () -> pipe_recv incoming);
-    c_try_recv = (fun () -> pipe_try_recv incoming);
-    (* Full close, like [Unix.close] on a socket: the peer's reads drain
-       then raise [End_of_file], the peer's sends raise [End_of_file],
-       and a reader of {e this} conn blocked in [c_recv_char] wakes with
-       [End_of_file]. *)
-    c_close =
-      (fun () -> pipe_close incoming >>= fun () -> pipe_close outgoing);
-    c_fd = None;
-  }
+  make_conn ~send:(pipe_send outgoing) ~recv:(pipe_recv incoming)
+    ~try_recv:(fun () -> pipe_try_recv incoming)
+      (* Full close, like [Unix.close] on a socket: the peer's reads drain
+         then raise [End_of_file], the peer's sends raise [End_of_file],
+         and a reader of {e this} conn blocked in [c_recv] wakes with
+         [End_of_file]. *)
+    ~close:(fun () -> pipe_close incoming >>= fun () -> pipe_close outgoing)
+    ~fd:None
 
 let sim_pipe ?(capacity = 64) () =
   lift (fun () -> (pipe_create capacity, pipe_create capacity))

@@ -54,20 +54,42 @@ type conn = {
   c_send : string -> unit Io.t;
       (** Send all bytes, blocking (interruptibly) on back-pressure.
           Raises [End_of_file] if the peer (or this conn) is closed. *)
+  c_recv : upto:char option -> max:int -> string Io.t;
+      (** [c_recv ~upto ~max] receives the next chunk: between 1 and
+          [max] bytes ([max >= 1]), ending early after the first
+          occurrence of [upto]. Blocks (interruptibly, §5.3) until at
+          least one byte is available; bytes it does not return stay
+          buffered in the transport for the next read, so a reader can
+          stop exactly at a message boundary. One chunk is one atomic
+          scheduler step. Raises [End_of_file] once the connection has
+          been closed — by either end — and all buffered bytes are
+          consumed; a reader already blocked here when the close
+          happens wakes with [End_of_file] rather than stranding in the
+          wait graph. Both backends agree on this. *)
   c_recv_char : unit -> char Io.t;
-      (** Receive one byte, blocking (interruptibly) until one is
-          available. Raises [End_of_file] once the connection has been
-          closed — by either end — and all buffered bytes are consumed;
-          a reader already blocked here when the close happens wakes
-          with [End_of_file] rather than stranding in the wait graph.
-          Both backends agree on this. *)
-  c_try_recv : unit -> char option Io.t;  (** Non-blocking receive. *)
-  c_close : unit -> unit Io.t;  (** Idempotent. *)
+      (** [c_recv ~upto:None ~max:1] as a character. A derived view, kept
+          for decorators that count per-byte reads. *)
+  c_try_recv : unit -> char option Io.t;
+      (** Non-blocking receive of one buffered byte. *)
+  c_close : unit -> unit Io.t;
+      (** Idempotent. After it, this conn's reads drain what was already
+          buffered and then raise [End_of_file], and its sends raise
+          [End_of_file]. *)
   c_fd : int option;
       (** The raw file descriptor, when the transport has one — for
           diagnostics and the deadlock watchdog's wait graph. *)
 }
-(** One bidirectional byte stream. *)
+(** One bidirectional byte stream. Build one with {!make_conn}, or
+    decorate an existing one with [{ c with ... }]. *)
+
+val make_conn :
+  send:(string -> unit Io.t) ->
+  recv:(upto:char option -> max:int -> string Io.t) ->
+  try_recv:(unit -> char option Io.t) ->
+  close:(unit -> unit Io.t) ->
+  fd:int option ->
+  conn
+(** The conn with these operations, [c_recv_char] derived from [recv]. *)
 
 type listener = {
   l_accept : unit -> conn Io.t;
@@ -98,8 +120,9 @@ val install : t -> Runtime.Config.t -> Runtime.Config.t
 
 val sim_pipe : ?capacity:int -> unit -> (conn * conn) Io.t
 (** A connected pair of in-memory connections (default [capacity] 64
-    bytes per direction). Each direction is a bounded closeable byte
-    pipe: writers feel back-pressure from slow readers, a reader blocked
+    bytes per direction, at least 1). Reads take a whole chunk and sends
+    push as much as fits, one atomic step each. Each direction is a
+    bounded closeable byte pipe: writers feel back-pressure from slow readers, a reader blocked
     on a trickling writer is interruptible (which is what makes timeouts
     effective), and [c_close] on either end closes both directions like
     [Unix.close] — drained reads raise [End_of_file] exactly as

@@ -160,9 +160,11 @@ let live_conns ctl = ctl.live
 let wrap_conn_gen ctl ~counted (c : Backend.conn) =
   let trickle = ref 0 in
   let pre op = lift (fun () -> decide ctl op) in
-  let trickled io =
+  (* A trickling conn delivers one byte per [d] µs until [disarm]. *)
+  let trickled ~upto ~max =
     lift (fun () -> if ctl.armed then !trickle else 0) >>= fun d ->
-    if d > 0 then sleep d >>= fun () -> io else io
+    if d > 0 then sleep d >>= fun () -> c.Backend.c_recv ~upto ~max:1
+    else c.Backend.c_recv ~upto ~max
   in
   let send s =
     (* One atomic decision step: the fault plan first, then the
@@ -199,18 +201,18 @@ let wrap_conn_gen ctl ~counted (c : Backend.conn) =
         in
         go 0
   in
-  let recv_char () =
+  let recv ~upto ~max =
     pre Recv >>= function
-    | None -> trickled (c.Backend.c_recv_char ())
+    | None -> trickled ~upto ~max
     | Some Eof -> throw End_of_file
     | Some (Reset | Short_write _) -> throw Backend.Connection_reset
-    | Some (Delay d) -> sleep d >>= fun () -> c.Backend.c_recv_char ()
+    | Some (Delay d) -> sleep d >>= fun () -> c.Backend.c_recv ~upto ~max
     | Some (Trickle d) ->
         lift (fun () ->
             trickle := d;
             ctl.trickles <- trickle :: ctl.trickles)
         >>= fun () ->
-        sleep d >>= fun () -> c.Backend.c_recv_char ()
+        sleep d >>= fun () -> c.Backend.c_recv ~upto ~max:1
   in
   let try_recv () =
     pre Try_recv >>= function
@@ -235,13 +237,7 @@ let wrap_conn_gen ctl ~counted (c : Backend.conn) =
         >>= fun () -> c.Backend.c_close ())
     else c.Backend.c_close
   in
-  {
-    Backend.c_send = send;
-    c_recv_char = recv_char;
-    c_try_recv = try_recv;
-    c_close = close;
-    c_fd = c.Backend.c_fd;
-  }
+  Backend.make_conn ~send ~recv ~try_recv ~close ~fd:c.Backend.c_fd
 
 let wrap_conn ctl c = wrap_conn_gen ctl ~counted:false c
 

@@ -42,7 +42,8 @@ type fault =
           delayed readiness / a back-pressure stall. *)
   | Trickle of int
       (** [Recv]: this and {e every later} read on the same connection
-          sleeps [n] µs first — a byte-at-a-time trickling peer. [Send]:
+          sleeps [n] µs first and returns a single byte — a
+          byte-at-a-time trickling peer. [Send]:
           the bytes go out one at a time with an [n] µs stall between
           each. Elsewhere, like [Delay]. *)
 

@@ -36,6 +36,12 @@ let epoll_source epfd =
       ignore (epoll_ctl epfd 2 fd false false)
     end
   in
+  (* The kernel drops a closed fd from the epoll set by itself. *)
+  let forget fd =
+    let had = Hashtbl.mem registered fd in
+    Hashtbl.remove registered fd;
+    had
+  in
   let es_wait ~timeout_us =
     let ms =
       match timeout_us with
@@ -52,13 +58,19 @@ let epoll_source epfd =
            })
     |> Array.to_list
   in
-  { Runtime.es_now = now_us; es_modify; es_wait }
+  ({ Runtime.es_now = now_us; es_modify; es_wait }, forget)
 
 let select_source () =
   let interest : (int, bool * bool) Hashtbl.t = Hashtbl.create 64 in
   let es_modify ~fd ~read ~write =
     if read || write then Hashtbl.replace interest fd (read, write)
     else Hashtbl.remove interest fd
+  in
+  (* [Unix.select] fails on a closed fd, so it must leave the set. *)
+  let forget fd =
+    let had = Hashtbl.mem interest fd in
+    Hashtbl.remove interest fd;
+    had
   in
   let es_wait ~timeout_us =
     let rs, ws =
@@ -89,11 +101,33 @@ let select_source () =
             { Runtime.fde_fd = fd; fde_readable = r; fde_writable = w } :: acc)
           tbl []
   in
-  { Runtime.es_now = now_us; es_modify; es_wait }
+  ({ Runtime.es_now = now_us; es_modify; es_wait }, forget)
 
+(* A conn closed while a thread of this runtime still waits on its fd
+   would never see readiness again: the fd is gone from the poller. So
+   [on_close fd] drops the fd from the interest set and, when some
+   thread was waiting on it, reports it readable and writable at the
+   next wait. The woken thread's read or send sees the conn's [closed]
+   flag and raises [End_of_file]; a thread woken this way on a reused
+   fd number finds nothing to do and parks again. *)
 let make_source () =
   let epfd = epoll_create () in
-  if epfd >= 0 then epoll_source epfd else select_source ()
+  let es, forget =
+    if epfd >= 0 then epoll_source epfd else select_source ()
+  in
+  let closed = ref [] in
+  let es_wait ~timeout_us =
+    match !closed with
+    | [] -> es.Runtime.es_wait ~timeout_us
+    | fds ->
+        closed := [];
+        List.map
+          (fun fd ->
+            { Runtime.fde_fd = fd; fde_readable = true; fde_writable = true })
+          fds
+  in
+  let on_close fd = if forget fd then closed := fd :: !closed in
+  ({ es with Runtime.es_wait }, on_close)
 
 (* ---- connections ------------------------------------------------------ *)
 
@@ -104,52 +138,68 @@ let make_source () =
 
 type rbuf = { bytes : Bytes.t; mutable pos : int; mutable len : int }
 
-let conn_of_fd fd =
+(* Serve up to [max] buffered bytes, through the first [upto]. *)
+let take b ~upto ~max =
+  let avail = min max (b.len - b.pos) in
+  let n =
+    match upto with
+    | None -> avail
+    | Some c ->
+        let rec scan i =
+          if i >= avail then avail
+          else if Bytes.get b.bytes (b.pos + i) = c then i + 1
+          else scan (i + 1)
+        in
+        scan 0
+  in
+  let s = Bytes.sub_string b.bytes b.pos n in
+  b.pos <- b.pos + n;
+  s
+
+(* Every operation checks [closed] inside its [lift], so a conn this end
+   closed never touches its fd number again — by then the number may
+   belong to a fresh connection. Bytes already buffered still drain. *)
+let conn_of_fd ~on_close fd =
   let ifd = fd_int fd in
   let b = { bytes = Bytes.create 4096; pos = 0; len = 0 } in
   let closed = ref false in
   let refill () =
-    lift (fun () ->
-        match Unix.read fd b.bytes 0 (Bytes.length b.bytes) with
-        | 0 -> `Eof
-        | n ->
-            b.pos <- 0;
-            b.len <- n;
-            `Ok
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-          ->
-            `Block
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Again
-        | exception
-            Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-            `Eof)
-  in
-  let rec recv_char () =
-    if b.pos < b.len then
-      lift (fun () ->
-          let c = Bytes.get b.bytes b.pos in
-          b.pos <- b.pos + 1;
-          c)
+    if !closed then `Eof
     else
-      refill () >>= function
-      | `Ok | `Again -> recv_char ()
-      | `Eof -> throw End_of_file
-      | `Block -> wait_readable ifd >>= fun () -> recv_char ()
+      match Unix.read fd b.bytes 0 (Bytes.length b.bytes) with
+      | 0 -> `Eof
+      | n ->
+          b.pos <- 0;
+          b.len <- n;
+          `Ok
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          `Block
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Again
+      | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
+          `Eof
+  in
+  (* One step per chunk: serve the buffer, refilling it first if empty. *)
+  let rec recv ~upto ~max =
+    lift (fun () ->
+        if b.pos < b.len then `Got (take b ~upto ~max)
+        else
+          match refill () with
+          | `Ok -> `Got (take b ~upto ~max)
+          | (`Eof | `Block | `Again) as r -> r)
+    >>= function
+    | `Got s -> return s
+    | `Again -> recv ~upto ~max
+    | `Eof -> throw End_of_file
+    | `Block -> wait_readable ifd >>= fun () -> recv ~upto ~max
   in
   let try_recv () =
-    if b.pos < b.len then
-      lift (fun () ->
+    lift (fun () ->
+        if b.pos < b.len || refill () = `Ok then begin
           let c = Bytes.get b.bytes b.pos in
           b.pos <- b.pos + 1;
-          Some c)
-    else
-      refill () >>= function
-      | `Ok ->
-          lift (fun () ->
-              let c = Bytes.get b.bytes b.pos in
-              b.pos <- b.pos + 1;
-              Some c)
-      | `Again | `Eof | `Block -> return None
+          Some c
+        end
+        else None)
   in
   let send s =
     let n = String.length s in
@@ -157,15 +207,17 @@ let conn_of_fd fd =
       if off >= n then return ()
       else
         lift (fun () ->
-            match Unix.write_substring fd s off (n - off) with
-            | k -> `Wrote k
-            | exception
-                Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-                `Block
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Wrote 0
-            | exception
-                Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-                `Eof)
+            if !closed then `Eof
+            else
+              match Unix.write_substring fd s off (n - off) with
+              | k -> `Wrote k
+              | exception
+                  Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+                  `Block
+              | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Wrote 0
+              | exception
+                  Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+                  `Eof)
         >>= function
         | `Wrote k -> go (off + k)
         | `Block -> wait_writable ifd >>= fun () -> go off
@@ -177,16 +229,11 @@ let conn_of_fd fd =
     lift (fun () ->
         if not !closed then begin
           closed := true;
+          on_close ifd;
           try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
         end)
   in
-  {
-    Backend.c_send = send;
-    c_recv_char = recv_char;
-    c_try_recv = try_recv;
-    c_close = close;
-    c_fd = Some ifd;
-  }
+  Backend.make_conn ~send ~recv ~try_recv ~close ~fd:(Some ifd)
 
 (* ---- listeners -------------------------------------------------------- *)
 
@@ -195,7 +242,7 @@ let prepare_socket fd =
   (try Unix.setsockopt fd Unix.TCP_NODELAY true
    with Unix.Unix_error (_, _, _) -> ())
 
-let listen ~backlog =
+let listen ~on_close ~backlog =
   lift (fun () ->
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
       Unix.setsockopt fd Unix.SO_REUSEADDR true;
@@ -224,7 +271,7 @@ let listen ~backlog =
             Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
             `Again)
     >>= function
-    | `Conn cfd -> return (conn_of_fd cfd)
+    | `Conn cfd -> return (conn_of_fd ~on_close cfd)
     | `Again -> accept ()
     | `Block -> wait_readable ifd >>= fun () -> accept ()
   in
@@ -244,7 +291,7 @@ let listen ~backlog =
           ->
             `Wait fd)
     >>= function
-    | `Ready fd -> return (conn_of_fd fd)
+    | `Ready fd -> return (conn_of_fd ~on_close fd)
     | `Wait fd -> (
         wait_writable (fd_int fd) >>= fun () ->
         lift (fun () ->
@@ -254,7 +301,7 @@ let listen ~backlog =
                 None
             | Some e -> Some e)
         >>= function
-        | None -> return (conn_of_fd fd)
+        | None -> return (conn_of_fd ~on_close fd)
         | Some e -> throw (Unix.Unix_error (e, "connect", "")))
   in
   let close () =
@@ -273,10 +320,11 @@ let listen ~backlog =
     }
 
 let create () =
+  let source, on_close = make_source () in
   {
     Backend.b_name = "real";
-    b_listen = (fun ~backlog -> listen ~backlog);
-    b_event_source = Some (make_source ());
+    b_listen = (fun ~backlog -> listen ~on_close ~backlog);
+    b_event_source = Some source;
   }
 
 let fd_limit target = raise_nofile target

@@ -43,8 +43,8 @@ let io_pipe =
       in
       let reader =
         let rec go () =
-          b.Ev.Backend.c_recv_char () >>= fun c ->
-          lift (fun () -> Buffer.add_char got c) >>= fun () -> go ()
+          b.Ev.Backend.c_recv ~upto:None ~max:16 >>= fun s ->
+          lift (fun () -> Buffer.add_string got s) >>= fun () -> go ()
         in
         catch
           (ignore_result (Combinators.timeout 5_000 (go ())))
@@ -71,14 +71,12 @@ let io_pipe =
       c.Ev.Backend.c_send "ok" >>= fun () ->
       c.Ev.Backend.c_close () >>= fun () ->
       c.Ev.Backend.c_close () >>= fun () ->
-      d.Ev.Backend.c_recv_char () >>= fun c1 ->
-      d.Ev.Backend.c_recv_char () >>= fun c2 ->
+      d.Ev.Backend.c_recv ~upto:None ~max:16 >>= fun got ->
       catch
-        (d.Ev.Backend.c_recv_char () >>= fun _ -> return false)
+        (d.Ev.Backend.c_recv ~upto:None ~max:16 >>= fun _ -> return false)
         (fun e -> return (e = End_of_file))
       >>= fun eof ->
-      Sweep.require "io-pipe: fresh pipe drains then EOF"
-        (c1 = 'o' && c2 = 'k' && eof))
+      Sweep.require "io-pipe: fresh pipe drains then EOF" (got = "ok" && eof))
 
 (* --- io-server: the supervised server under transport fire -------------- *)
 

@@ -3,33 +3,48 @@ open Hio.Io
 module Conn = struct
   (* Transport-agnostic since the Backend redesign: a connection is
      whatever record of operations the backend produced — in-memory
-     bounded channels ([Ev.Backend.sim]) or a non-blocking TCP socket
+     bounded pipes ([Ev.Backend.sim]) or a non-blocking TCP socket
      ([Ev.Real]). The message layer below only ever goes through these
-     four operations, so it runs unchanged on either. *)
+     operations, so it runs unchanged on either. *)
   type t = Ev.Backend.conn
 
   let send_string (conn : t) s = conn.Ev.Backend.c_send s
-  let recv_char (conn : t) = conn.Ev.Backend.c_recv_char ()
   let close (conn : t) = conn.Ev.Backend.c_close ()
 
-  let recv_line conn =
-    let buf = Buffer.create 32 in
-    let rec go () =
-      recv_char conn >>= function
-      | '\n' -> return (Buffer.contents buf)
-      | '\r' -> (
-          (* expect \n next; tolerate a bare \r *)
-          recv_char conn >>= function
-          | '\n' -> return (Buffer.contents buf)
-          | c ->
-              Buffer.add_char buf '\r';
-              Buffer.add_char buf c;
-              go ())
-      | c ->
-          Buffer.add_char buf c;
-          go ()
+  (* The most a single read asks for: one [Ev.Real] buffer. *)
+  let chunk = 4096
+
+  (* Reads chunks through the first '\n', so the bytes after the line
+     stay in the transport. A '\r' pairs with the byte after it, so of a
+     run of k '\r's just before the '\n', one — the one paired with the
+     '\n' — is dropped exactly when k is odd; every other '\r' is kept. *)
+  let recv_line (conn : t) =
+    let rec go acc =
+      conn.Ev.Backend.c_recv ~upto:(Some '\n') ~max:chunk >>= fun s ->
+      if s.[String.length s - 1] <> '\n' then go (s :: acc)
+      else
+        let line =
+          match acc with
+          | [] -> s
+          | _ -> String.concat "" (List.rev (s :: acc))
+        in
+        let n = String.length line - 1 in
+        let rec crs k =
+          if k < n && line.[n - 1 - k] = '\r' then crs (k + 1) else k
+        in
+        return (String.sub line 0 (n - (crs 0 land 1)))
     in
-    go ()
+    go []
+
+  (* Exactly [n] bytes, never reading past them. *)
+  let recv_exactly (conn : t) n =
+    let rec go n acc =
+      if n = 0 then return (String.concat "" (List.rev acc))
+      else
+        conn.Ev.Backend.c_recv ~upto:None ~max:n >>= fun s ->
+        go (n - String.length s) (s :: acc)
+    in
+    go n []
 
   let drain_available (conn : t) =
     let buf = Buffer.create 32 in
@@ -64,13 +79,10 @@ let split_header line =
       in
       (key, value)
 
-let read_request conn =
-  Conn.recv_line conn >>= fun request_line ->
-  (match String.split_on_char ' ' (String.trim request_line) with
-  | [ meth; path; _version ] -> return (meth, path)
-  | [ meth; path ] -> return (meth, path)
-  | _ -> throw (Bad_request ("malformed request line: " ^ request_line)))
-  >>= fun (meth, path) ->
+(* The part both messages share: headers to the blank line, then a
+   [Content-Length] body. Malformed input is a synchronous [Bad_request]
+   for either side. *)
+let read_headers_and_body conn k =
   let rec read_headers acc =
     Conn.recv_line conn >>= fun line ->
     if String.trim line = "" then return (List.rev acc)
@@ -87,14 +99,17 @@ let read_request conn =
   in
   if content_length < 0 then throw (Bad_request "bad content-length")
   else
-    let rec read_body n acc =
-      if n = 0 then return (String.concat "" (List.rev acc))
-      else
-        Conn.recv_char conn >>= fun c ->
-        read_body (n - 1) (String.make 1 c :: acc)
-    in
-    read_body content_length [] >>= fun body ->
-    return { meth; path; headers; body }
+    Conn.recv_exactly conn content_length >>= fun body -> k headers body
+
+let read_request conn =
+  Conn.recv_line conn >>= fun request_line ->
+  (match String.split_on_char ' ' (String.trim request_line) with
+  | [ meth; path; _version ] -> return (meth, path)
+  | [ meth; path ] -> return (meth, path)
+  | _ -> throw (Bad_request ("malformed request line: " ^ request_line)))
+  >>= fun (meth, path) ->
+  read_headers_and_body conn (fun headers body ->
+      return { meth; path; headers; body })
 
 let write_response conn { status; reason; body } =
   Conn.send_string conn
@@ -123,24 +138,8 @@ let read_response conn =
       | None -> throw (Bad_request ("bad status line: " ^ status_line)))
   | _ -> throw (Bad_request ("bad status line: " ^ status_line)))
   >>= fun (status, reason) ->
-  let rec read_headers acc =
-    Conn.recv_line conn >>= fun line ->
-    if String.trim line = "" then return (List.rev acc)
-    else read_headers (split_header line :: acc)
-  in
-  read_headers [] >>= fun headers ->
-  let content_length =
-    match List.assoc_opt "content-length" headers with
-    | Some v -> int_of_string v
-    | None -> 0
-  in
-  let rec read_body n acc =
-    if n = 0 then return (String.concat "" (List.rev acc))
-    else
-      Conn.recv_char conn >>= fun c ->
-      read_body (n - 1) (String.make 1 c :: acc)
-  in
-  read_body content_length [] >>= fun body -> return { status; reason; body }
+  read_headers_and_body conn (fun _headers body ->
+      return { status; reason; body })
 
 let ok body = { status = 200; reason = "OK"; body }
 let not_found = { status = 404; reason = "Not Found"; body = "not found" }

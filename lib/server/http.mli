@@ -21,9 +21,12 @@ module Conn : sig
       the pre-Backend API. *)
 
   val send_string : t -> string -> unit Io.t
-  val recv_char : t -> char Io.t
+
   val recv_line : t -> string Io.t
-  (** Reads up to a ["\r\n"] or ["\n"] terminator (not included). *)
+  (** Reads up to a ["\r\n"] or ["\n"] terminator (not included), a
+      chunk per read, leaving the bytes after it in the transport. A
+      ["\r"] pairs with the byte after it: of a run of [k] ["\r"]s
+      just before the ["\n"], one is dropped exactly when [k] is odd. *)
 
   val drain_available : t -> string Io.t
   (** Everything currently buffered, without blocking. *)
@@ -55,7 +58,9 @@ val write_request : Conn.t -> request -> unit Io.t
 (** Client-side helper for tests. *)
 
 val read_response : Conn.t -> response Io.t
-(** Client-side helper for tests. *)
+(** Client-side helper for tests.
+    @raise Bad_request (synchronously) on malformed input, like
+    {!read_request}. *)
 
 val ok : string -> response
 val not_found : response

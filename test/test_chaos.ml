@@ -130,6 +130,37 @@ let decorator_tests =
         Alcotest.(check bool)
           "no sites, no injections" true
           (sites = (List.map (fun op -> (op, 0)) Ev.Chaos.all_ops, 0)));
+    case "a recv trickle delivers one byte per 25us, even to chunk reads"
+      (fun () ->
+        let chunks =
+          value
+            ( lift (fun () ->
+                  Ev.Chaos.create
+                    [
+                      {
+                        Ev.Chaos.r_op = Recv;
+                        r_at = 0;
+                        r_fault = Ev.Chaos.Trickle 25;
+                      };
+                    ])
+            >>= fun ctl ->
+              Ev.Backend.sim_pipe () >>= fun (a, b) ->
+              let b = Ev.Chaos.wrap_conn ctl b in
+              a.Ev.Backend.c_send "hello" >>= fun () ->
+              now >>= fun t0 ->
+              let rec go n acc =
+                if n = 0 then return (List.rev acc)
+                else
+                  b.Ev.Backend.c_recv ~upto:None ~max:64 >>= fun s ->
+                  now >>= fun t ->
+                  go (n - String.length s) ((s, t - t0) :: acc)
+              in
+              go 5 [] )
+        in
+        Alcotest.(check (list (pair string int)))
+          "one byte per trickle delay"
+          [ ("h", 25); ("e", 50); ("l", 75); ("l", 100); ("o", 125) ]
+          chunks);
   ]
 
 (* --- the headline demonstration ----------------------------------------

@@ -80,6 +80,15 @@ let wheel_tests =
         Alcotest.(check bool) "flagged" true (Tw.cancelled e1);
         Alcotest.check ints "only survivor" [ 2 ] (Tw.advance w ~now:10);
         Alcotest.check int_v "live 0" 0 (Tw.live w));
+    case "cancel after firing is a no-op: a later timer stays visible"
+      (fun () ->
+        let w = Tw.create () in
+        let e = Tw.add w ~deadline:10 1 in
+        Alcotest.check ints "fires" [ 1 ] (Tw.advance w ~now:10);
+        Tw.cancel w e;
+        Alcotest.check int_v "live 0" 0 (Tw.live w);
+        ignore (Tw.add w ~deadline:20 2);
+        Alcotest.(check (option int)) "next" (Some 20) (Tw.next_deadline w));
     case "advance_to_next jumps exactly to the earliest instant" (fun () ->
         let w = Tw.create () in
         ignore (Tw.add w ~deadline:400 1);
@@ -182,6 +191,22 @@ let timer_tests =
                   catch
                     (sleep 5 >>= fun () -> return "clean")
                     (fun _ -> return "ghost") ))));
+    (* The alarm fires while its thread waits uninterruptibly, so its
+       token is still pending when [cancel_timer] runs. That cancel must
+       not uncount the sleeper forked afterwards, or the idle clock finds
+       no timer and reports a deadlock. *)
+    case "cancelling a fired-but-undelivered timer keeps other timers"
+      (fun () ->
+        Alcotest.(check string) "sleeper woke" "woke"
+          (value
+             ( mask_
+                 ( arm_timer 10 >>= fun alarm ->
+                   uninterruptibly (sleep 20) >>= fun () ->
+                   cancel_timer alarm )
+               >>= fun () ->
+               Mvar.new_empty >>= fun mv ->
+               fork (sleep 100 >>= fun () -> Mvar.put mv "woke") >>= fun _ ->
+               Mvar.take mv )));
     case "tokens are per-timer: nested arms cannot be confused" (fun () ->
         Alcotest.(check string) "outer" "outer"
           (value
@@ -310,13 +335,17 @@ let switch_tests =
 
 (* ---- close semantics, identical on both backends ----------------------
    [c_close] is idempotent, and a peer that closes while we are blocked
-   in [c_recv_char] wakes us with [End_of_file] — the sim pipes must
-   behave exactly like a TCP FIN through the epoll event source. *)
+   in a read wakes us with [End_of_file] — the sim pipes must behave
+   exactly like a TCP FIN through the epoll event source. *)
 
-let close_scenario (b : Ev.Backend.t) =
+(* A listener and one dialled connection: (listener, client, served). *)
+let pair (b : Ev.Backend.t) =
   b.Ev.Backend.b_listen ~backlog:4 >>= fun l ->
   l.Ev.Backend.l_dial () >>= fun client ->
-  l.Ev.Backend.l_accept () >>= fun served ->
+  l.Ev.Backend.l_accept () >>= fun served -> return (l, client, served)
+
+let close_scenario b =
+  pair b >>= fun (l, client, served) ->
   Mvar.new_empty >>= fun res ->
   fork
     (catch
@@ -332,6 +361,98 @@ let close_scenario (b : Ev.Backend.t) =
   served.Ev.Backend.c_close () >>= fun () ->
   served.Ev.Backend.c_close () >>= fun () ->
   l.Ev.Backend.l_close () >>= fun () -> return woke
+
+(* ---- the chunk-read contract, on both backends ------------------------
+   [c_recv] returns 1..[max] bytes, never past the first [upto], leaves
+   the rest in the transport, drains queued bytes before [End_of_file],
+   and a [throw_to] into a reader parked in it loses no byte. *)
+
+exception Kick
+
+let eof_or_error io =
+  catch io (fun e ->
+      return (if e = End_of_file then "<eof>" else Printexc.to_string e))
+
+(* [n] bytes read as [c_recv ~upto ~max] chunks, each one checked
+   against the contract. *)
+let read_checked (c : Ev.Backend.conn) ~upto ~max n =
+  let rec go n acc =
+    if n <= 0 then return (String.concat "" (List.rev acc))
+    else
+      c.Ev.Backend.c_recv ~upto ~max >>= fun s ->
+      let len = String.length s in
+      let stops_at_upto =
+        match upto with
+        | None -> true
+        | Some u -> (
+            match String.index_opt s u with
+            | None -> true
+            | Some i -> i = len - 1)
+      in
+      if len < 1 || len > max || not stops_at_upto then
+        throw (Failure (Printf.sprintf "chunk %S breaks the contract" s))
+      else go (n - len) (s :: acc)
+  in
+  go n []
+
+let chunk_scenario b =
+  pair b >>= fun (l, client, served) ->
+  client.Ev.Backend.c_send "GET /\r\nhost: x\r\n\r\nbody!" >>= fun () ->
+  read_checked served ~upto:(Some '\n') ~max:64 7 >>= fun line ->
+  read_checked served ~upto:(Some '\n') ~max:3 9 >>= fun header ->
+  client.Ev.Backend.c_close () >>= fun () ->
+  read_checked served ~upto:None ~max:64 7 >>= fun rest ->
+  eof_or_error (served.Ev.Backend.c_recv ~upto:None ~max:64) >>= fun tail ->
+  served.Ev.Backend.c_close () >>= fun () ->
+  l.Ev.Backend.l_close () >>= fun () -> return [ line; header; rest; tail ]
+
+let chunk_expected = [ "GET /\r\n"; "host: x\r\n"; "\r\nbody!"; "<eof>" ]
+
+(* The reader runs masked, so it is interruptible only while parked in
+   [c_recv]: the kick cannot land between a read and its append. *)
+let kick_scenario b =
+  pair b >>= fun (l, client, served) ->
+  lift (fun () -> Buffer.create 8) >>= fun got ->
+  Mvar.new_empty >>= fun finished ->
+  let rec read_all () =
+    block
+      ( served.Ev.Backend.c_recv ~upto:None ~max:64 >>= fun s ->
+        lift (fun () -> Buffer.add_string got s) )
+    >>= read_all
+  in
+  fork
+    ( catch (read_all ()) (fun e ->
+          if e = Kick then return () else throw e)
+    >>= fun () ->
+      eof_or_error (read_all () >>= fun () -> return "") >>= fun tail ->
+      Mvar.put finished tail )
+  >>= fun reader ->
+  client.Ev.Backend.c_send "ab" >>= fun () ->
+  sleep 1_000 >>= fun () ->
+  throw_to reader Kick >>= fun () ->
+  client.Ev.Backend.c_send "cd" >>= fun () ->
+  client.Ev.Backend.c_close () >>= fun () ->
+  Mvar.take finished >>= fun tail ->
+  served.Ev.Backend.c_close () >>= fun () ->
+  l.Ev.Backend.l_close () >>= fun () ->
+  lift (fun () -> Buffer.contents got ^ tail)
+
+let chunk_tests =
+  [
+    case "sim: c_recv honours max and upto, drains, then EOF" (fun () ->
+        Alcotest.(check (list string)) "chunks" chunk_expected
+          (value (chunk_scenario (Ev.Backend.sim ()))));
+    case "sim: a kick into a parked c_recv loses no byte" (fun () ->
+        Alcotest.(check string) "all bytes, in order" "abcd<eof>"
+          (value (kick_scenario (Ev.Backend.sim ()))));
+    case "sim pipe: a capacity-1 pipe still carries a whole message"
+      (fun () ->
+        Alcotest.(check string) "message" "hello, pipe"
+          (value
+             ( Ev.Backend.sim_pipe ~capacity:1 () >>= fun (a, b) ->
+               fork (a.Ev.Backend.c_send "hello, pipe") >>= fun _ ->
+               read_checked b ~upto:None ~max:64 11 )));
+  ]
 
 let close_tests =
   [
@@ -386,8 +507,101 @@ let run_real io =
 (* This process's open file descriptors (needs Linux's /proc). *)
 let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
+let outcome_value = function
+  | Runtime.Value v -> v
+  | Runtime.Uncaught e ->
+      Alcotest.failf "uncaught: %s" (Printexc.to_string e)
+  | Runtime.Deadlock -> Alcotest.fail "deadlock"
+  | Runtime.Out_of_steps -> Alcotest.fail "out of steps"
+
+(* Bounded in real time, so a regression fails instead of hanging. *)
+let real_value io =
+  match
+    outcome_value
+      (snd (run_real (fun b -> Combinators.timeout 2_000_000 (io b))))
+        .Runtime.outcome
+  with
+  | Some v -> v
+  | None -> Alcotest.fail "timed out"
+
+(* A conn this end closed never touches its fd number again: reads and
+   sends raise [End_of_file] instead of [EBADF], a fresh connection that
+   reuses the number keeps its bytes, and a reader parked when the close
+   lands wakes with [End_of_file]. *)
+let own_close_scenario b =
+  pair b >>= fun (l, client, served) ->
+  served.Ev.Backend.c_close () >>= fun () ->
+  eof_or_error (map (String.make 1) (served.Ev.Backend.c_recv_char ()))
+  >>= fun read ->
+  eof_or_error (served.Ev.Backend.c_send "x" >>= fun () -> return "sent")
+  >>= fun send ->
+  client.Ev.Backend.c_close () >>= fun () ->
+  l.Ev.Backend.l_close () >>= fun () -> return [ read; send ]
+
+let reuse_scenario b =
+  pair b >>= fun (l, client, stale) ->
+  stale.Ev.Backend.c_close () >>= fun () ->
+  client.Ev.Backend.c_close () >>= fun () ->
+  l.Ev.Backend.l_dial () >>= fun client2 ->
+  l.Ev.Backend.l_accept () >>= fun fresh ->
+  client2.Ev.Backend.c_send "Z" >>= fun () ->
+  fresh.Ev.Backend.c_send "Z" >>= fun () ->
+  sleep 1_000 >>= fun () ->
+  eof_or_error (stale.Ev.Backend.c_recv ~upto:None ~max:8)
+  >>= fun stale_read ->
+  fresh.Ev.Backend.c_recv ~upto:None ~max:8 >>= fun fresh_read ->
+  client2.Ev.Backend.c_recv ~upto:None ~max:8 >>= fun client_read ->
+  fresh.Ev.Backend.c_close () >>= fun () ->
+  client2.Ev.Backend.c_close () >>= fun () ->
+  l.Ev.Backend.l_close () >>= fun () ->
+  return [ stale_read; fresh_read; client_read ]
+
+let parked_own_close_scenario b =
+  pair b >>= fun (l, client, served) ->
+  Mvar.new_empty >>= fun res ->
+  fork
+    (eof_or_error (served.Ev.Backend.c_recv ~upto:None ~max:8)
+    >>= Mvar.put res)
+  >>= fun _ ->
+  sleep 1_000 >>= fun () ->
+  served.Ev.Backend.c_close () >>= fun () ->
+  Mvar.take res >>= fun woke ->
+  client.Ev.Backend.c_close () >>= fun () ->
+  l.Ev.Backend.l_close () >>= fun () -> return woke
+
+let own_close_tests =
+  [
+    case "sim: reads and sends after this end's close raise EOF" (fun () ->
+        Alcotest.(check (list string)) "eof" [ "<eof>"; "<eof>" ]
+          (value (own_close_scenario (Ev.Backend.sim ()))));
+    case "sim: a reader parked at this end's close wakes with EOF"
+      (fun () ->
+        Alcotest.(check string) "woken" "<eof>"
+          (value (parked_own_close_scenario (Ev.Backend.sim ()))));
+  ]
+
 let real_tests =
   [
+    flaky_slow_case "real: c_recv honours max and upto, drains, then EOF"
+      (fun () ->
+        Alcotest.(check (list string)) "chunks" chunk_expected
+          (real_value chunk_scenario));
+    flaky_slow_case "real: a kick into a parked c_recv loses no byte"
+      (fun () ->
+        Alcotest.(check string) "all bytes, in order" "abcd<eof>"
+          (real_value kick_scenario));
+    flaky_slow_case "real: reads and sends after this end's close raise EOF"
+      (fun () ->
+        Alcotest.(check (list string)) "eof" [ "<eof>"; "<eof>" ]
+          (real_value own_close_scenario));
+    flaky_slow_case "real: a closed conn never reads a reused fd's bytes"
+      (fun () ->
+        Alcotest.(check (list string)) "stale EOF, fresh bytes intact"
+          [ "<eof>"; "Z"; "Z" ] (real_value reuse_scenario));
+    flaky_slow_case
+      "real: a reader parked at this end's close wakes with EOF" (fun () ->
+        Alcotest.(check string) "woken" "<eof>"
+          (real_value parked_own_close_scenario));
     flaky_slow_case
       "real: close during a blocked read wakes it with End_of_file"
       (fun () ->
@@ -510,6 +724,8 @@ let suites =
     ("ev:wheel-props", wheel_props);
     ("ev:timers", timer_tests);
     ("ev:switch", switch_tests);
+    ("ev:chunks", chunk_tests);
     ("ev:close", close_tests);
+    ("ev:own-close", own_close_tests);
     ("ev:real", real_tests);
   ]

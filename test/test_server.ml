@@ -394,9 +394,192 @@ let differential_tests =
         agrees (on_real (fun backend -> via_server backend)));
   ]
 
+(* ---- chunked parsing ≡ the per-byte parser it replaced ----------------
+
+   [read_request]/[read_response] read a chunk per step; the reference
+   below is the per-byte parser they replaced, over [c_recv_char]. On
+   any message — bodies, bad headers, bare '\r's, truncation — through a
+   pipe of any capacity, and under a Chaos trickle, both must give the
+   same result and leave the same bytes unread. *)
+
+module Per_byte = struct
+  let recv_char (conn : Http.Conn.t) = conn.Ev.Backend.c_recv_char ()
+
+  let recv_line conn =
+    let buf = Buffer.create 32 in
+    let rec go () =
+      recv_char conn >>= function
+      | '\n' -> return (Buffer.contents buf)
+      | '\r' -> (
+          recv_char conn >>= function
+          | '\n' -> return (Buffer.contents buf)
+          | c ->
+              Buffer.add_char buf '\r';
+              Buffer.add_char buf c;
+              go ())
+      | c ->
+          Buffer.add_char buf c;
+          go ()
+    in
+    go ()
+
+  let recv_exactly conn n =
+    let buf = Buffer.create 32 in
+    let rec go n =
+      if n = 0 then return (Buffer.contents buf)
+      else
+        recv_char conn >>= fun c ->
+        Buffer.add_char buf c;
+        go (n - 1)
+    in
+    go n
+
+  let split_header line =
+    match String.index_opt line ':' with
+    | None -> raise (Http.Bad_request ("malformed header: " ^ line))
+    | Some i ->
+        ( String.lowercase_ascii (String.trim (String.sub line 0 i)),
+          String.trim (String.sub line (i + 1) (String.length line - i - 1))
+        )
+
+  let read_headers_and_body conn =
+    let rec read_headers acc =
+      recv_line conn >>= fun line ->
+      if String.trim line = "" then return (List.rev acc)
+      else
+        match split_header line with
+        | h -> read_headers (h :: acc)
+        | exception e -> throw e
+    in
+    read_headers [] >>= fun headers ->
+    let n =
+      match List.assoc_opt "content-length" headers with
+      | Some v -> ( match int_of_string_opt v with Some n -> n | None -> -1)
+      | None -> 0
+    in
+    if n < 0 then throw (Http.Bad_request "bad content-length")
+    else recv_exactly conn n >>= fun body -> return (headers, body)
+
+  let read_request conn =
+    recv_line conn >>= fun line ->
+    (match String.split_on_char ' ' (String.trim line) with
+    | [ meth; path; _ ] | [ meth; path ] -> return (meth, path)
+    | _ -> throw (Http.Bad_request ("malformed request line: " ^ line)))
+    >>= fun (meth, path) ->
+    read_headers_and_body conn >>= fun (headers, body) ->
+    return { Http.meth; path; headers; body }
+
+  let read_response conn =
+    recv_line conn >>= fun line ->
+    (match String.split_on_char ' ' (String.trim line) with
+    | _ :: code :: reason -> (
+        match int_of_string_opt code with
+        | Some status -> return (status, String.concat " " reason)
+        | None -> throw (Http.Bad_request ("bad status line: " ^ line)))
+    | _ -> throw (Http.Bad_request ("bad status line: " ^ line)))
+    >>= fun (status, reason) ->
+    read_headers_and_body conn >>= fun (_, body) ->
+    return { Http.status; reason; body }
+end
+
+(* Everything left in [conn] once the writer has closed. *)
+let rec rest (conn : Http.Conn.t) =
+  catch
+    ( conn.Ev.Backend.c_recv ~upto:None ~max:64 >>= fun s ->
+      rest conn >>= fun r -> return (s ^ r) )
+    (fun e -> if e = End_of_file then return "" else throw e)
+
+(* Parse [msg] with [read] through a fresh pipe: the result (or the
+   exception) and the bytes the parser left unread. *)
+let parse_through ~capacity ~trickle read msg =
+  Ev.Backend.sim_pipe ~capacity () >>= fun (a, b) ->
+  let b =
+    if trickle = 0 then b
+    else
+      Ev.Chaos.wrap_conn
+        (Ev.Chaos.create
+           [ { Ev.Chaos.r_op = Recv; r_at = 0; r_fault = Trickle trickle } ])
+        b
+  in
+  fork (a.Ev.Backend.c_send msg >>= fun () -> a.Ev.Backend.c_close ())
+  >>= fun _ ->
+  catch (map (fun r -> Ok r) (read b)) (fun e ->
+      return (Error (Printexc.to_string e)))
+  >>= fun r ->
+  rest b >>= fun left -> return (r, left)
+
+let gen_message =
+  QCheck2.Gen.(
+    let text =
+      string_size ~gen:(oneofl [ 'a'; 'B'; ' '; ':'; '\r'; '/'; '1' ])
+        (int_range 0 8)
+    in
+    let eol = oneofl [ "\n"; "\r\n"; "\r\r\n"; "\r\r\r\n"; "\rb\n" ] in
+    let line body = map2 ( ^ ) body eol in
+    let start =
+      oneof
+        [
+          oneofl
+            [ "GET /p HTTP/1.0"; "POST /q"; "HTTP/1.0 200 OK"; "HTTP/1.0 x" ];
+          text;
+        ]
+    in
+    let header =
+      oneof
+        [
+          map2 (fun k v -> k ^ ":" ^ v) text text;
+          map (Printf.sprintf "Content-Length: %d") (int_range 0 12);
+          map (fun v -> "content-length:" ^ v) text;
+          text;
+        ]
+    in
+    let body =
+      string_size ~gen:(oneofl [ 'x'; '\r'; '\n'; ' ' ]) (int_range 0 16)
+    in
+    let headers = list_size (int_range 0 3) (line header) in
+    map
+      (fun (((s, hs), blank), b) -> s ^ String.concat "" hs ^ blank ^ b)
+      (pair (pair (pair (line start) headers) eol) body))
+
+let parse_props =
+  let same read reference (msg, capacity, trickle) =
+    value (parse_through ~capacity ~trickle read msg)
+    = value (parse_through ~capacity:64 ~trickle:0 reference msg)
+  in
+  let prop m =
+    same Http.read_request Per_byte.read_request m
+    && same Http.read_response Per_byte.read_response m
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300
+         ~name:"chunked read_request/read_response = per-byte reference"
+         ~print:(fun (m, c, t) -> Printf.sprintf "%S cap=%d trickle=%d" m c t)
+         QCheck2.Gen.(
+           triple gen_message (int_range 1 64) (oneofl [ 0; 0; 0; 25 ]))
+         prop);
+    case "bare \\r: k trailing \\rs lose one exactly when k is odd"
+      (fun () ->
+        let line s =
+          value
+            ( Ev.Backend.sim_pipe () >>= fun (a, b) ->
+              Http.Conn.send_string a s >>= fun () -> Http.Conn.recv_line b )
+        in
+        List.iter
+          (fun (input, want) -> Alcotest.check str_v input want (line input))
+          [
+            ("a\r\n", "a");
+            ("a\r\r\n", "a\r\r");
+            ("a\r\r\r\n", "a\r\r");
+            ("a\rb\n", "a\rb");
+            ("\r\n", "");
+          ]);
+  ]
+
 let suites =
   [
     ("server:http", http_tests);
+    ("server:http-parse", parse_props);
     ("server:behaviour", server_tests);
     ("server:close", close_tests);
     ("server:differential", differential_tests);
