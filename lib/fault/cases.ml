@@ -23,6 +23,192 @@ let join t =
       | Some _ -> return ()
       | None -> throw e)
 
+(* --- the serving protocol ------------------------------------------------
+
+   Every server case checks the same §7 promise — a server built from
+   bracket, timeout and throwTo degrades but never wedges — so the
+   protocol is written once and a case supplies only data: which tree to
+   start on which backend, its clients, their timeout, its probes. *)
+
+type outcome = Status of int | Timed_out | Transport
+type tree = Single | Sharded of int
+type client = { at : int option; key : string option }
+
+type service = {
+  name : string;
+  tree : tree;
+  config : Server.config;
+  handler : Server.handler;
+  clients : client list;
+  timeout : int;
+  probes : string option list;
+  attempts : int;
+}
+
+let hello = Server.route [ ("/hello", fun body -> Http.ok ("hi" ^ body)) ]
+let at_once n = List.init n (fun _ -> { at = None; key = None })
+
+(* A started tree, whichever kind. *)
+type running = {
+  connect : string option -> Http.Conn.t Io.t;
+  root_alive : bool Io.t;
+  shutdown : unit Io.t;
+  metrics : Obs.Metrics.t;
+}
+
+let start s backend =
+  match s.tree with
+  | Single ->
+      Server.start ~config:s.config ?backend s.handler >>= fun srv ->
+      return
+        {
+          connect = (fun _ -> Server.connect srv);
+          root_alive =
+            (match Server.supervisor srv with
+            | None -> return true
+            | Some sup -> Hsup.Sup.alive sup);
+          shutdown = ignore_result (Server.shutdown srv);
+          metrics = Server.metrics srv;
+        }
+  | Sharded shards ->
+      Shard.start ~config:s.config ?backend ~shards s.handler >>= fun srv ->
+      return
+        {
+          connect = (fun key -> Shard.connect ?key srv);
+          root_alive = Hsup.Sup.alive (Shard.supervisor srv);
+          shutdown = ignore_result (Shard.shutdown srv);
+          metrics = Shard.metrics srv;
+        }
+
+(* One request: a dead accept loop or a killed worker means no reply, so
+   the read is bounded; a transport fault is a lawful degradation, not a
+   crash. *)
+let request s tree key =
+  catch
+    ( tree.connect key >>= fun conn ->
+      Http.write_request conn
+        { Http.meth = "GET"; path = "/hello"; headers = []; body = "" }
+      >>= fun () ->
+      Combinators.timeout s.timeout (Http.read_response conn) >>= function
+      | Some resp -> return (Status resp.Http.status)
+      | None -> return Timed_out )
+    (fun e ->
+      if Hsup.Retry.transient_io e || e = Server.Dial_timeout then
+        return Transport
+      else throw e)
+
+let lawful = function
+  | Status (200 | 503 | 504) | Timed_out | Transport -> true
+  | Status _ -> false
+
+(* How far the probes got: every key answered 200, the first key never
+   did, or a later key failed after an earlier one had answered 200. *)
+type probed = Served | Down | Lapsed
+
+(* Each key must answer 200 within [attempts] tries, 300 µs apart — past
+   breaker reset windows and restart churn. On a [clean] transport no
+   plan injects faults, so a transport fault is a violation outright. *)
+let probe ~clean s tree =
+  let rec attempt key n =
+    request s tree key >>= fun o ->
+    if o = Status 200 then return true
+    else if clean && o = Transport then
+      Sweep.require
+        (s.name ^ ": a probe on a clean transport meets no transport fault")
+        false
+      >>= fun () -> return false
+    else if n <= 1 then return false
+    else sleep 300 >>= fun () -> attempt key (n - 1)
+  in
+  let rec go served = function
+    | [] -> return Served
+    | key :: rest ->
+        attempt key s.attempts >>= fun ok ->
+        if ok then go true rest else return (if served then Lapsed else Down)
+  in
+  go false s.probes
+
+let serve ?chaos s =
+  let backend =
+    Option.map (fun ctl -> Ev.Chaos.wrap ctl (Ev.Backend.sim ())) chaos
+  in
+  start s backend >>= fun tree ->
+  lift (fun () -> Array.make (List.length s.clients) None) >>= fun outcomes ->
+  let client i c =
+    let go =
+      request s tree c.key >>= fun o ->
+      lift (fun () -> outcomes.(i) <- Some o)
+    in
+    match c.at with Some at -> sleep at >>= fun () -> go | None -> go
+  in
+  let rec spawn i acc = function
+    | [] -> return (List.rev acc)
+    | c :: rest ->
+        Task.spawn ~name:(Printf.sprintf "client%d" i) (client i c)
+        >>= fun t -> spawn (i + 1) (t :: acc) rest
+  in
+  spawn 0 [] s.clients >>= fun tasks ->
+  let rec reap = function
+    | [] -> return ()
+    | t :: rest -> join t >>= fun () -> reap rest
+  in
+  reap tasks >>= fun () ->
+  Sweep.disarm >>= fun () ->
+  (match chaos with Some ctl -> Ev.Chaos.disarm ctl | None -> return ())
+  >>= fun () ->
+  (* graceful degradation: every client that finished holds a lawful
+     answer; only the kill itself may end one early *)
+  let rec check i = function
+    | [] -> return ()
+    | t :: rest ->
+        Task.poll t >>= fun st ->
+        lift (fun () -> outcomes.(i)) >>= fun o ->
+        (match st with
+        | Some (Stdlib.Error Kill_thread) -> return ()
+        | Some (Stdlib.Error e) ->
+            Sweep.require
+              (Printf.sprintf "%s: client%d died of %s" s.name i
+                 (Printexc.to_string e))
+              false
+        | _ ->
+            Sweep.require
+              (s.name ^ ": every surviving client got a lawful outcome")
+              (match o with Some o -> lawful o | None -> false))
+        >>= fun () -> check (i + 1) rest
+  in
+  check 0 tasks >>= fun () ->
+  (* steady state: the probes answer 200 again. [root_alive] can lag a
+     killed root's teardown, and the probes' own timeouts give that
+     teardown ample virtual time — so a first probe that fails is a
+     violation only while the root is still alive. Once a probe has
+     answered 200, every later one must too, root or no root. A dead
+     root is what a process manager would restart: model that with a
+     fresh tree on a clean transport and require service restored. *)
+  tree.root_alive >>= fun alive ->
+  (if alive then probe ~clean:(Option.is_none chaos) s tree else return Down)
+  >>= (function
+        | Served -> return ()
+        | Lapsed -> Sweep.require (s.name ^ ": steady state persists") false
+        | Down ->
+            tree.root_alive >>= fun still_alive ->
+            Sweep.require (s.name ^ ": steady state answers 200")
+              (not still_alive)
+            >>= fun () ->
+            start s (Option.map (fun _ -> Ev.Backend.sim ()) backend)
+            >>= fun fresh ->
+            probe ~clean:true s fresh >>= fun r ->
+            Sweep.require
+              (s.name ^ ": a fresh tree restores service")
+              (r = Served)
+            >>= fun () -> fresh.shutdown)
+  >>= fun () ->
+  tree.shutdown >>= fun () ->
+  catch
+    (tree.connect None >>= fun _ -> return false)
+    (fun e -> return (e = Server.Server_stopped))
+  >>= Sweep.require (s.name ^ ": connect after shutdown is refused")
+  >>= fun () -> return (outcomes, tree.metrics)
+
 (* --- §5.2 / §7 abstractions --------------------------------------------- *)
 
 let sem_units =
@@ -184,33 +370,26 @@ let std =
 
 (* --- the §11 server ------------------------------------------------------ *)
 
+(* A kill-sweep case on the serving protocol, over the implicit
+   transport. *)
+let serving ?(tree = Single) name config ~clients ~probes =
+  Sweep.case ~max_steps:400_000 name
+    (ignore_result
+       (serve
+          {
+            name;
+            tree;
+            config;
+            handler = hello;
+            clients;
+            timeout = 1_000;
+            probes;
+            attempts = 1;
+          }))
+
 let server =
-  Sweep.case ~max_steps:400_000 "server-requests"
-    ( let handler = Server.route [ ("/hello", fun body -> Http.ok ("hi" ^ body)) ] in
-      Server.start handler >>= fun server ->
-      let client path =
-        Server.connect server >>= fun conn ->
-        Http.write_request conn
-          { Http.meth = "GET"; path; headers = []; body = "" }
-        >>= fun () ->
-        (* a dead accept loop or killed worker means no reply: the client
-           gives up rather than hang *)
-        Combinators.timeout 1000 (Http.read_response conn) >>= fun _ ->
-        return ()
-      in
-      Task.spawn ~name:"client1" (client "/hello") >>= fun c1 ->
-      Task.spawn ~name:"client2" (client "/hello") >>= fun c2 ->
-      join c1 >>= fun () ->
-      join c2 >>= fun () ->
-      Sweep.disarm >>= fun () ->
-      (* probe: one more request (answered or timed out, never wedged),
-         then graceful shutdown, after which connections are refused *)
-      client "/hello" >>= fun () ->
-      Server.shutdown server >>= fun _stats ->
-      catch
-        (Server.connect server >>= fun _ -> return false)
-        (fun e -> return (e = Server.Server_stopped))
-      >>= Sweep.require "Server: connect after shutdown is refused" )
+  serving "server-requests" Server.default_config ~clients:(at_once 2)
+    ~probes:[ None ]
 
 let server_targets =
   [ Plan.Acting; Plan.Named "listener"; Plan.Named "conn-worker" ]
@@ -337,13 +516,10 @@ let sup_bulkhead =
       Bulkhead.run bh (return ()) >>= fun r ->
       Sweep.require "bulkhead: fresh call admitted" (r = Ok ()) )
 
-(* The tentpole case: graceful degradation of the supervised server.
-   Saturating clients (capacity 2 + 1 waiting, 4 clients) exercise the
-   shedding path in the baseline; the sweep then demands that after a
-   kill anywhere — client, worker, bulkhead, listener, supervisor — every
-   accepted request still gets an answer (200, 503 or the client's own
-   timeout) and the tree returns to steady state, proven by probe
-   requests that must be served with 200. *)
+(* Graceful degradation of the supervised server: saturating clients
+   (capacity 2 + 1 waiting, 4 clients) exercise the shedding path in the
+   baseline, and the serving protocol holds after a kill anywhere —
+   client, worker, bulkhead, listener, supervisor. *)
 let sup_server_config =
   {
     Server.default_config with
@@ -353,100 +529,10 @@ let sup_server_config =
   }
 
 let sup_server =
-  Sweep.case ~max_steps:400_000 "sup-server"
-    ( let handler =
-        Server.route [ ("/hello", fun body -> Http.ok ("hi" ^ body)) ]
-      in
-      Server.start ~config:sup_server_config handler >>= fun server ->
-      lift (fun () -> Array.make 4 None) >>= fun outcomes ->
-      let client i =
-        Server.connect server >>= fun conn ->
-        Http.write_request conn
-          { Http.meth = "GET"; path = "/hello"; headers = []; body = "" }
-        >>= fun () ->
-        Combinators.timeout 1_000 (Http.read_response conn) >>= fun r ->
-        lift (fun () ->
-            outcomes.(i) <-
-              Some
-                (match r with
-                | None -> `Timed_out
-                | Some resp -> `Status resp.Http.status))
-      in
-      Task.spawn ~name:"client0" (client 0) >>= fun c0 ->
-      Task.spawn ~name:"client1" (client 1) >>= fun c1 ->
-      Task.spawn ~name:"client2" (client 2) >>= fun c2 ->
-      Task.spawn ~name:"client3" (client 3) >>= fun c3 ->
-      join c0 >>= fun () ->
-      join c1 >>= fun () ->
-      join c2 >>= fun () ->
-      join c3 >>= fun () ->
-      Sweep.disarm >>= fun () ->
-      (* graceful degradation: every client that survived recorded an
-         answer, and only answers the contract allows *)
-      let check t i =
-        Task.poll t >>= fun st ->
-        lift (fun () -> outcomes.(i)) >>= fun o ->
-        match st with
-        | Some (Stdlib.Ok ()) ->
-            Sweep.require "sup-server: accepted request answered"
-              (match o with
-              | Some (`Status (200 | 503 | 504)) | Some `Timed_out -> true
-              | _ -> false)
-        | _ -> return () (* the client itself was the kill victim *)
-      in
-      check c0 0 >>= fun () ->
-      check c1 1 >>= fun () ->
-      check c2 2 >>= fun () ->
-      check c3 3 >>= fun () ->
-      (* steady state: the tree answers 200s again — twice, so the first
-         probe wasn't a fluke of a half-restarted tree *)
-      let probe srv =
-        Server.connect srv >>= fun conn ->
-        Http.write_request conn
-          { Http.meth = "GET"; path = "/hello"; headers = []; body = "" }
-        >>= fun () ->
-        Combinators.timeout 1_000 (Http.read_response conn) >>= fun r ->
-        return
-          (match r with Some resp -> resp.Http.status = 200 | None -> false)
-      in
-      let sup_alive () =
-        match Server.supervisor server with
-        | None -> return true
-        | Some sup -> Sup.alive sup
-      in
-      (* the supervisor itself may be the victim; a process manager would
-         restart the whole tree — model that with a fresh server and
-         require service is restored *)
-      let fresh_tree () =
-        Server.start ~config:sup_server_config handler >>= fun fresh ->
-        probe fresh >>= fun ok ->
-        Sweep.require "sup-server: a fresh tree restores service" ok
-        >>= fun () ->
-        Server.shutdown fresh >>= fun _ -> return ()
-      in
-      sup_alive () >>= fun alive ->
-      (if alive then
-         (* [alive] can be a lie: a killed supervisor keeps the flag until
-            its teardown handler has run. The probe's own timeout gives
-            that teardown ample virtual time, so a failed probe with the
-            supervisor now dead is the kill surfacing, not a violation —
-            only a failed probe under a supervisor still alive is. *)
-         probe server >>= fun ok1 ->
-         if ok1 then
-           probe server >>= fun ok2 ->
-           Sweep.require "sup-server: steady state persists" ok2
-         else
-           sup_alive () >>= fun still_alive ->
-           Sweep.require "sup-server: steady state answers 200"
-             (not still_alive)
-           >>= fun () -> fresh_tree ()
-       else fresh_tree ())
-      >>= fun () ->
-      Server.shutdown server >>= fun _stats ->
-      catch
-        (Server.connect server >>= fun _ -> return false)
-        (fun e -> return (e = Server.Server_stopped))
-      >>= Sweep.require "sup-server: connect after shutdown is refused" )
+  (* probed twice, so the first probe wasn't a fluke of a half-restarted
+     tree *)
+  serving "sup-server" sup_server_config ~clients:(at_once 4)
+    ~probes:[ None; None ]
 
 let sup_server_targets =
   [
@@ -644,13 +730,10 @@ let actor_ring =
             seen)
       >>= Sweep.require "ring: per-member hop order is FIFO" )
 
-(* The sharded-server tentpole, same shape as sup-server: keyed
-   clients (one per shard — the case is swept unsampled over seven
-   targets, so it is kept deliberately small), allowed-answers
-   contract, double probe, fresh tree if the root died, refused
-   connect after shutdown — but the kill targets now include the
-   router actor, a shard subtree, the shard's serving actor and its
-   workers. *)
+(* The sharded server on the serving protocol: keyed clients, one per
+   shard — the case is swept unsampled over seven targets, so it is kept
+   deliberately small — with kill targets that include the router
+   actor, a shard subtree, the shard's serving actor and its workers. *)
 let actor_shard_config =
   {
     Server.default_config with
@@ -660,87 +743,11 @@ let actor_shard_config =
   }
 
 let actor_shard =
-  Sweep.case ~max_steps:400_000 "actor-shard"
-    ( let handler =
-        Server.route [ ("/hello", fun body -> Http.ok ("hi" ^ body)) ]
-      in
-      Shard.start ~config:actor_shard_config ~shards:2 handler
-      >>= fun server ->
-      lift (fun () -> Array.make 2 None) >>= fun outcomes ->
-      let client i =
-        Shard.connect ~key:(Printf.sprintf "key-%d" i) server >>= fun conn ->
-        Http.write_request conn
-          { Http.meth = "GET"; path = "/hello"; headers = []; body = "" }
-        >>= fun () ->
-        Combinators.timeout 1_000 (Http.read_response conn) >>= fun r ->
-        lift (fun () ->
-            outcomes.(i) <-
-              Some
-                (match r with
-                | None -> `Timed_out
-                | Some resp -> `Status resp.Http.status))
-      in
-      Task.spawn ~name:"client0" (client 0) >>= fun c0 ->
-      Task.spawn ~name:"client1" (client 1) >>= fun c1 ->
-      join c0 >>= fun () ->
-      join c1 >>= fun () ->
-      Sweep.disarm >>= fun () ->
-      let check t i =
-        Task.poll t >>= fun st ->
-        lift (fun () -> outcomes.(i)) >>= fun o ->
-        match st with
-        | Some (Stdlib.Ok ()) ->
-            Sweep.require "actor-shard: accepted request answered"
-              (match o with
-              | Some (`Status (200 | 503 | 504)) | Some `Timed_out -> true
-              | _ -> false)
-        | _ -> return () (* the client itself was the kill victim *)
-      in
-      check c0 0 >>= fun () ->
-      check c1 1 >>= fun () ->
-      let probe srv key =
-        Shard.connect ~key srv >>= fun conn ->
-        Http.write_request conn
-          { Http.meth = "GET"; path = "/hello"; headers = []; body = "" }
-        >>= fun () ->
-        Combinators.timeout 1_000 (Http.read_response conn) >>= fun r ->
-        return
-          (match r with Some resp -> resp.Http.status = 200 | None -> false)
-      in
-      let root_alive () = Sup.alive (Shard.supervisor server) in
-      (* a dead root: a process manager would restart the tree — model
-         that and require service restored *)
-      let fresh_tree () =
-        Shard.start ~config:actor_shard_config ~shards:2 handler
-        >>= fun fresh ->
-        probe fresh "fresh-a" >>= fun ok ->
-        Sweep.require "actor-shard: a fresh tree restores service" ok
-        >>= fun () ->
-        Shard.shutdown fresh >>= fun _ -> return ()
-      in
-      root_alive () >>= fun alive ->
-      (if alive then
-         (* both shards must answer: probe a key per shard. As with
-            sup-server, [alive] can lag a killed root's teardown — a
-            failed probe is only a violation if the root is still alive
-            afterwards. *)
-         probe server "key-0" >>= fun ok1 ->
-         probe server "key-1" >>= fun ok2 ->
-         if ok1 && ok2 then
-           probe server "key-0" >>= fun ok3 ->
-           Sweep.require "actor-shard: steady state persists" ok3
-         else
-           root_alive () >>= fun still_alive ->
-           Sweep.require "actor-shard: steady state answers 200"
-             (not still_alive)
-           >>= fun () -> fresh_tree ()
-       else fresh_tree ())
-      >>= fun () ->
-      Shard.shutdown server >>= fun _stats ->
-      catch
-        (Shard.connect server >>= fun _ -> return false)
-        (fun e -> return (e = Server.Server_stopped))
-      >>= Sweep.require "actor-shard: connect after shutdown is refused" )
+  (* a key per shard, then the first again *)
+  serving ~tree:(Sharded 2) "actor-shard" actor_shard_config
+    ~clients:
+      [ { at = None; key = Some "key-0" }; { at = None; key = Some "key-1" } ]
+    ~probes:[ Some "key-0"; Some "key-1"; Some "key-0" ]
 
 let actor_shard_targets =
   [

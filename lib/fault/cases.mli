@@ -5,6 +5,8 @@
     withdrawn, channel cursors restored, cleanup flags consistent, the
     server quiescent after shutdown. *)
 
+open Hserver
+
 val join : 'a Hio_std.Task.t -> unit Hio.Io.t
 (** Await a task, discarding its outcome — unless the awaited exception
     was aimed at {e us} while waiting (the task is still unfinished), in
@@ -12,13 +14,78 @@ val join : 'a Hio_std.Task.t -> unit Hio.Io.t
     standard way for a sweep case to reap children that may themselves
     be kill victims. *)
 
+(** {1 The serving protocol}
+
+    Every server case — [server-requests], [sup-server], [actor-shard],
+    and the chaos and overload suites' [io-server], [overload-server],
+    [overload-shard] — checks one contract through {!serve}, and
+    supplies only a {!service} value:
+
+    - {b clients}: each arrives (at once, or after its [at] delay),
+      connects (routed by its [key] on a sharded tree), sends
+      [GET /hello] and reads the answer within [timeout]. The result is
+      an {!outcome}; transient transport errors and
+      {!Hserver.Server.Dial_timeout} are [Transport].
+    - {b lawful outcomes}: after the kill window (and the chaos plan)
+      is disarmed, every client that finished holds [Status 200],
+      [Status 503], [Status 504], [Timed_out] or [Transport]. Only the
+      kill exempts a client: one that ended in [Kill_thread] is the
+      victim; any other exception fails the run, named in the message.
+    - {b steady state}: each probe key answers 200 within [attempts]
+      tries, 300 µs apart. If the first key fails, that is a violation
+      while the root supervisor is still alive; a dead root gets one
+      fresh tree on a clean transport, whose probes must answer 200
+      before it is shut down. Once a key has answered 200, every later
+      key must too, whatever the root. Without a chaos plan the
+      transport is clean, so a probe that meets a transport fault fails
+      the run.
+    - {b shutdown}: after it, connect raises
+      {!Hserver.Server.Server_stopped}. *)
+
+type outcome = Status of int | Timed_out | Transport
+
+type tree = Single | Sharded of int
+(** A {!Hserver.Server}, or a {!Hserver.Shard} of [n] shards. *)
+
+type client = { at : int option; key : string option }
+(** Arrival delay in virtual µs ([None]: start at once, no [sleep]) and
+    routing key ([None]: the server's own). *)
+
+type service = {
+  name : string;  (** the case name, prefixed to every violation *)
+  tree : tree;
+  config : Server.config;
+  handler : Server.handler;
+  clients : client list;
+  timeout : int;  (** per request, clients and probes alike *)
+  probes : string option list;  (** probe keys, probed in order *)
+  attempts : int;  (** tries per probe key *)
+}
+
+val hello : Server.handler
+(** Answers [/hello] with 200. *)
+
+val at_once : int -> client list
+(** [n] unkeyed clients that start at once. *)
+
+val serve :
+  ?chaos:Ev.Chaos.ctl ->
+  service ->
+  (outcome option array * Obs.Metrics.t) Hio.Io.t
+(** Run the protocol: start the tree, run the clients in the armed
+    window, then disarm and check lawful outcomes, steady state and
+    refusal after shutdown. Without [chaos] the tree runs on the
+    implicit transport; with it, on an [Ev.Backend.sim ()] wrapped
+    through that ctl, and the ctl is disarmed with the kill window. Returns each client's outcome
+    ([None] for a kill victim) and the tree's metrics registry. *)
+
 val std : Sweep.case list
 (** [sem-units], [barrier-withdraw], [chan-conserve], [bchan-conserve],
     [mvar-lock], [cleanup-flags] — swept with {!Plan.Acting}. *)
 
 val server : Sweep.case
-(** [server-requests]: two clients against the §11 server, a probe
-    request, graceful shutdown. Sweep it with {!Plan.Acting} and with
+(** [server-requests]: two clients against the §11 server under the
+    serving protocol. Sweep it with {!Plan.Acting} and with
     [Named "listener"] / [Named "conn-worker"] for the targeted "kill the
     accept loop mid-accept" / "kill a worker mid-request" adversaries. *)
 
@@ -46,11 +113,9 @@ val sup_bulkhead : Sweep.case
     kill, occupancy is back to zero and a fresh call is admitted. *)
 
 val sup_server : Sweep.case
-(** The tentpole: four clients saturate the supervised server (capacity
-    2 + 1 waiting, so the baseline sheds); after a kill anywhere, every
-    surviving client holds an allowed answer (200/503/504 or its own
-    timeout) and probe requests get 200 again — from the same tree if
-    the supervisor survived, from a fresh one otherwise. *)
+(** Four clients saturate the supervised server (capacity 2 + 1
+    waiting, so the baseline sheds), under the serving protocol with
+    two probes. *)
 
 val sup_server_targets : Plan.target list
 (** [Acting; Named "supervisor"; Named "listener"; Named "conn-worker"]. *)
@@ -75,11 +140,9 @@ val actor_ring : Sweep.case
     every schedule the sweep reaches. *)
 
 val actor_shard : Sweep.case
-(** The sharded supervised server ({!Hserver.Shard}): four keyed
-    clients against 2 shards (capacity 2 + 1 waiting each), then the
-    sup-server contract — allowed answers only, probes per shard answer
-    200 again (same tree, or a fresh one if shard-root itself died),
-    connect refused after shutdown. *)
+(** The sharded supervised server ({!Hserver.Shard}): two keyed clients
+    against 2 shards (capacity 2 + 1 waiting each), under the serving
+    protocol with a probe key per shard. *)
 
 val actor_shard_targets : Plan.target list
 (** [Acting; Named "router"; Named "shard-0"; Named "shard-sup-0";

@@ -89,119 +89,23 @@ let io_server_config =
     restart_intensity = { Hsup.Sup.max_restarts = 8; window = 100_000 };
   }
 
-(* The tentpole case: the supervised server on a chaos-wrapped sim
-   backend, three clients that retry through transient faults. The
-   hardening contract: whatever single transport fault (or fault+kill)
-   lands, every client that survives gets a lawful outcome — an HTTP
-   status the server may send, its own timeout, or a transport-level
-   degradation — and the tree returns to steady state, proven by probe
-   requests on the disarmed transport that must be served with 200. *)
+(* The supervised server on a chaos-wrapped sim backend under the
+   serving protocol ({!Cases.serve}): whatever single transport fault (or
+   fault+kill) lands, every surviving client gets a lawful outcome and
+   probes on the disarmed transport are served with 200 again. *)
 let io_server =
-  Io_sweep.case ~max_steps:600_000 "io-server"
-    (fun ctl ->
-      let handler =
-        Server.route [ ("/hello", fun body -> Http.ok ("hi" ^ body)) ]
-      in
-      let backend = Ev.Chaos.wrap ctl (Ev.Backend.sim ()) in
-      Server.start ~config:io_server_config ~backend handler
-      >>= fun server ->
-      lift (fun () -> Array.make 3 None) >>= fun outcomes ->
-      let client i =
-        catch
-          ( Server.connect server >>= fun conn ->
-            Http.write_request conn
-              { Http.meth = "GET"; path = "/hello"; headers = []; body = "" }
-            >>= fun () ->
-            Combinators.timeout 2_000 (Http.read_response conn)
-            >>= fun r ->
-            lift (fun () ->
-                outcomes.(i) <-
-                  Some
-                    (match r with
-                    | None -> `Timed_out
-                    | Some resp -> `Status resp.Http.status)) )
-          (fun e ->
-            if transient e || e = Server.Dial_timeout then
-              lift (fun () -> outcomes.(i) <- Some `Transport)
-            else throw e)
-      in
-      Task.spawn ~name:"client0" (client 0) >>= fun c0 ->
-      Task.spawn ~name:"client1" (client 1) >>= fun c1 ->
-      Task.spawn ~name:"client2" (client 2) >>= fun c2 ->
-      join c0 >>= fun () ->
-      join c1 >>= fun () ->
-      join c2 >>= fun () ->
-      Sweep.disarm >>= fun () ->
-      Ev.Chaos.disarm ctl >>= fun () ->
-      (* every surviving client recorded a lawful outcome *)
-      let check t i =
-        Task.poll t >>= fun st ->
-        lift (fun () -> outcomes.(i)) >>= fun o ->
-        match st with
-        | Some (Stdlib.Ok ()) ->
-            Sweep.require "io-server: surviving client got a lawful outcome"
-              (match o with
-              | Some (`Status (200 | 503 | 504))
-              | Some `Timed_out | Some `Transport ->
-                  true
-              | _ -> false)
-        | _ -> return () (* the client was the kill victim *)
-      in
-      check c0 0 >>= fun () ->
-      check c1 1 >>= fun () ->
-      check c2 2 >>= fun () ->
-      (* steady state on the now-clean transport: 200s again — twice, so
-         the first probe wasn't a fluke of a half-restarted tree *)
-      let probe srv =
-        catch
-          ( Server.connect srv >>= fun conn ->
-            Http.write_request conn
-              { Http.meth = "GET"; path = "/hello"; headers = []; body = "" }
-            >>= fun () ->
-            Combinators.timeout 2_000 (Http.read_response conn)
-            >>= fun r ->
-            return
-              (match r with
-              | Some resp -> resp.Http.status = 200
-              | None -> false) )
-          (fun e ->
-            if transient e || e = Server.Dial_timeout then return false
-            else throw e)
-      in
-      let sup_alive () =
-        match Server.supervisor server with
-        | None -> return true
-        | Some sup -> Hsup.Sup.alive sup
-      in
-      let fresh_tree () =
-        (* the supervisor itself died (combined mode can kill it): a
-           process manager would restart the whole tree — model that and
-           require service is restored on a clean transport *)
-        Server.start ~config:io_server_config
-          ~backend:(Ev.Backend.sim ()) handler
-        >>= fun fresh ->
-        probe fresh >>= fun ok ->
-        Sweep.require "io-server: a fresh tree restores service" ok
-        >>= fun () ->
-        Server.shutdown fresh >>= fun _ -> return ()
-      in
-      sup_alive () >>= fun alive ->
-      (if alive then
-         probe server >>= fun ok1 ->
-         if ok1 then
-           probe server >>= fun ok2 ->
-           Sweep.require "io-server: steady state persists" ok2
-         else
-           sup_alive () >>= fun still_alive ->
-           Sweep.require "io-server: steady state answers 200"
-             (not still_alive)
-           >>= fun () -> fresh_tree ()
-       else fresh_tree ())
-      >>= fun () ->
-      Server.shutdown server >>= fun _stats ->
-      catch
-        (Server.connect server >>= fun _ -> return false)
-        (fun e -> return (e = Server.Server_stopped))
-      >>= Sweep.require "io-server: connect after shutdown is refused")
+  Io_sweep.case ~max_steps:600_000 "io-server" (fun ctl ->
+      ignore_result
+        (Cases.serve ~chaos:ctl
+           {
+             Cases.name = "io-server";
+             tree = Single;
+             config = io_server_config;
+             handler = Cases.hello;
+             clients = Cases.at_once 3;
+             timeout = 2_000;
+             probes = [ None; None ];
+             attempts = 1;
+           }))
 
 let chaos = [ io_pipe; io_server ]

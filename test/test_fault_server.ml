@@ -20,5 +20,51 @@ let sweep_target target =
             (List.length r.Sweep.r_failures)
             Plan.pp f.Sweep.f_shrunk f.Sweep.f_reason)
 
+(* One client and no probes, so the lawful-outcome check alone decides
+   the baseline. *)
+let one_client handler =
+  Sweep.case "one-client"
+    (Hio.Io.ignore_result
+       (Cases.serve
+          {
+            Cases.name = "one-client";
+            tree = Single;
+            config = Hserver.Server.default_config;
+            handler;
+            clients = Cases.at_once 1;
+            timeout = 1_000;
+            probes = [];
+            attempts = 1;
+          }))
+
+(* A reason with a line break in it: the client reads "bogus" as a
+   header without a colon, so [Http.read_response] raises [Bad_request]
+   — an exception that is neither a kill nor a transport fault. *)
+let malformed _request =
+  Hio.Io.return
+    { Hserver.Http.status = 200; reason = "OK\r\nbogus"; body = "hi" }
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+let only_the_kill_exempts =
+  Helpers.case "only the kill exempts a client: Bad_request fails the baseline"
+    (fun () ->
+      ignore (Sweep.record (one_client Cases.hello));
+      match Sweep.record (one_client malformed) with
+      | _ -> Alcotest.fail "a client that died of Bad_request was exempted"
+      | exception Failure msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "the failure names the exception: %s" msg)
+            true
+            (contains msg "client0 died of" && contains msg "Bad_request"))
+
 let suites =
-  [ ("fault:server", List.map sweep_target Cases.server_targets) ]
+  [
+    ( "fault:server",
+      List.map sweep_target Cases.server_targets @ [ only_the_kill_exempts ] );
+  ]
