@@ -405,8 +405,8 @@ let sc =
    scheduler domains, plus a single-domain deterministic replay of a
    captured 4-domain log. The multi-domain cells include everything a
    real `chrun run --domains N` pays: domain spawn/join, the global-lock
-   sequenced steps, work stealing, cross-domain mailbox drains, and
-   always-on replay-log recording. On a single-core container domains >
+   sequenced steps (cross-domain throwTo among them), work stealing,
+   and always-on replay-log recording. On a single-core container domains >
    1 can only lose (same caveat as the PAR group); the >=2.5x storm
    criterion is judged on a multi-core runner. *)
 

@@ -1,7 +1,7 @@
 (* A growable ring deque. Capacity is always a power of two so index
    wrapping is a mask, not a division. Popped/removed slots are not
-   cleared: the scheduler retains every thread in [all_threads] for the
-   end-of-run statistics anyway, so stale slot references keep nothing
+   cleared: the scheduler retains every thread in its thread table for
+   the end-of-run statistics anyway, so stale slot references keep nothing
    alive that would otherwise die. *)
 
 type 'a t = {

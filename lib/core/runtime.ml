@@ -123,7 +123,6 @@ type domain_stat = {
   ds_dom : int;
   ds_steps : int;
   ds_steals : int;
-  ds_posts : int;
   ds_records : int;
 }
 
@@ -208,7 +207,7 @@ type state = {
   rng : Random.State.t option;
   mutable now : int;
   mutable runq : thread Runq.t;  (* FIFO ring deque: head runs next *)
-  mutable all_threads : thread list;  (* newest first *)
+  mutable threads : thread array;  (* thread [i] at index [i], i < next_tid *)
   wheel : timer_kind Timer_wheel.t;  (* all sleep/alarm deadlines *)
   fd_readers : (int, fd_waiter Queue.t) Hashtbl.t;
   fd_writers : (int, fd_waiter Queue.t) Hashtbl.t;
@@ -222,14 +221,13 @@ type state = {
   mutable forks : int;
   mutable injections : int;  (* fault-injection hook deliveries applied *)
   mutable finished : bool;  (* main thread done *)
-  (* multi-domain plumbing. On a single-domain run: [cur_dom] is 0,
-     [boxes] is empty, [poke] is a no-op and [enqueue_hook] pushes
-     [runq] — the seed scheduler, bit for bit. A live multi-domain run
-     points [enqueue_hook] at the lock-holding domain's deque and [poke]
-     at the per-domain mailbox flags; a replay points [boxes] at virtual
-     mailboxes so cross-domain throwTo routes exactly as recorded. *)
+  (* multi-domain plumbing. On a single-domain run or a replay:
+     [cur_dom] is the domain the step runs on (0, or the recorded one),
+     [poke] is a no-op and [enqueue_hook] pushes [runq] — the seed
+     scheduler, bit for bit. A live multi-domain run points
+     [enqueue_hook] at the lock-holding domain's deque and [poke] at the
+     per-domain poke flags. *)
   mutable cur_dom : int;
-  boxes : (thread * pending) Queue.t array;
   mutable poke : int -> unit;
   mutable enqueue_hook : thread -> unit;
 }
@@ -300,17 +298,46 @@ let interrupt_if_blocked st target =
   | (T_run _ | T_dead _ | T_blocked _), _ -> ()
 
 (* Append [entry] to [target]'s pending queue and apply rule (Interrupt)
-   if it is blocked — the only code that appends to a pending queue. When
-   the target is running on another domain, its owner is poked so the
-   boundary delivery check of §8.1 notices the new entry promptly (the
-   poke's atomic write also publishes the append under the OCaml memory
-   model). A no-op distinction on one domain. *)
+   if it is blocked — the only code that appends to a pending queue, on
+   every engine and always under the shared-state lock. When the target
+   is running on another domain, its owner is poked so the boundary
+   delivery check of §8.1 notices the new entry promptly: the poke's
+   atomic write publishes the append, and the owner's atomic read of its
+   flag is the acquire that makes it visible before its next lock. A
+   no-op distinction on one domain. *)
 let post_now st target entry =
   target.t_pending <- target.t_pending @ [ entry ];
   interrupt_if_blocked st target;
   match target.t_state with
   | T_run _ when target.t_dom <> st.cur_dom -> st.poke target.t_dom
   | T_run _ | T_blocked _ | T_dead _ -> ()
+
+(* Register a thread just created with tid [st.next_tid]. Tids are dense
+   and allocated under the shared-state lock, so the thread table is a
+   growable array indexed by tid. Finished threads stay in it: the
+   end-of-run statistics report them. The table doubles by appending
+   itself: the copied half only holds placeholders until its slots are
+   written, and unlike a large [Array.make] with a young filler it
+   forces no minor collection. *)
+let add_thread st t =
+  let n = st.next_tid in
+  if n = Array.length st.threads then
+    st.threads <-
+      (if n = 0 then Array.make 16 t else Array.append st.threads st.threads);
+  st.threads.(n) <- t;
+  st.next_tid <- n + 1
+
+let find_thread st tid =
+  if tid >= 0 && tid < st.next_tid then Some st.threads.(tid) else None
+
+(* Fold [f] over every thread in descending tid order, so consing builds
+   an ascending list. *)
+let fold_threads st f acc =
+  let acc = ref acc in
+  for i = st.next_tid - 1 downto 0 do
+    acc := f st.threads.(i) !acc
+  done;
+  !acc
 
 (* --- MVar plumbing ------------------------------------------------------ *)
 
@@ -428,9 +455,8 @@ let exec_prim : type a. state -> thread -> a prim -> a frames -> unit =
           t_tseq = 0;
         }
       in
-      st.next_tid <- st.next_tid + 1;
+      add_thread st child;
       st.forks <- st.forks + 1;
-      st.all_threads <- child :: st.all_threads;
       enqueue st child;
       emit st
         (Ev_fork { parent = t.t_id; child = child.t_id; name });
@@ -507,27 +533,6 @@ let exec_prim : type a. state -> thread -> a prim -> a frames -> unit =
       | T_dead _ -> continue () (* trivially succeeds (§5) *)
       | T_run _ | T_blocked _ ->
           emit st (Ev_throw_to { source = t.t_id; target = target.t_id; exn = e });
-          (* Cross-domain delivery: a target {e running} on another
-             domain gets the entry through that domain's FIFO mailbox
-             (drained under the shared-state lock at the owner's next
-             step boundary — the supervisor mailbox discipline), instead
-             of a direct append the owner might not observe. Blocked and
-             same-domain targets take the direct path, exactly the
-             single-domain semantics. *)
-          let remote_running =
-            Array.length st.boxes > 0
-            &&
-            match target.t_state with
-            | T_run _ -> target.t_dom <> st.cur_dom
-            | T_blocked _ | T_dead _ -> false
-          in
-          let post entry =
-            if remote_running then begin
-              Queue.add (target, entry) st.boxes.(target.t_dom);
-              st.poke target.t_dom
-            end
-            else post_now st target entry
-          in
           if st.config.sync_throw_to then
             if target == t then
               (* §9: the synchronous version needs a special case for a
@@ -555,12 +560,12 @@ let exec_prim : type a. state -> thread -> a prim -> a frames -> unit =
                     match sender.t_state with
                     | T_blocked _ -> wake st sender (Pack (Pure (), frames))
                     | T_run _ | T_dead _ -> ());
-              post entry
+              post_now st target entry
             end
           else begin
             (* §8.2: place the exception on the target's pending queue and
                return immediately. *)
-            post { p_exn = e; p_on_delivered = None };
+            post_now st target { p_exn = e; p_on_delivered = None };
             continue ()
           end)
   | Sleep d ->
@@ -793,9 +798,7 @@ let apply_injection st t =
       match hook ~step:st.steps ~running:t.t_id with
       | None -> ()
       | Some (tid, e) -> (
-          match
-            List.find_opt (fun u -> u.t_id = tid) st.all_threads
-          with
+          match find_thread st tid with
           | None -> ()
           | Some target -> (
               match target.t_state with
@@ -900,7 +903,7 @@ let poll_event_source st es ~blocking =
 
 (* --- state construction, shared by all three engines --------------------- *)
 
-let make_state config boxes =
+let make_state config =
   let start_now =
     match config.Config.event_source with None -> 0 | Some es -> es.es_now ()
   in
@@ -913,7 +916,7 @@ let make_state config boxes =
         | Config.Random seed -> Some (Random.State.make [| seed |]));
       now = start_now;
       runq = Runq.create ();
-      all_threads = [];
+      threads = [||];
       wheel = Timer_wheel.create ~start:start_now ();
       fd_readers = Hashtbl.create 16;
       fd_writers = Hashtbl.create 16;
@@ -924,13 +927,12 @@ let make_state config boxes =
           (String.get config.Config.input);
       output = Buffer.create 64;
       steps = 0;
-      next_tid = 1;
+      next_tid = 0;
       next_mv = 0;
       forks = 1;
       injections = 0;
       finished = false;
       cur_dom = 0;
-      boxes;
       poke = (fun _ -> ());
       enqueue_hook = (fun _ -> ());
     }
@@ -969,7 +971,7 @@ let make_main st main_io result =
       t_tseq = 0;
     }
   in
-  st.all_threads <- [ main_thread ];
+  add_thread st main_thread;
   main_thread
 
 (* The outcome of a run whose main thread finished. *)
@@ -1029,52 +1031,49 @@ let finish st ~outcome ?(domain_stats = []) ?replay_log
     time = st.now;
     forks = st.forks;
     max_frame_depth =
-      List.fold_left
-        (fun acc t -> max acc t.t_max_frame_depth)
-        0 st.all_threads;
+      fold_threads st (fun t acc -> max acc t.t_max_frame_depth) 0;
     thread_stats =
-      (* all_threads is newest-first; report in ascending thread id *)
-      List.rev_map
-        (fun t ->
+      fold_threads st
+        (fun t acc ->
           {
             ts_id = t.t_id;
             ts_name = t.t_name;
             ts_steps = t.t_steps;
             ts_blocked = t.t_blocked_count;
             ts_delivered = t.t_delivered;
-          })
-        st.all_threads;
+          }
+          :: acc)
+        [];
     blocked_at_exit =
       (* the watchdog's wait graph: threads still blocked when the
          scheduler stopped, in ascending thread id. Under the [Deadlock]
          outcome this is every live thread (no one runnable, no timer
          pending); under the other outcomes it lists the threads a
          finished main left stranded. *)
-      List.rev
-        (List.filter_map
-           (fun t ->
-             match t.t_state with
-             | T_run _ | T_dead _ -> None
-             | T_blocked b ->
-                 let mvar, full, last =
-                   match b.b_on with
-                   | None -> (None, None, None)
-                   | Some (Ex_mvar m) ->
-                       ( Some m.mv_id,
-                         Some (m.mv_contents <> None),
-                         m.mv_last_taker )
-                 in
-                 Some
-                   {
-                     bt_tid = t.t_id;
-                     bt_name = t.t_name;
-                     bt_why = b.b_why;
-                     bt_mvar = mvar;
-                     bt_mvar_full = full;
-                     bt_last_taker = last;
-                     bt_fd = b.b_fd;
-                   })
-           st.all_threads);
+      fold_threads st
+        (fun t acc ->
+          match t.t_state with
+          | T_run _ | T_dead _ -> acc
+          | T_blocked b ->
+              let mvar, full, last =
+                match b.b_on with
+                | None -> (None, None, None)
+                | Some (Ex_mvar m) ->
+                    ( Some m.mv_id,
+                      Some (m.mv_contents <> None),
+                      m.mv_last_taker )
+              in
+              {
+                bt_tid = t.t_id;
+                bt_name = t.t_name;
+                bt_why = b.b_why;
+                bt_mvar = mvar;
+                bt_mvar_full = full;
+                bt_last_taker = last;
+                bt_fd = b.b_fd;
+              }
+              :: acc)
+        [];
     injections = st.injections;
     domain_stats;
     replay_log;
@@ -1083,7 +1082,7 @@ let finish st ~outcome ?(domain_stats = []) ?replay_log
 
 let run_single config main_io =
   let result = ref None in
-  let st = make_state config [||] in
+  let st = make_state config in
   let main_thread = make_main st main_io result in
   enqueue st main_thread;
   let outcome = main_loop st config result in
@@ -1119,12 +1118,11 @@ type dom_ctx = {
   d_ix : int;
   d_deque : thread Runq.t;  (* owner pops head; thieves pop the back *)
   d_lock : Mutex.t;  (* guards [d_deque] only *)
-  d_poke : bool Atomic.t;  (* "your mailbox has entries" hint *)
+  d_poke : bool Atomic.t;  (* "a thread you run got a pending entry" *)
   d_buf : Rlog.buf;  (* this domain's replay records *)
   mutable d_steps : int;  (* steps executed by this domain *)
   mutable d_flushed : int;  (* portion already folded into [st.steps] *)
   mutable d_steals : int;
-  mutable d_posts : int;  (* mailbox entries this domain drained *)
   mutable d_victim : int;  (* steal rotor *)
   mutable d_enq : thread -> unit;  (* [enqueue_hook] while this domain
                                       holds the shared-state lock *)
@@ -1193,30 +1191,11 @@ let check_budget st m =
     stop_multi m
   end
 
-(* Drain one mailbox under the lock: each entry lands on its target's
-   pending queue exactly as a same-domain throwTo would have, and is
-   recorded so the replay re-posts it at the same global instant. *)
-let drain_box st m d box =
-  let q = st.boxes.(box) in
-  while not (Queue.is_empty q) do
-    let u, entry = Queue.pop q in
-    record d Rlog.K_post ~tid:u.t_id ~tseq:box ~steps:0 ~seq:(next_seq m);
-    d.d_posts <- d.d_posts + 1;
-    post_now st u entry
-  done
-
-let drain_all_boxes st m d =
-  Array.iteri (fun i q -> if not (Queue.is_empty q) then drain_box st m d i)
-    st.boxes
-
-(* No runnable thread anywhere (under the lock): drain every mailbox (a
-   parked entry can wake a blocked thread), then either finish, advance
+(* No runnable thread anywhere (under the lock): either finish, advance
    the virtual clock, or declare deadlock. *)
 let quiesce st m d =
   if not (Atomic.get m.m_stop) then begin
-    drain_all_boxes st m d;
-    if m.m_runnable > 0 then () (* a drain woke someone *)
-    else if st.finished then stop_multi m
+    if st.finished then stop_multi m
     else if Timer_wheel.next_deadline st.wheel <> None then begin
       record d Rlog.K_clock ~tid:0 ~tseq:0 ~steps:0 ~seq:(next_seq m);
       ignore (advance_clock st)
@@ -1231,13 +1210,6 @@ let requeue d t =
   Mutex.lock d.d_lock;
   Runq.push d.d_deque t;
   Mutex.unlock d.d_lock
-
-(* The mailbox hint fired: drain our own box under the lock. *)
-let service_poke st m d =
-  lock_shared st m d;
-  Atomic.set d.d_poke false;
-  drain_box st m d d.d_ix;
-  Mutex.unlock m.m_gl
 
 (* A sequenced step boundary: take the lock, re-run the §8.1 delivery
    check authoritatively, execute the one shared-state step (or the
@@ -1289,14 +1261,16 @@ let run_thread st m d t =
     running := false
   in
   while !running do
-    if Atomic.get d.d_poke then service_poke st m d;
+    (* The poke's atomic read is the acquire that makes a pending entry
+       another domain appended (under the lock, then poked) visible to
+       the advisory [deliverable] read below within one step; without a
+       poke, the read is synchronized by the next lock acquisition
+       ([boundary], or a [local_flush]). [boundary] re-checks
+       authoritatively under the lock. *)
+    if Atomic.get d.d_poke then Atomic.set d.d_poke false;
     match t.t_state with
     | T_blocked _ | T_dead _ -> running := false
     | T_run packed ->
-        (* Advisory read: pending appended by another domain may be seen
-           late (we re-check under the lock in [boundary]; any purely
-           local stretch is bounded by [local_flush] lock acquisitions,
-           which also synchronize this read). *)
         if deliverable t || not (step_is_local packed) then begin
           let still = boundary st m d t packed !seg in
           seg := 0;
@@ -1343,7 +1317,6 @@ let try_steal st m d =
           if not (Runq.is_empty v.d_deque) then begin
             let t = Runq.pop_back v.d_deque in
             t.t_dom <- d.d_ix;
-            record d Rlog.K_steal ~tid:t.t_id ~tseq:0 ~steps:0 ~seq:(next_seq m);
             d.d_steals <- d.d_steals + 1;
             requeue d t;
             found := true
@@ -1365,12 +1338,11 @@ let pop_own d =
   Mutex.unlock d.d_lock;
   t
 
-(* Nothing to run, nothing to steal: drain mailboxes, and either detect
-   quiescence (this domain runs the clock/deadlock decision) or park on
-   the condition until a producer signals. *)
+(* Nothing to run, nothing to steal: either detect quiescence (this
+   domain runs the clock/deadlock decision) or park on the condition
+   until a producer signals. *)
 let idle st m d =
   lock_shared st m d;
-  drain_all_boxes st m d;
   let work =
     Runq.length d.d_deque > 0
     || Array.exists
@@ -1415,7 +1387,7 @@ let run_multi config main_io =
       invalid_arg "Runtime.run: the Random policy is unsupported with \
                    domains > 1");
   let result = ref None in
-  let st = make_state config (Array.init ndom (fun _ -> Queue.create ())) in
+  let st = make_state config in
   let doms =
     Array.init ndom (fun i ->
         {
@@ -1427,7 +1399,6 @@ let run_multi config main_io =
           d_steps = 0;
           d_flushed = 0;
           d_steals = 0;
-          d_posts = 0;
           d_victim = (i + 1) mod ndom;
           d_enq = ignore;
         })
@@ -1485,7 +1456,7 @@ let run_multi config main_io =
                 Step_journal.note j ~step:!step ~running:r.Rlog.r_tid;
                 incr step
               done
-          | Rlog.K_post | Rlog.K_steal | Rlog.K_clock -> ())
+          | Rlog.K_clock -> ())
         log.Rlog.records);
   let outcome =
     if st.finished then outcome_of result
@@ -1507,7 +1478,6 @@ let run_multi config main_io =
              ds_dom = d.d_ix;
              ds_steps = d.d_steps;
              ds_steals = d.d_steals;
-             ds_posts = d.d_posts;
              ds_records = recs;
            })
          doms)
@@ -1532,28 +1502,8 @@ let run_replay config log main_io =
   if config.Config.event_source <> None then
     invalid_arg "Runtime.run: event_source is unsupported under replay";
   let result = ref None in
-  let ndom = max 1 log.Rlog.domains in
-  let st = make_state config (Array.init ndom (fun _ -> Queue.create ())) in
-  let main_thread = make_main st main_io result in
-  enqueue st main_thread;
-  let threads : (int, thread) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.add threads 0 main_thread;
-  let known = ref 1 in
-  let sync_threads () =
-    (* index threads forked by the steps just executed (newest first) *)
-    if st.next_tid > !known then begin
-      let rec add i l =
-        if i > 0 then
-          match l with
-          | u :: rest ->
-              Hashtbl.replace threads u.t_id u;
-              add (i - 1) rest
-          | [] -> ()
-      in
-      add (st.next_tid - !known) st.all_threads;
-      known := st.next_tid
-    end
-  in
+  let st = make_state config in
+  enqueue st (make_main st main_io result);
   let diverged = ref false in
   let records = log.Rlog.records in
   let nrec = Array.length records in
@@ -1563,17 +1513,9 @@ let run_replay config log main_io =
     incr ri;
     st.cur_dom <- r.Rlog.r_dom;
     match r.Rlog.r_kind with
-    | Rlog.K_steal -> (
-        match Hashtbl.find_opt threads r.Rlog.r_tid with
-        | Some u -> u.t_dom <- r.Rlog.r_dom
-        | None -> diverged := true)
     | Rlog.K_clock -> if not (advance_clock st) then diverged := true
-    | Rlog.K_post -> (
-        match Queue.take_opt st.boxes.(r.Rlog.r_tseq) with
-        | Some (u, entry) when u.t_id = r.Rlog.r_tid -> post_now st u entry
-        | Some _ | None -> diverged := true)
     | Rlog.K_op | Rlog.K_deliver | Rlog.K_end -> (
-        match Hashtbl.find_opt threads r.Rlog.r_tid with
+        match find_thread st r.Rlog.r_tid with
         | None -> diverged := true
         | Some t ->
             let k = r.Rlog.r_steps in
@@ -1609,46 +1551,34 @@ let run_replay config log main_io =
                     if step_is_local packed = sequenced then diverged := true
                     else counted_step st t packed
                   end
-            done;
-            sync_threads ())
+            done)
   done;
   if st.finished && not !diverged then
     finish st ~outcome:(outcome_of result) ~replay_log:log ()
-  else if !diverged then begin
-    (* Flush undrained mailbox entries (their throwTo already returned),
-       then continue under the free single-domain scheduler from the
-       exact divergence state. *)
-    Array.iter
-      (fun box ->
-        Queue.iter (fun (u, entry) -> post_now st u entry) box;
-        Queue.clear box)
-      st.boxes;
-    st.cur_dom <- 0;
-    List.iter (fun u -> u.t_dom <- 0) st.all_threads;
-    st.runq <- Runq.create ();
-    List.iter
-      (fun u ->
-        match u.t_state with
-        | T_run _ -> Runq.push st.runq u
-        | T_blocked _ | T_dead _ -> ())
-      (List.rev st.all_threads);
-    let outcome = main_loop st config result in
-    finish st ~outcome ~replay_log:log ~replay_diverged:true ()
-  end
   else
-    (* Log exhausted without finishing: reproduce how the recorded run
-       stopped. *)
     let runnable =
-      List.exists
-        (fun u -> match u.t_state with T_run _ -> true | _ -> false)
-        st.all_threads
+      fold_threads st
+        (fun u acc -> match u.t_state with T_run _ -> u :: acc | _ -> acc)
+        []
     in
-    let outcome =
-      if runnable || Timer_wheel.next_deadline st.wheel <> None then
-        Out_of_steps
-      else Deadlock
-    in
-    finish st ~outcome ~replay_log:log ()
+    if !diverged then begin
+      (* Continue under the free single-domain scheduler from the exact
+         divergence state, the runnable threads queued in tid order. *)
+      st.cur_dom <- 0;
+      st.runq <- Runq.create ();
+      List.iter (Runq.push st.runq) runnable;
+      let outcome = main_loop st config result in
+      finish st ~outcome ~replay_log:log ~replay_diverged:true ()
+    end
+    else
+      (* Log exhausted without finishing: reproduce how the recorded run
+         stopped. *)
+      let outcome =
+        if runnable <> [] || Timer_wheel.next_deadline st.wheel <> None then
+          Out_of_steps
+        else Deadlock
+      in
+      finish st ~outcome ~replay_log:log ()
 
 let run ?(config = Config.default) main_io =
   if config.Config.domains < 1 then

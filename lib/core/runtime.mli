@@ -113,10 +113,11 @@ module Config : sig
     domains : int;
         (** [1] (default): the seed's deterministic single-domain
             scheduler. [N > 1]: shard across [N] OCaml domains, each with
-            its own work-stealing deque; cross-domain [throw_to] routes
-            through per-domain FIFO mailboxes drained at the owner's next
-            sequenced step. A multi-domain run is {e scheduling}-
-            nondeterministic but records every decision into a replay log
+            its own work-stealing deque; [throw_to] appends to the
+            target's pending queue under the shared-state lock, on any
+            domain, and the target takes it at its next step boundary.
+            A multi-domain run is {e scheduling}-nondeterministic but
+            records every decision into a replay log
             (see {!field-result.replay_log}); it rejects [tracer],
             [inject], [event_source] and the [Random] policy with
             [Invalid_argument] — trace or inject into the replay
@@ -179,7 +180,6 @@ type domain_stat = {
   ds_dom : int;  (** domain index *)
   ds_steps : int;  (** scheduler steps this domain executed *)
   ds_steals : int;  (** threads it stole from other domains' deques *)
-  ds_posts : int;  (** cross-domain mailbox entries it drained *)
   ds_records : int;  (** replay-log records it contributed *)
 }
 (** Per-domain accounting for a live multi-domain run ([Config.domains >

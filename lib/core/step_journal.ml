@@ -48,7 +48,7 @@ let entries t =
 (* --- the multi-domain replay log ---------------------------------------- *)
 
 module Replay = struct
-  type kind = K_op | K_deliver | K_end | K_post | K_steal | K_clock
+  type kind = K_op | K_deliver | K_end | K_clock
 
   type record = {
     r_kind : kind;
@@ -136,7 +136,7 @@ module Replay = struct
       (fun r ->
         (match r.r_kind with
         | K_op | K_deliver -> flush_ends r.r_tid r.r_tseq
-        | K_end | K_post | K_steal | K_clock -> ());
+        | K_end | K_clock -> ());
         push r)
       seqd;
     let trailing =
@@ -160,16 +160,12 @@ module Replay = struct
     | K_op -> 'o'
     | K_deliver -> 'd'
     | K_end -> 'e'
-    | K_post -> 'p'
-    | K_steal -> 's'
     | K_clock -> 'c'
 
   let kind_of_char = function
     | 'o' -> K_op
     | 'd' -> K_deliver
     | 'e' -> K_end
-    | 'p' -> K_post
-    | 's' -> K_steal
     | 'c' -> K_clock
     | c -> Fmt.failwith "Step_journal.Replay.decode: unknown kind %C" c
 

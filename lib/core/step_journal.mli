@@ -55,10 +55,11 @@ val entries : t -> (int * int) list
 
     A multi-domain run is nondeterministic at exactly the points where
     domains touch shared scheduler state: sequenced operations (MVar
-    traffic, fork, throwTo, timers, I/O), cross-domain mailbox drains,
-    steals, and virtual-clock advances. Each such decision is recorded
-    with a global sequence number taken under the shared-state lock;
-    purely thread-local step segments (bind/catch/mask bookkeeping, pure
+    traffic, fork, throwTo, timers, I/O) and virtual-clock advances.
+    Each such decision is recorded with a global sequence number taken
+    under the shared-state lock, on the domain that ran it ([r_dom]:
+    which domain ran a thread is all a steal decides); purely
+    thread-local step segments (bind/catch/mask bookkeeping, pure
     unwinding) are recorded without one, ordered only per thread. Merging
     the per-domain buffers yields a serial schedule that
     [Runtime.Config.replay] re-executes on one domain, reproducing the
@@ -73,11 +74,6 @@ module Replay : sig
     | K_end
         (** a purely local segment ending in [yield], quantum expiry, or
             run stop — unsequenced, ordered per thread by [r_tseq] *)
-    | K_post
-        (** one cross-domain mailbox entry drained into a thread's
-            pending queue; [r_dom] is the draining domain, [r_tseq]
-            holds the mailbox (target domain) index *)
-    | K_steal  (** a thread moved to domain [r_dom]'s deque *)
     | K_clock  (** the virtual clock advanced while quiescent *)
 
   type record = {
@@ -85,8 +81,7 @@ module Replay : sig
     r_dom : int;  (** domain the decision executed on *)
     r_tid : int;  (** thread the record is about (0 for [K_clock]) *)
     r_tseq : int;
-        (** per-thread record counter for [K_op]/[K_deliver]/[K_end];
-            mailbox index for [K_post] *)
+        (** per-thread record counter for [K_op]/[K_deliver]/[K_end] *)
     r_steps : int;  (** scheduler steps this segment executed *)
     r_seq : int;  (** global order; 0 for unsequenced [K_end] records *)
   }

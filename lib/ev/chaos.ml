@@ -323,42 +323,11 @@ let wrap ctl (b : Backend.t) =
         return (wrap_listener ctl l));
   }
 
-(* ---- seeded plans ------------------------------------------------------
+(* ---- the faults a sweep tries at each site of an op ------------------- *)
 
-   Splitmix64-style hashing (same idiom as [Hsup.Retry]'s deterministic
-   jitter): no global [Random] state, replayable by seed alone. *)
-
-let mix z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xbf58476d1ce4e5b9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94d049bb133111ebL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let hash seed i =
-  let h = mix (Int64.add (Int64.of_int seed)
-                 (Int64.mul 0x9e3779b97f4a7c15L (Int64.of_int (i + 1)))) in
-  Int64.to_int (Int64.logand h 0x3fffffffffffffffL)
-
-let faults_for = function
-  | Send -> [| Eof; Reset; Short_write 2; Delay 50; Trickle 25 |]
-  | Recv -> [| Eof; Reset; Delay 50; Trickle 25 |]
-  | Try_recv -> [| Eof; Reset; Delay 50 |]
-  | Accept -> [| Reset; Delay 50 |]
-  | Dial -> [| Reset; Delay 50 |]
-
-let default_faults op = Array.to_list (faults_for op)
-
-let random_plan ~seed ~sites ~rules =
-  let sites = List.filter (fun (_, n) -> n > 0) sites in
-  if sites = [] then []
-  else
-    let arr = Array.of_list sites in
-    List.init rules (fun i ->
-        let op, n = arr.(hash seed (3 * i) mod Array.length arr) in
-        let faults = faults_for op in
-        {
-          r_op = op;
-          r_at = hash seed ((3 * i) + 1) mod n;
-          r_fault = faults.(hash seed ((3 * i) + 2) mod Array.length faults);
-        })
+let default_faults = function
+  | Send -> [ Eof; Reset; Short_write 2; Delay 50; Trickle 25 ]
+  | Recv -> [ Eof; Reset; Delay 50; Trickle 25 ]
+  | Try_recv -> [ Eof; Reset; Delay 50 ]
+  | Accept -> [ Reset; Delay 50 ]
+  | Dial -> [ Reset; Delay 50 ]

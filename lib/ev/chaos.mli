@@ -125,11 +125,11 @@ val live_conns : ctl -> int
 val all_ops : op list
 
 val default_faults : op -> fault list
-(** The faults {!Fault.Io_sweep} (and {!random_plan}) try at each site
-    of an op: every fault kind applicable to it, with small default
-    delays (50 µs stalls, 25 µs trickles) sized against the server's
-    200 µs request deadline so both the absorbed and the timed-out paths
-    get exercised. *)
+(** The faults {!Fault.Io_sweep} tries at each site of an op: every
+    fault kind applicable to it, with small default delays (50 µs
+    stalls, 25 µs trickles) sized against the server's 200 µs request
+    deadline so both the absorbed and the timed-out paths get
+    exercised. *)
 
 val op_label : op -> string
 val fault_label : fault -> string
@@ -138,9 +138,3 @@ val fault_label : fault -> string
 
 val pp_rule : Format.formatter -> rule -> unit
 val pp_plan : Format.formatter -> plan -> unit
-
-val random_plan :
-  seed:int -> sites:(op * int) list -> rules:int -> plan
-(** A reproducible random plan: [rules] rules drawn (splitmix-style hash
-    of [seed], no global [Random] state) over the given per-op site
-    counts, each with a fault applicable to its op. Replayable by seed. *)

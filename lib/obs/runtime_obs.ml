@@ -84,7 +84,7 @@ let observe_result ?(labels = []) reg (r : _ Runtime.result) =
              "hio_thread_delivered_total"))
     r.Runtime.thread_stats;
   (* Multi-domain runs: one row per domain — steps executed there, work
-     stolen, cross-domain exceptions drained, replay records written. *)
+     stolen, replay records written. *)
   List.iter
     (fun (ds : Runtime.domain_stat) ->
       let dom = Printf.sprintf "d%d" ds.Runtime.ds_dom in
@@ -94,7 +94,6 @@ let observe_result ?(labels = []) reg (r : _ Runtime.result) =
       in
       counter "hio_domain_steps_total" ds.Runtime.ds_steps;
       counter "hio_domain_steals_total" ds.Runtime.ds_steals;
-      counter "hio_domain_mailbox_posts_total" ds.Runtime.ds_posts;
       counter "hio_domain_replay_records_total" ds.Runtime.ds_records)
     r.Runtime.domain_stats;
   if r.Runtime.replay_diverged then

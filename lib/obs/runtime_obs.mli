@@ -27,7 +27,7 @@ val observe_result :
     [hio_thread_delivered_total{thread=tN}] counters (the latter only for
     threads that received an exception). A multi-domain run additionally
     records per-domain [hio_domain_steps_total{domain=dN}],
-    [hio_domain_steals_total], [hio_domain_mailbox_posts_total] and
-    [hio_domain_replay_records_total] counters from
+    [hio_domain_steals_total] and [hio_domain_replay_records_total]
+    counters from
     [result.domain_stats], and [hio_replay_divergences_total] counts
     replays that left their log. *)

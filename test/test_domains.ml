@@ -6,8 +6,9 @@
    - record/replay fidelity: a live multi-domain run's log, replayed on
      one domain, reproduces outcome, output, forks, per-thread
      statistics, the step journal, and [Io.domain_index] observations —
-     including a run whose threads really cross domains (a mailbox
-     post, every record kind, records after main's exit);
+     including a run whose threads really cross domains (a kill posted
+     to a thread running on another domain, every record kind, records
+     after main's exit);
    - replay determinism: replaying twice is byte-identical;
    - graceful divergence: a fault-injection hook perturbing a replay
      flips [replay_diverged] and continues deterministically;
@@ -73,8 +74,8 @@ let kill_the_spinners n =
 
 (* A mixed workload: forks, MVar ping-pong, throwTo, timers, masked
    sections, console output. Its threads seldom leave the first domain
-   they run on, so its log rarely holds a cross-domain post; [crossing]
-   below is the program that does. *)
+   they run on, so its kill rarely crosses domains; [crossing] below is
+   the program whose kill does. *)
 let mixed () =
   let* box = Mvar.new_empty in
   let* done_ = Mvar.new_empty in
@@ -114,7 +115,8 @@ let mixed () =
 
 (* Main and a spinning victim stay runnable until [Io.domain_index] shows
    them on different domains; main then kills the victim cross-domain
-   (a mailbox post, drained on the victim's domain), sleeps until the
+   (posted to the victim's pending queue while it runs on the other
+   domain, taken at its next step boundary), sleeps until the
    scheduler is quiescent (a clock advance), and forks a daemon spinner
    that runs alongside main's last steps and outlives it, so the log holds
    records after main's last. Both the victim's write of its index and
@@ -151,6 +153,23 @@ let crossing () =
   let* _ = Io.fork (spin ()) in
   let* () = yields 20 in
   Io.return apart
+
+(* Main forks a child (tid 1), waits until it is dead, then sets
+   [joined] and runs on: a fault hook reading [joined] can aim at the
+   finished child. *)
+let outlive_child joined =
+  let* m = Mvar.new_empty in
+  let* child = Io.fork (Io.bind (Io.put_string "child ") (Mvar.put m)) in
+  let* () = Mvar.take m in
+  let rec wait () =
+    let* s = Io.thread_status child in
+    if s = Io.Dead then Io.return () else Io.bind Io.yield wait
+  in
+  let* () = wait () in
+  let* () = Io.lift (fun () -> joined := true) in
+  let* () = yields 10 in
+  let* () = Io.put_string "main" in
+  Io.return 42
 
 (* --- live multi-domain runs ----------------------------------------------- *)
 
@@ -296,8 +315,10 @@ let replay_tests =
             if R.count k log < 1 then Alcotest.failf "no %s record" name)
           [
             ("K_op", R.K_op); ("K_deliver", R.K_deliver); ("K_end", R.K_end);
-            ("K_post", R.K_post); ("K_steal", R.K_steal); ("K_clock", R.K_clock);
+            ("K_clock", R.K_clock);
           ];
+        (* the victim on the other domain received the kill *)
+        Alcotest.(check string) "victim's output" "killed" live.Runtime.output;
         let records = log.R.records in
         let main_last = ref (-1) in
         Array.iteri
@@ -406,6 +427,38 @@ let replay_tests =
           (outcome_str (Fmt.any "()") r2);
         Alcotest.(check int) "deterministic steps" r1.Runtime.steps
           r2.Runtime.steps);
+    case "an injection at a tid that is no live thread does nothing"
+      (fun () ->
+        (* every step aims at tid 9999 or -1 until the child (tid 1) is
+           dead, then at the dead child *)
+        let aim joined ~step ~running:_ =
+          if !joined then Some (1, Io.Kill_thread)
+          else Some ((if step mod 2 = 0 then 9999 else -1), Io.Kill_thread)
+        in
+        let check name config =
+          let go hook =
+            let joined = ref false in
+            let inject = if hook then Some (aim joined) else None in
+            Runtime.run
+              ~config:{ config with Runtime.Config.inject }
+              (outlive_child joined)
+          in
+          let plain = go false and hooked = go true in
+          Alcotest.(check int) (name ^ ": injections") 0
+            hooked.Runtime.injections;
+          Alcotest.(check bool) (name ^ ": replay stayed on the log") false
+            hooked.Runtime.replay_diverged;
+          Alcotest.(check string) (name ^ ": outcome")
+            (outcome_str Fmt.int plain) (outcome_str Fmt.int hooked);
+          Alcotest.(check string) (name ^ ": output") plain.Runtime.output
+            hooked.Runtime.output
+        in
+        check "single domain" Runtime.Config.default;
+        let live =
+          Runtime.run ~config:(mconfig ~domains:2 ()) (outlive_child (ref false))
+        in
+        check "replay of a 2-domain log"
+          (mconfig ~domains:1 ~replay:(Option.get live.Runtime.replay_log) ()));
   ]
 
 (* --- random programs: multi-domain record, single-domain replay ------------ *)
