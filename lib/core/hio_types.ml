@@ -150,9 +150,10 @@ and thread = {
   (* multi-domain scheduling state. [t_dom] is the domain whose deque
      the thread was last pushed to (or that stole it) — written only
      under the shared-state lock or by the stealing domain holding it,
-     and read under the same lock to route cross-domain throwTo through
-     the right mailbox. [t_tseq] counts this thread's replay-log records
-     (written only by the domain currently running the thread). *)
+     and read under the same lock by [post_now], which pokes that domain
+     when a post for a running thread comes from another. [t_tseq]
+     counts this thread's replay-log records (written only by the domain
+     currently running the thread). *)
   mutable t_dom : int;
   mutable t_tseq : int;
 }

@@ -14,19 +14,15 @@ let create () = { buf = [||]; head = 0; len = 0 }
 let length q = q.len
 let is_empty q = q.len = 0
 
-(* Grow to the next power of two, seeding the new array with [x] (which
-   also serves as the filler value, avoiding an ['a option] box per
-   slot). *)
+(* Grow only when full: appending the full ring to itself keeps every
+   element at its index under the doubled mask, so [head] stays. [x]
+   seeds the first buffer only (the filler value, avoiding an ['a option]
+   box per slot); an [Array.make] past 256 slots with a young filler
+   would force a minor collection. *)
 let grow q x =
-  let cap = Array.length q.buf in
-  let ncap = if cap = 0 then 16 else cap * 2 in
-  let nbuf = Array.make ncap x in
-  let mask = cap - 1 in
-  for i = 0 to q.len - 1 do
-    nbuf.(i) <- q.buf.((q.head + i) land mask)
-  done;
-  q.buf <- nbuf;
-  q.head <- 0
+  q.buf <-
+    (if Array.length q.buf = 0 then Array.make 16 x
+     else Array.append q.buf q.buf)
 
 let push q x =
   if q.len = Array.length q.buf then grow q x;

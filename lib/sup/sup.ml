@@ -13,18 +13,18 @@ type spec = { sp_name : string; sp_lifetime : lifetime; sp_start : unit Io.t }
 let child ?(lifetime = Permanent) name io =
   { sp_name = name; sp_lifetime = lifetime; sp_start = io }
 
+(* A slot is in [t.slots] exactly as long as the supervisor may still run
+   it: retiring a slot removes it, so the supervisor's state is its live
+   tree, not every child it ever started. *)
 type slot = {
-  sl_id : int;
   sl_spec : spec;
   mutable sl_tid : Io.thread_id option;
   mutable sl_up : bool;
   mutable sl_stopping : bool;  (* killed by [stop_child]: do not restart *)
-  mutable sl_done : bool;  (* retired: will never run again *)
-  mutable sl_starts : int;
 }
 
 type msg =
-  | Exited of int * (unit, exn) Stdlib.result
+  | Exited of slot * (unit, exn) Stdlib.result
   | Start of spec
   | Stop_child of string
   | Stop
@@ -37,7 +37,7 @@ type t = {
   done_mv : (unit, exn) Stdlib.result Mvar.t;
   mutable sup_tid : Io.thread_id option;
   mutable slots : slot list;  (* start order *)
-  mutable next_id : int;
+  mutable starts : (string * int) list;  (* per child name *)
   mutable deferred : msg list;  (* non-Exited messages set aside by drains *)
   mutable restart_history : (int * string) list;  (* newest first *)
   mutable stopped : bool;
@@ -54,6 +54,8 @@ let live_count t =
   List.fold_left (fun n s -> if s.sl_up then n + 1 else n) 0 t.slots
 
 let set_children_gauge t = Obs.Metrics.set t.g_children (live_count t)
+let starts_of t name = Option.value ~default:0 (List.assoc_opt name t.starts)
+let retire t slot = t.slots <- List.filter (fun s -> s != slot) t.slots
 
 (* --- supervisor-thread internals -----------------------------------------
 
@@ -69,30 +71,23 @@ let spawn_slot t slot =
     ( fork ~name:slot.sl_spec.sp_name
         (catch
            ( unblock slot.sl_spec.sp_start >>= fun () ->
-             Chan.send t.ctl (Exited (slot.sl_id, Stdlib.Ok ())) )
-           (fun e -> Chan.send t.ctl (Exited (slot.sl_id, Stdlib.Error e))))
+             Chan.send t.ctl (Exited (slot, Stdlib.Ok ())) )
+           (fun e -> Chan.send t.ctl (Exited (slot, Stdlib.Error e))))
     >>= fun tid ->
       lift (fun () ->
           slot.sl_tid <- Some tid;
           slot.sl_up <- true;
           slot.sl_stopping <- false;
-          slot.sl_starts <- slot.sl_starts + 1;
+          let name = slot.sl_spec.sp_name in
+          t.starts <-
+            (name, starts_of t name + 1) :: List.remove_assoc name t.starts;
           set_children_gauge t) )
 
 let add_child t spec =
   lift (fun () ->
       let slot =
-        {
-          sl_id = t.next_id;
-          sl_spec = spec;
-          sl_tid = None;
-          sl_up = false;
-          sl_stopping = false;
-          sl_done = false;
-          sl_starts = 0;
-        }
+        { sl_spec = spec; sl_tid = None; sl_up = false; sl_stopping = false }
       in
-      t.next_id <- t.next_id + 1;
       t.slots <- t.slots @ [ slot ];
       slot)
   >>= fun slot -> spawn_slot t slot
@@ -102,11 +97,9 @@ let kill_slot slot =
   | Some tid when slot.sl_up -> throw_to tid Kill_thread
   | _ -> return ()
 
-let mark_down t id =
+let mark_down t slot =
   lift (fun () ->
-      (match List.find_opt (fun s -> s.sl_id = id) t.slots with
-      | Some slot -> slot.sl_up <- false
-      | None -> ());
+      slot.sl_up <- false;
       set_children_gauge t)
 
 (* Wait until no slot is live, consuming [Exited] messages straight from
@@ -117,19 +110,21 @@ let rec drain_exits ~keep t =
   if List.exists (fun s -> s.sl_up) t.slots then
     Chan.recv t.ctl >>= fun m ->
     (match m with
-    | Exited (id, _) -> mark_down t id
+    | Exited (slot, _) -> mark_down t slot
     | other ->
         lift (fun () ->
             if keep then t.deferred <- t.deferred @ [ other ]))
     >>= fun () -> drain_exits ~keep t
   else return ()
 
-let take_down t =
-  let rec kill_all = function
+let kill_all t =
+  let rec go = function
     | [] -> return ()
-    | s :: rest -> kill_slot s >>= fun () -> kill_all rest
+    | s :: rest -> kill_slot s >>= fun () -> go rest
   in
-  kill_all t.slots >>= fun () -> drain_exits ~keep:false t
+  go t.slots
+
+let take_down t = kill_all t >>= fun () -> drain_exits ~keep:false t
 
 let note_restart t ts name =
   lift (fun () ->
@@ -148,56 +143,46 @@ let escalate t =
 
 (* All-for-one: kill every live sibling, wait for all of them, respawn
    every slot that is still wanted. Temporary children are retired by any
-   collective restart (as in Erlang). *)
+   collective restart (as in Erlang), and so is a child that [stop_child]
+   killed, whose exit the drain consumed. *)
 let restart_all t =
-  let rec kill_all = function
-    | [] -> return ()
-    | s :: rest -> kill_slot s >>= fun () -> kill_all rest
-  in
-  kill_all t.slots >>= fun () ->
+  kill_all t >>= fun () ->
   drain_exits ~keep:true t >>= fun () ->
   let rec respawn = function
     | [] -> return ()
     | s :: rest ->
-        (if s.sl_done then return ()
-         else if s.sl_spec.sp_lifetime = Temporary then
-           lift (fun () -> s.sl_done <- true)
+        (if s.sl_stopping || s.sl_spec.sp_lifetime = Temporary then
+           lift (fun () -> retire t s)
          else spawn_slot t s)
         >>= fun () -> respawn rest
   in
   respawn t.slots
 
-let handle_exited t id res =
-  mark_down t id >>= fun () ->
-  match List.find_opt (fun s -> s.sl_id = id) t.slots with
-  | None -> return ()
-  | Some slot ->
-      if slot.sl_stopping || slot.sl_done then
-        lift (fun () -> slot.sl_done <- true)
-      else
-        let wants_restart =
-          match (slot.sl_spec.sp_lifetime, res) with
-          | Temporary, _ -> false
-          | Transient, Stdlib.Ok () -> false
-          | Transient, Stdlib.Error _ -> true
-          | Permanent, _ -> true
-        in
-        if not wants_restart then lift (fun () -> slot.sl_done <- true)
-        else
-          now >>= fun ts ->
-          lift (fun () -> budget_exhausted t ts) >>= fun exhausted ->
-          if exhausted then escalate t
-          else
-            note_restart t ts slot.sl_spec.sp_name >>= fun () ->
-            (match t.strategy with
-            | One_for_one -> spawn_slot t slot
-            | All_for_one -> restart_all t)
+let handle_exited t slot res =
+  mark_down t slot >>= fun () ->
+  let wants_restart =
+    match (slot.sl_spec.sp_lifetime, res) with
+    | Temporary, _ -> false
+    | Transient, Stdlib.Ok () -> false
+    | Transient, Stdlib.Error _ -> true
+    | Permanent, _ -> true
+  in
+  if slot.sl_stopping || not wants_restart then lift (fun () -> retire t slot)
+  else
+    now >>= fun ts ->
+    lift (fun () -> budget_exhausted t ts) >>= fun exhausted ->
+    if exhausted then escalate t
+    else
+      note_restart t ts slot.sl_spec.sp_name >>= fun () ->
+      (match t.strategy with
+      | One_for_one -> spawn_slot t slot
+      | All_for_one -> restart_all t)
 
 let handle_stop_child t name =
   let rec kill = function
     | [] -> return ()
     | s :: rest ->
-        (if s.sl_spec.sp_name = name && not s.sl_done then
+        (if s.sl_spec.sp_name = name then
            lift (fun () -> s.sl_stopping <- true) >>= fun () -> kill_slot s
          else return ())
         >>= fun () -> kill rest
@@ -220,7 +205,7 @@ let rec loop t =
   | Stop -> take_down t
   | Start spec -> add_child t spec >>= fun () -> loop t
   | Stop_child name -> handle_stop_child t name >>= fun () -> loop t
-  | Exited (id, res) -> handle_exited t id res >>= fun () -> loop t
+  | Exited (slot, res) -> handle_exited t slot res >>= fun () -> loop t
 
 let finish t r =
   lift (fun () ->
@@ -268,7 +253,7 @@ let start ?(name = "supervisor") ?(strategy = One_for_one)
         done_mv;
         sup_tid = None;
         slots = [];
-        next_id = 0;
+        starts = [];
         deferred = [];
         restart_history = [];
         stopped = false;
@@ -299,10 +284,7 @@ let thread t =
   | None -> invalid_arg "Sup.thread: not started"
 
 let children t =
-  lift (fun () ->
-      t.slots
-      |> List.filter (fun s -> not s.sl_done)
-      |> List.map (fun s -> (s.sl_spec.sp_name, s.sl_up)))
+  lift (fun () -> List.map (fun s -> (s.sl_spec.sp_name, s.sl_up)) t.slots)
 
 let child_up t name =
   lift (fun () ->
@@ -317,12 +299,7 @@ let child_tid t name =
           if s.sl_spec.sp_name = name && s.sl_up then s.sl_tid else acc)
         None t.slots)
 
-let child_starts t name =
-  lift (fun () ->
-      List.fold_left
-        (fun acc s ->
-          if s.sl_spec.sp_name = name then acc + s.sl_starts else acc)
-        0 t.slots)
+let child_starts t name = lift (fun () -> starts_of t name)
 
 let restart_log t = lift (fun () -> t.restart_history)
 let restart_count t = lift (fun () -> List.length t.restart_history)

@@ -72,8 +72,9 @@ val start_child : t -> spec -> unit Io.t
 
 val stop_child : t -> string -> unit Io.t
 (** Ask the supervisor to kill every live child with this name, without
-    restarting it (its slot is retired). Asynchronous, like
-    {!start_child}: poll {!child_up} to observe completion. *)
+    restarting it: its slot is retired, and a retired child leaves the
+    supervisor. Asynchronous, like {!start_child}: poll {!child_up} to
+    observe completion. *)
 
 val stop : t -> (unit, exn) Stdlib.result Io.t
 (** Graceful shutdown: the supervisor kills its children, waits for all
@@ -89,8 +90,9 @@ val thread : t -> Io.thread_id
 (** The supervisor's own thread — the sweep's [Named] target. *)
 
 val children : t -> (string * bool) list Io.t
-(** Every slot (in start order) that has not been retired, with whether
-    its thread is currently live. *)
+(** Every child slot (in start order), with whether its thread is
+    currently live. A retired child (stopped, or exited and not to be
+    restarted) has left the supervisor and is not listed. *)
 
 val child_up : t -> string -> bool Io.t
 (** Is some live child running under this name right now? *)

@@ -120,6 +120,26 @@ let runq_unit_tests =
         Alcotest.check int_list "newest first" [ 23; 22; 21; 20 ] back;
         Alcotest.check int_list "rest" [ 12; 13; 14; 15; 16; 17; 18; 19 ]
           (Runq.to_list q));
+    case "growth past a rotated head forces no minor collection" (fun () ->
+        (* [Array.make] of more than 256 slots with a young filler forces
+           a minor collection; growing by appending the full ring to
+           itself allocates the same array without one *)
+        let q = Runq.create () in
+        for x = 0 to 9 do
+          Runq.push q (ref x)
+        done;
+        for _ = 0 to 9 do
+          ignore (Runq.pop q)
+        done;
+        Gc.minor ();
+        let before = (Gc.quick_stat ()).Gc.minor_collections in
+        for x = 0 to 1_999 do
+          Runq.push q (ref x)
+        done;
+        let after = (Gc.quick_stat ()).Gc.minor_collections in
+        Alcotest.check int_v "minor collections" 0 (after - before);
+        let out = List.init 2_000 (fun _ -> !(Runq.pop q)) in
+        Alcotest.check int_list "fifo" (List.init 2_000 Fun.id) out);
     case "pop_back on empty raises" (fun () ->
         let q = Runq.create () in
         (match Runq.pop_back q with

@@ -177,6 +177,65 @@ let sup_tests =
         Alcotest.check bool_v "up after start_child" true up_after_start;
         Alcotest.check bool_v "down after stop_child" false up_after_stop;
         Alcotest.check bool_v "graceful stop" true (r = Stdlib.Ok ()));
+    case "a stopped child stays stopped through an all_for_one restart"
+      (fun () ->
+        (* stop_child's request and a sibling's crash both reach the
+           mailbox before the stopped child's exit: the collective restart's drain
+           consumes that exit, and must retire the slot, not respawn it *)
+        let kids, starts =
+          value
+            ( lift (fun () -> ref 0) >>= fun n ->
+              Hio.Mvar.new_empty >>= fun gate ->
+              Sup.start ~strategy:Sup.All_for_one
+                [
+                  beat_child n "a";
+                  Sup.child "b"
+                    (Hio.Mvar.take gate >>= fun () -> throw (Failure "boom"));
+                ]
+              >>= fun sup ->
+              sleep 2 >>= fun () ->
+              Sup.stop_child sup "a" >>= fun () ->
+              Hio.Mvar.put gate () >>= fun () ->
+              wait_starts sup "b" 2 >>= fun () ->
+              yields 50 >>= fun () ->
+              Sup.children sup >>= fun kids ->
+              Sup.child_starts sup "a" >>= fun starts ->
+              Sup.stop sup >>= fun _ -> return (kids, starts) )
+        in
+        Alcotest.check Alcotest.(list (pair string bool)) "only b runs"
+          [ ("b", true) ] kids;
+        Alcotest.check int_v "a started once" 1 starts);
+    case "a supervisor's cost is bounded by its live children" (fun () ->
+        (* a retired child leaves the supervisor: after 200 workers have
+           come and gone, stopping it costs what stopping one that never
+           had a child costs *)
+        let stop_steps sup =
+          yields 10 >>= fun () ->
+          steps >>= fun s0 ->
+          Sup.stop sup >>= fun _ ->
+          steps >>= fun s1 -> return (s1 - s0)
+        in
+        let kids, starts, cost, empty_cost =
+          value
+            ( Sup.start
+                (List.init 200 (fun _ ->
+                     Sup.child ~lifetime:Sup.Transient "w" (return ())))
+              >>= fun sup ->
+              wait_cond ~rounds:20_000 "workers never retired"
+                ( Sup.children sup >>= fun kids ->
+                  Sup.child_starts sup "w" >>= fun n ->
+                  return (kids = [] && n = 200) )
+              >>= fun () ->
+              Sup.children sup >>= fun kids ->
+              Sup.child_starts sup "w" >>= fun starts ->
+              stop_steps sup >>= fun cost ->
+              Sup.start [] >>= fun empty ->
+              stop_steps empty >>= fun empty_cost ->
+              return (kids, starts, cost, empty_cost) )
+        in
+        Alcotest.check Alcotest.(list (pair string bool)) "no children" [] kids;
+        Alcotest.check int_v "every worker started" 200 starts;
+        Alcotest.check int_v "stop steps" empty_cost cost);
     case "a killed supervisor takes its children down" (fun () ->
         let r, stranded =
           value
