@@ -7,7 +7,11 @@
    - each thread's continuation is an explicit stack of frames; catch
      frames record the mask state at push time, and mask frames restore it
      on normal or exceptional exit (with the §8.1 adjacent-frame collapse);
-   - blocked threads can be woken normally or by raising an asynchronous
+   - a thread's state is that stack of frames, updated in place: one
+     flat [T_run] cell per step; the only closures in a running or
+     blocked state are the program's own, inside its frames;
+   - blocked threads keep their frames and can be woken normally (each
+     waiter holds the frames it resumes) or by raising an asynchronous
      exception into them ((Interrupt) of Figure 5), in any masking
      context. *)
 
@@ -116,10 +120,13 @@ and _ prim =
 
 and status = Status_running | Status_blocked of wait_reason | Status_dead
 
-(* A handle returned by [Arm_timer]. [th_cancel] is installed by the
-   runtime (it closes over the wheel entry); the id is the token's
-   payload. *)
-and timer_handle = { th_id : int; mutable th_cancel : unit -> unit }
+(* A handle returned by [Arm_timer]: the token's id and the wheel entry
+   [Cancel_timer] withdraws ([None] when the deadline had already
+   passed and the token was posted at once). *)
+and timer_handle = {
+  th_id : int;
+  th_entry : timer_kind Timer_wheel.entry option;
+}
 
 (* Continuation frames. [F_catch] records the mask state when pushed
    (paper §8.1: "extend the catch frame to include the state of
@@ -131,8 +138,6 @@ and _ frames =
   | F_catch : (exn -> 'a io) * mask_level * 'a frames -> 'a frames
   | F_catch_sync : (exn -> 'a io) * mask_level * 'a frames -> 'a frames
   | F_mask : mask_level * 'a frames -> 'a frames
-
-and packed = Pack : 'a io * 'a frames -> packed
 
 and thread = {
   t_id : int;
@@ -160,33 +165,50 @@ and thread = {
 
 and pending = {
   p_exn : exn;
-  mutable p_on_delivered : (unit -> unit) option;
-      (* synchronous throwTo (§9): wake the sender once raised; cleared if
-         the sender is itself interrupted while waiting *)
+  mutable p_sender : sender;
+      (* synchronous throwTo (§9): the sender to wake once raised; cleared
+         if the sender is itself interrupted while waiting *)
 }
 
+and sender = No_sender | Sender of thread * unit frames
+
+(* A thread's state is its continuation, updated in place (§8): a
+   running thread holds the term it steps next and the frames that term
+   returns into, a blocked one the frames rule (Interrupt) raises into.
+   The element type is hidden, so each step replaces one 3-word cell,
+   and the runtime adds no closure of its own to either state. *)
 and t_state =
-  | T_run of packed
-  | T_blocked of blocked
-  | T_dead of exn option  (* [Some e]: died from uncaught exception [e] *)
+  | T_run : 'a io * 'a frames -> t_state
+  | T_blocked : 'a frames * wait -> t_state
+  | T_dead : exn option -> t_state
+      (* [Some e]: died from uncaught exception [e] *)
 
-and blocked = {
-  b_why : wait_reason;
-  b_interrupt : exn -> packed;
-      (* resume by raising: implements rule (Interrupt) *)
-  b_cancel : unit -> unit;  (* withdraw the registration (waiter/timer) *)
-  b_on : ex_mvar option;
-      (* the MVar this thread waits on, if any — the edge the deadlock
-         watchdog's wait graph is built from *)
-  b_fd : int option;
-      (* the fd this thread waits on, for the event-manager wait reasons —
-         the watchdog names it the way it names MVars *)
+(* What a blocked thread waits on: the registration rule (Interrupt)
+   withdraws, and what the deadlock watchdog's wait graph reports. Each
+   waiter holds the frames a normal wakeup resumes, typed by the value it
+   resumes with. *)
+and wait =
+  | On_take : 'a mvar * 'a taker -> wait
+  | On_put : 'a mvar * 'a putter -> wait
+  | On_sleep : timer_kind Timer_wheel.entry -> wait
+  | On_fd : fd_waiter -> wait
+  | On_throw_to : pending -> wait  (* the §9 synchronous throwTo *)
+  | On_get_char : wait
+
+(* A timer-wheel payload: either a sleeping thread to wake normally, or
+   an armed [Arm_timer] deadline whose token is posted asynchronously. *)
+and timer_kind =
+  | Tk_sleep of { tm_thread : thread; tm_frames : unit frames }
+  | Tk_alarm of { al_thread : thread; al_id : int }
+
+(* One thread parked in [Wait_fd], queued FIFO per (fd, direction). *)
+and fd_waiter = {
+  fw_thread : thread;
+  fw_frames : unit frames;
+  fw_fd : int;
+  fw_dir : fd_dir;
+  mutable fw_cancelled : bool;
 }
-
-(* An MVar with its element type hidden: what a blocked thread can record
-   about the box it waits on without infecting [blocked] with a type
-   parameter. *)
-and ex_mvar = Ex_mvar : 'a mvar -> ex_mvar
 
 and 'a mvar = {
   mv_id : int;
@@ -200,26 +222,22 @@ and 'a mvar = {
 
 and 'a taker = {
   tk_thread : thread;
-  tk_wake : 'a -> packed;
-  tk_raise : exn -> packed;
+  tk_frames : 'a frames;
   mutable tk_cancelled : bool;
 }
 
 and 'a putter = {
   pt_thread : thread;
   pt_value : 'a;
-  pt_wake : unit -> packed;
-  pt_raise : exn -> packed;
+  pt_frames : unit frames;
   mutable pt_cancelled : bool;
 }
 
-let frames_depth frames =
-  let rec go : type a. int -> a frames -> int =
-   fun acc -> function
-    | F_stop _ -> acc
-    | F_bind (_, rest) -> go (acc + 1) rest
-    | F_catch (_, _, rest) -> go (acc + 1) rest
-    | F_catch_sync (_, _, rest) -> go (acc + 1) rest
-    | F_mask (_, rest) -> go (acc + 1) rest
-  in
-  go 0 frames
+let wait_reason_of = function
+  | On_take _ -> W_take_mvar
+  | On_put _ -> W_put_mvar
+  | On_sleep _ -> W_sleep
+  | On_fd { fw_dir = Fd_read; _ } -> W_fd_read
+  | On_fd { fw_dir = Fd_write; _ } -> W_fd_write
+  | On_throw_to _ -> W_throw_to
+  | On_get_char -> W_get_char

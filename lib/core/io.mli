@@ -198,10 +198,8 @@ val arm_timer : int -> timer t
 val cancel_timer : timer -> unit t
 (** Withdraw an armed deadline {e and} discard its token if the wheel
     already fired but the token has not yet been delivered — after
-    [cancel_timer h] returns, [Timer_signal (timer_id h)] will never be
+    [cancel_timer h] returns, no token with [is_timer_signal h] will be
     observed (no ghost wakeups). Idempotent. *)
-
-val timer_id : timer -> int
 
 val is_timer_signal : timer -> exn -> bool
 (** Does this exception carry {e this} timer's token? *)

@@ -141,11 +141,6 @@ type 'a result = {
   replay_diverged : bool;
 }
 
-let pp_thread_stat ppf ts =
-  Fmt.pf ppf "t%d%a: steps %d, blocked %d, delivered %d" ts.ts_id
-    Fmt.(option (fmt " (%s)"))
-    ts.ts_name ts.ts_steps ts.ts_blocked ts.ts_delivered
-
 let pp_blocked_thread ppf bt =
   Fmt.pf ppf "t%d%a blocked on %s" bt.bt_tid
     Fmt.(option (fmt " (%s)"))
@@ -189,19 +184,6 @@ let pp_wait_graph ppf blocked =
       Fmt.pf ppf "@.")
     blocked
 
-(* A timer-wheel payload: either a sleeping thread to wake normally, or
-   an armed [Arm_timer] deadline whose token is posted asynchronously. *)
-type timer_kind =
-  | Tk_sleep of { tm_thread : thread; tm_wake : unit -> packed }
-  | Tk_alarm of { al_thread : thread; al_id : int }
-
-(* One thread parked in [Wait_fd], queued FIFO per (fd, direction). *)
-type fd_waiter = {
-  fw_thread : thread;
-  fw_wake : unit -> packed;
-  mutable fw_cancelled : bool;
-}
-
 type state = {
   config : Config.t;
   rng : Random.State.t option;
@@ -234,6 +216,10 @@ type state = {
 
 let enqueue st t = st.enqueue_hook t
 
+(* Events are built only under a tracer, so an untraced step allocates
+   none: every [emit] sits behind [tracing]. *)
+let[@inline] tracing st = st.config.Config.tracer <> None
+
 let emit st event =
   match st.config.Config.tracer with Some f -> f event | None -> ()
 
@@ -242,60 +228,101 @@ let bump_depth t k =
   if t.t_frame_depth > t.t_max_frame_depth then
     t.t_max_frame_depth <- t.t_frame_depth
 
-let set_run t packed = t.t_state <- T_run packed
-
-(* Wake a blocked thread normally, resuming it at [packed]. *)
-let wake st t packed =
-  emit st (Ev_wakeup { tid = t.t_id });
-  set_run t packed;
+(* Wake a blocked thread normally, resuming it at [io] over [frames]. *)
+let wake st t io frames =
+  if tracing st then emit st (Ev_wakeup { tid = t.t_id });
+  t.t_state <- T_run (io, frames);
   enqueue st t
 
-(* Pop the head of the pending queue and raise it at the thread's current
-   evaluation point — rules (Receive)/(Interrupt). *)
-let deliver_pending st t frames_of =
+(* Pop the head of the pending queue, to be raised at the thread's current
+   evaluation point — rules (Receive)/(Interrupt) — and wake a synchronous
+   throwTo sender waiting for it. *)
+let deliver_pending st t =
   match t.t_pending with
   | [] -> assert false
   | p :: rest ->
       t.t_pending <- rest;
       t.t_delivered <- t.t_delivered + 1;
-      emit st (Ev_deliver { tid = t.t_id; exn = p.p_exn });
-      (match p.p_on_delivered with Some f -> f () | None -> ());
-      frames_of p.p_exn
+      if tracing st then emit st (Ev_deliver { tid = t.t_id; exn = p.p_exn });
+      (match p.p_sender with
+      | Sender (sender, frames) -> (
+          match sender.t_state with
+          | T_blocked _ -> wake st sender (Pure ()) frames
+          | T_run _ | T_dead _ -> ())
+      | No_sender -> ());
+      p.p_exn
+
+(* Resume [t] by raising its head pending exception into [frames]. *)
+let raise_into st t frames =
+  t.t_state <- T_run (Throw_async (deliver_pending st t), frames)
 
 (* The step-boundary delivery check of §8.1 ("at regular intervals during
    execution inside unblock, the pending exceptions queue must be
    checked"): an unmasked thread with pending exceptions takes the head
    one instead of its next step. Every engine's boundary goes through
-   [take_pending]. *)
+   [checked_step]. *)
 let[@inline] deliverable t = t.t_mask = Mask_none && t.t_pending <> []
 
-(* The delivery itself, out of line: its closure would stop [take_pending]
-   from inlining into every engine's per-step path. *)
-let raise_pending st t (Pack (_, frames)) =
-  deliver_pending st t (fun e -> Pack (Throw_async e, frames))
+(* A thread at an interruptible wait, about to block or already blocked,
+   takes its head pending exception instead, even inside [block]: it is
+   by definition waiting on an unavailable resource (§5.3). Only
+   [uninterruptibly] defers it. *)
+let[@inline] interruptible_now t =
+  t.t_pending <> [] && t.t_mask <> Mask_uninterruptible
 
-let[@inline] take_pending st t packed =
-  if deliverable t then raise_pending st t packed else packed
+(* --- fd waiter plumbing -------------------------------------------------- *)
 
-(* A waiter that would be woken but has a pending asynchronous exception
-   receives the exception instead (it is still at an interruptible wait, so
-   rule (Interrupt) applies in any masking context). This mirrors GHC: a
-   racing throwTo beats the wakeup, so the MVar value is never handed to a
+let fd_queue tbl fd =
+  match Hashtbl.find_opt tbl fd with
+  | Some q -> q
+  | None ->
+      let q = Queue.create () in
+      Hashtbl.add tbl fd q;
+      q
+
+let queue_has_live q =
+  Queue.fold (fun acc w -> acc || not w.fw_cancelled) false q
+
+(* Keep the poller's interest set in step with the waiter tables: called
+   after every registration, cancellation, and wakeup. *)
+let update_interest st fd =
+  match st.config.Config.event_source with
+  | None -> ()
+  | Some es ->
+      let has tbl =
+        match Hashtbl.find_opt tbl fd with
+        | Some q -> queue_has_live q
+        | None -> false
+      in
+      es.es_modify ~fd ~read:(has st.fd_readers) ~write:(has st.fd_writers)
+
+(* Withdraw a blocked thread's registration (waiter, timer, fd interest,
+   synchronous throwTo) before it is resumed by an exception. *)
+let withdraw st = function
+  | On_take (_, tk) -> tk.tk_cancelled <- true
+  | On_put (_, pt) -> pt.pt_cancelled <- true
+  | On_sleep entry -> Timer_wheel.cancel st.wheel entry
+  | On_fd w ->
+      if not w.fw_cancelled then begin
+        w.fw_cancelled <- true;
+        st.fd_live <- st.fd_live - 1;
+        update_interest st w.fw_fd
+      end
+  | On_throw_to p -> p.p_sender <- No_sender
+  | On_get_char -> ()
+
+(* Resume a blocked thread by raising its head pending exception into it —
+   rule (Interrupt). A waiter that would be woken normally but is
+   [interruptible_now] gets this instead. This mirrors GHC: a racing
+   throwTo beats the wakeup, so an MVar value is never handed to a
    resumption that an exception is about to discard. *)
-let wake_with_pending st thread raise_into =
-  set_run thread (deliver_pending st thread raise_into);
-  enqueue st thread
-
-(* Wake a blocked target by raising the head pending exception into it —
-   rule (Interrupt): applies in any masking context, because a blocked
-   thread is by definition waiting on an unavailable resource (§5.3). *)
-let interrupt_if_blocked st target =
-  match (target.t_state, target.t_pending) with
-  | T_blocked _, _ :: _ when target.t_mask = Mask_uninterruptible -> ()
-  | T_blocked b, _ :: _ ->
-      b.b_cancel ();
-      wake_with_pending st target b.b_interrupt
-  | (T_run _ | T_dead _ | T_blocked _), _ -> ()
+let interrupt st t =
+  match t.t_state with
+  | T_blocked (frames, w) ->
+      withdraw st w;
+      raise_into st t frames;
+      enqueue st t
+  | T_run _ | T_dead _ -> ()
 
 (* Append [entry] to [target]'s pending queue and apply rule (Interrupt)
    if it is blocked — the only code that appends to a pending queue, on
@@ -307,7 +334,7 @@ let interrupt_if_blocked st target =
    no-op distinction on one domain. *)
 let post_now st target entry =
   target.t_pending <- target.t_pending @ [ entry ];
-  interrupt_if_blocked st target;
+  if interruptible_now target then interrupt st target;
   match target.t_state with
   | T_run _ when target.t_dom <> st.cur_dom -> st.poke target.t_dom
   | T_run _ | T_blocked _ | T_dead _ -> ()
@@ -355,14 +382,12 @@ let rec pop_putter q =
    the box in the same atomic step (no barging past the queue). *)
 let rec mvar_remove st (m : _ mvar) v_now =
   (match pop_putter m.mv_putters with
-  | Some pt
-    when pt.pt_thread.t_pending <> []
-         && pt.pt_thread.t_mask <> Mask_uninterruptible ->
-      wake_with_pending st pt.pt_thread pt.pt_raise;
+  | Some pt when interruptible_now pt.pt_thread ->
+      interrupt st pt.pt_thread;
       ignore (mvar_remove st m v_now)
   | Some pt ->
       m.mv_contents <- Some pt.pt_value;
-      wake st pt.pt_thread (pt.pt_wake ())
+      wake st pt.pt_thread (Pure ()) pt.pt_frames
   | None -> m.mv_contents <- None);
   v_now
 
@@ -370,73 +395,38 @@ let rec mvar_remove st (m : _ mvar) v_now =
    and the box stays empty. *)
 let rec mvar_insert st (m : _ mvar) v =
   match pop_taker m.mv_takers with
-  | Some tk
-    when tk.tk_thread.t_pending <> []
-         && tk.tk_thread.t_mask <> Mask_uninterruptible ->
-      wake_with_pending st tk.tk_thread tk.tk_raise;
+  | Some tk when interruptible_now tk.tk_thread ->
+      interrupt st tk.tk_thread;
       mvar_insert st m v
   | Some tk ->
       m.mv_last_taker <- Some tk.tk_thread.t_id;
-      wake st tk.tk_thread (tk.tk_wake v)
+      wake st tk.tk_thread (Pure v) tk.tk_frames
   | None -> m.mv_contents <- Some v
-
-(* --- fd waiter plumbing -------------------------------------------------- *)
-
-let fd_queue tbl fd =
-  match Hashtbl.find_opt tbl fd with
-  | Some q -> q
-  | None ->
-      let q = Queue.create () in
-      Hashtbl.add tbl fd q;
-      q
-
-let queue_has_live q =
-  Queue.fold (fun acc w -> acc || not w.fw_cancelled) false q
-
-(* Keep the poller's interest set in step with the waiter tables: called
-   after every registration, cancellation, and wakeup. *)
-let update_interest st fd =
-  match st.config.Config.event_source with
-  | None -> ()
-  | Some es ->
-      let has tbl =
-        match Hashtbl.find_opt tbl fd with
-        | Some q -> queue_has_live q
-        | None -> false
-      in
-      es.es_modify ~fd ~read:(has st.fd_readers) ~write:(has st.fd_writers)
 
 (* --- One scheduler step -------------------------------------------------- *)
 
+(* A step's next state is one 3-word [T_run] cell: all a step allocates
+   beyond what the program asks for. A primitive returns its result [v];
+   a [unit] one resumes with a static [Pure ()]. *)
+let[@inline] return_value t v frames = t.t_state <- T_run (Pure v, frames)
+let[@inline] return_unit t frames = t.t_state <- T_run (Pure (), frames)
+
+let wait_mvar_id = function
+  | On_take (m, _) -> Some m.mv_id
+  | On_put (m, _) -> Some m.mv_id
+  | On_sleep _ | On_fd _ | On_throw_to _ | On_get_char -> None
+
+(* Park [t] over [frames], waiting on [w]. *)
+let park st t frames w =
+  if tracing st then
+    emit st
+      (Ev_blocked
+         { tid = t.t_id; why = wait_reason_of w; mvar = wait_mvar_id w });
+  t.t_blocked_count <- t.t_blocked_count + 1;
+  t.t_state <- T_blocked (frames, w)
+
 let exec_prim : type a. state -> thread -> a prim -> a frames -> unit =
  fun st t prim frames ->
-  let continue v = set_run t (Pack (Pure v, frames)) in
-  let raise_now e = set_run t (Pack (Throw_async e, frames)) in
-  (* An interruptible operation about to wait: pending exceptions are
-     delivered even inside [block] (§5.3). *)
-  let block_interruptibly ?on ?fd ~why ~cancel () =
-    if t.t_pending <> [] && t.t_mask <> Mask_uninterruptible then
-      set_run t (deliver_pending st t (fun e -> Pack (Throw_async e, frames)))
-    else begin
-      emit st
-        (Ev_blocked
-           {
-             tid = t.t_id;
-             why;
-             mvar = (match on with Some (Ex_mvar m) -> Some m.mv_id | None -> None);
-           });
-      t.t_blocked_count <- t.t_blocked_count + 1;
-      t.t_state <-
-        T_blocked
-          {
-            b_why = why;
-            b_interrupt = (fun e -> Pack (Throw_async e, frames));
-            b_cancel = cancel;
-            b_on = on;
-            b_fd = fd;
-          }
-    end
-  in
   match prim with
   | Fork (name, body) ->
       let child =
@@ -445,7 +435,7 @@ let exec_prim : type a. state -> thread -> a prim -> a frames -> unit =
           t_name = name;
           t_mask = (if st.config.fork_inherits_mask then t.t_mask else Mask_none);
           t_pending = [];
-          t_state = T_run (Pack (body, F_stop (fun _ -> ())));
+          t_state = T_run (body, F_stop (fun _ -> ()));
           t_frame_depth = 1;
           t_max_frame_depth = 1;
           t_steps = 0;
@@ -458,10 +448,10 @@ let exec_prim : type a. state -> thread -> a prim -> a frames -> unit =
       add_thread st child;
       st.forks <- st.forks + 1;
       enqueue st child;
-      emit st
-        (Ev_fork { parent = t.t_id; child = child.t_id; name });
-      continue child
-  | My_tid -> continue t
+      if tracing st then
+        emit st (Ev_fork { parent = t.t_id; child = child.t_id; name });
+      return_value t child frames
+  | My_tid -> return_value t t frames
   | New_mvar contents ->
       let m =
         {
@@ -473,123 +463,80 @@ let exec_prim : type a. state -> thread -> a prim -> a frames -> unit =
         }
       in
       st.next_mv <- st.next_mv + 1;
-      continue m
+      return_value t m frames
   | Take_mvar m -> (
       match m.mv_contents with
       | Some v ->
           m.mv_last_taker <- Some t.t_id;
-          continue (mvar_remove st m v)
+          return_value t (mvar_remove st m v) frames
+      | None when interruptible_now t -> raise_into st t frames
       | None ->
           let tk =
-            {
-              tk_thread = t;
-              tk_wake = (fun v -> Pack (Pure v, frames));
-              tk_raise = (fun e -> Pack (Throw_async e, frames));
-              tk_cancelled = false;
-            }
+            { tk_thread = t; tk_frames = frames; tk_cancelled = false }
           in
-          block_interruptibly ~on:(Ex_mvar m) ~why:W_take_mvar
-            ~cancel:(fun () -> tk.tk_cancelled <- true)
-            ();
-          (* Register only if we actually blocked. *)
-          (match t.t_state with
-          | T_blocked _ -> Queue.add tk m.mv_takers
-          | T_run _ | T_dead _ -> ()))
+          park st t frames (On_take (m, tk));
+          Queue.add tk m.mv_takers)
   | Put_mvar (m, v) -> (
       match m.mv_contents with
       | None ->
           mvar_insert st m v;
-          continue ()
+          return_unit t frames
+      | Some _ when interruptible_now t -> raise_into st t frames
       | Some _ ->
           let pt =
             {
               pt_thread = t;
               pt_value = v;
-              pt_wake = (fun () -> Pack (Pure (), frames));
-              pt_raise = (fun e -> Pack (Throw_async e, frames));
+              pt_frames = frames;
               pt_cancelled = false;
             }
           in
-          block_interruptibly ~on:(Ex_mvar m) ~why:W_put_mvar
-            ~cancel:(fun () -> pt.pt_cancelled <- true)
-            ();
-          (match t.t_state with
-          | T_blocked _ -> Queue.add pt m.mv_putters
-          | T_run _ | T_dead _ -> ()))
+          park st t frames (On_put (m, pt));
+          Queue.add pt m.mv_putters)
   | Try_take_mvar m -> (
       match m.mv_contents with
       | Some v ->
           m.mv_last_taker <- Some t.t_id;
-          continue (Some (mvar_remove st m v))
-      | None -> continue None)
+          return_value t (Some (mvar_remove st m v)) frames
+      | None -> return_value t None frames)
   | Try_put_mvar (m, v) -> (
       match m.mv_contents with
       | None ->
           mvar_insert st m v;
-          continue true
-      | Some _ -> continue false)
+          return_value t true frames
+      | Some _ -> return_value t false frames)
   | Throw_to (target, e) -> (
       match target.t_state with
-      | T_dead _ -> continue () (* trivially succeeds (§5) *)
+      | T_dead _ -> return_unit t frames (* trivially succeeds (§5) *)
       | T_run _ | T_blocked _ ->
-          emit st (Ev_throw_to { source = t.t_id; target = target.t_id; exn = e });
+          if tracing st then
+            emit st
+              (Ev_throw_to { source = t.t_id; target = target.t_id; exn = e });
           if st.config.sync_throw_to then
             if target == t then
               (* §9: the synchronous version needs a special case for a
                  thread throwing to itself: raise immediately. *)
-              raise_now e
+              t.t_state <- T_run (Throw_async e, frames)
             else begin
               (* Block first, then register, so that an immediate delivery
                  (blocked target) finds the sender already waiting. *)
-              let entry = { p_exn = e; p_on_delivered = None } in
-              emit st (Ev_blocked { tid = t.t_id; why = W_throw_to; mvar = None });
-              t.t_blocked_count <- t.t_blocked_count + 1;
-              t.t_state <-
-                T_blocked
-                  {
-                    b_why = W_throw_to;
-                    b_interrupt = (fun ex -> Pack (Throw_async ex, frames));
-                    b_cancel = (fun () -> entry.p_on_delivered <- None);
-                    b_on = None;
-                    b_fd = None;
-                  };
-              let sender = t in
-              entry.p_on_delivered <-
-                Some
-                  (fun () ->
-                    match sender.t_state with
-                    | T_blocked _ -> wake st sender (Pack (Pure (), frames))
-                    | T_run _ | T_dead _ -> ());
+              let entry = { p_exn = e; p_sender = Sender (t, frames) } in
+              park st t frames (On_throw_to entry);
               post_now st target entry
             end
           else begin
             (* §8.2: place the exception on the target's pending queue and
                return immediately. *)
-            post_now st target { p_exn = e; p_on_delivered = None };
-            continue ()
+            post_now st target { p_exn = e; p_sender = No_sender };
+            return_unit t frames
           end)
+  | Sleep d when d <= 0 -> return_unit t frames
+  | Sleep _ when interruptible_now t -> raise_into st t frames
   | Sleep d ->
-      if d <= 0 then continue ()
-      else begin
-        let entry = ref None in
-        block_interruptibly ~why:W_sleep
-          ~cancel:(fun () ->
-            match !entry with
-            | Some e -> Timer_wheel.cancel st.wheel e
-            | None -> ())
-          ();
-        match t.t_state with
-        | T_blocked _ ->
-            entry :=
-              Some
-                (Timer_wheel.add st.wheel ~deadline:(st.now + d)
-                   (Tk_sleep
-                      {
-                        tm_thread = t;
-                        tm_wake = (fun () -> Pack (Pure (), frames));
-                      }))
-        | T_run _ | T_dead _ -> ()
-      end
+      park st t frames
+        (On_sleep
+           (Timer_wheel.add st.wheel ~deadline:(st.now + d)
+              (Tk_sleep { tm_thread = t; tm_frames = frames })))
   | Arm_timer d ->
       let id = st.next_timer in
       st.next_timer <- st.next_timer + 1;
@@ -597,22 +544,17 @@ let exec_prim : type a. state -> thread -> a prim -> a frames -> unit =
         (* an expired deadline: the token is pending before the thread
            takes another interruptible step, exactly as if the wheel had
            fired at this instant *)
-        post_now st t { p_exn = Timer_signal id; p_on_delivered = None };
-        continue { th_id = id; th_cancel = (fun () -> ()) }
+        post_now st t { p_exn = Timer_signal id; p_sender = No_sender };
+        return_value t { th_id = id; th_entry = None } frames
       end
-      else begin
+      else
         let entry =
           Timer_wheel.add st.wheel ~deadline:(st.now + d)
             (Tk_alarm { al_thread = t; al_id = id })
         in
-        continue
-          {
-            th_id = id;
-            th_cancel = (fun () -> Timer_wheel.cancel st.wheel entry);
-          }
-      end
+        return_value t { th_id = id; th_entry = Some entry } frames
   | Cancel_timer h ->
-      h.th_cancel ();
+      Option.iter (Timer_wheel.cancel st.wheel) h.th_entry;
       (* purge an already-fired-but-undelivered token: cancellation means
          "this deadline may no longer be observed", even if the wheel beat
          us to the pending queue *)
@@ -623,69 +565,62 @@ let exec_prim : type a. state -> thread -> a prim -> a frames -> unit =
             | Timer_signal id -> id <> h.th_id
             | _ -> true)
           t.t_pending;
-      continue ()
+      return_unit t frames
+  | Wait_fd _ when interruptible_now t -> raise_into st t frames
   | Wait_fd (fd, dir) ->
       let w =
         {
           fw_thread = t;
-          fw_wake = (fun () -> Pack (Pure (), frames));
+          fw_frames = frames;
+          fw_fd = fd;
+          fw_dir = dir;
           fw_cancelled = false;
         }
       in
-      let why, tbl =
-        match dir with
-        | Fd_read -> (W_fd_read, st.fd_readers)
-        | Fd_write -> (W_fd_write, st.fd_writers)
+      park st t frames (On_fd w);
+      let tbl =
+        match dir with Fd_read -> st.fd_readers | Fd_write -> st.fd_writers
       in
-      block_interruptibly ~why ~fd
-        ~cancel:(fun () ->
-          if not w.fw_cancelled then begin
-            w.fw_cancelled <- true;
-            st.fd_live <- st.fd_live - 1;
-            update_interest st fd
-          end)
-        ();
-      (match t.t_state with
-      | T_blocked _ ->
-          Queue.add w (fd_queue tbl fd);
-          st.fd_live <- st.fd_live + 1;
-          update_interest st fd
-      | T_run _ | T_dead _ -> ())
-  | Yield -> continue ()
-  | Now -> continue st.now
+      Queue.add w (fd_queue tbl fd);
+      st.fd_live <- st.fd_live + 1;
+      update_interest st fd
+  | Yield -> return_unit t frames
+  | Now -> return_value t st.now frames
   | Put_char c ->
       Buffer.add_char st.output c;
-      continue ()
+      return_unit t frames
   | Put_string s ->
       Buffer.add_string st.output s;
-      continue ()
+      return_unit t frames
   | Get_char -> (
       match st.input with
       | c :: rest ->
           st.input <- rest;
-          continue c
-      | [] -> block_interruptibly ~why:W_get_char ~cancel:(fun () -> ()) ())
-  | Lift f -> continue (f ())
-  | Masked -> continue (t.t_mask <> Mask_none)
-  | Mask_state -> continue t.t_mask
-  | Steps -> continue st.steps
+          return_value t c frames
+      | [] when interruptible_now t -> raise_into st t frames
+      | [] -> park st t frames On_get_char)
+  | Lift f -> return_value t (f ()) frames
+  | Masked -> return_value t (t.t_mask <> Mask_none) frames
+  | Mask_state -> return_value t t.t_mask frames
+  | Steps -> return_value t st.steps frames
   | Status_of u ->
-      continue
+      return_value t
         (match u.t_state with
         | T_run _ -> Status_running
-        | T_blocked b -> Status_blocked b.b_why
+        | T_blocked (_, w) -> Status_blocked (wait_reason_of w)
         | T_dead _ -> Status_dead)
-  | Frame_depth -> continue t.t_frame_depth
-  | Domain_ix -> continue st.cur_dom
+        frames
+  | Frame_depth -> return_value t t.t_frame_depth frames
+  | Domain_ix -> return_value t st.cur_dom frames
 
 (* Install mask state [b], emitting the transition if it changes. *)
 let[@inline] set_mask st t b =
-  if t.t_mask <> b then
+  if t.t_mask <> b && tracing st then
     emit st (Ev_mask { tid = t.t_id; masked = b <> Mask_none });
   t.t_mask <- b
 
 let enter_mask st t new_mask body frames =
-  if t.t_mask = new_mask then set_run t (Pack (body, frames))
+  if t.t_mask = new_mask then t.t_state <- T_run (body, frames)
   else begin
     let old_mask = t.t_mask in
     set_mask st t new_mask;
@@ -696,15 +631,15 @@ let enter_mask st t new_mask body frames =
            patterns like [let rec f = block (unblock f)] run in constant
            stack space. *)
         bump_depth t (-1);
-        set_run t (Pack (body, rest))
+        t.t_state <- T_run (body, rest)
     | _ ->
         bump_depth t 1;
-        set_run t (Pack (body, F_mask (old_mask, frames)))
+        t.t_state <- T_run (body, F_mask (old_mask, frames))
   end
 
 (* Re-raise [e] into the next frame, keeping its synchrony. *)
 let[@inline] rethrow t ~async e rest =
-  set_run t (Pack ((if async then Throw_async e else Throw e), rest))
+  t.t_state <- T_run ((if async then Throw_async e else Throw e), rest)
 
 (* One unwinding step of a raised exception. [async] marks an
    asynchronously delivered one: the §9 "alerts" reading — plain [Catch]
@@ -714,7 +649,7 @@ let unwind : type a. state -> thread -> async:bool -> exn -> a frames -> unit =
   match frames with
   | F_stop sink ->
       t.t_state <- T_dead (Some e);
-      emit st (Ev_exit { tid = t.t_id; uncaught = Some e });
+      if tracing st then emit st (Ev_exit { tid = t.t_id; uncaught = Some e });
       sink (Error e)
   | F_bind (_, rest) ->
       (* rule (Propagate) *)
@@ -729,45 +664,46 @@ let unwind : type a. state -> thread -> async:bool -> exn -> a frames -> unit =
          the catch frame was pushed (§8.1) *)
       bump_depth t (-1);
       set_mask st t saved_mask;
-      set_run t (Pack (h e, rest))
+      t.t_state <- T_run (h e, rest)
   | F_mask (b, rest) ->
       (* rules (Block Throw)/(Unblock Throw) *)
       bump_depth t (-1);
       set_mask st t b;
       rethrow t ~async e rest
 
-let exec_step : state -> thread -> packed -> unit =
- fun st t (Pack (io, frames)) ->
+let exec_step : type a. state -> thread -> a io -> a frames -> unit =
+ fun st t io frames ->
   match io with
   | Pure v -> (
       match frames with
       | F_stop sink ->
           t.t_state <- T_dead None;
-          emit st (Ev_exit { tid = t.t_id; uncaught = None });
+          if tracing st then
+            emit st (Ev_exit { tid = t.t_id; uncaught = None });
           sink (Ok v)
       | F_bind (k, rest) ->
           bump_depth t (-1);
-          set_run t (Pack (k v, rest))
+          t.t_state <- T_run (k v, rest)
       | F_catch (_, _, rest) | F_catch_sync (_, _, rest) ->
           (* rule (Handle) *)
           bump_depth t (-1);
-          set_run t (Pack (Pure v, rest))
+          t.t_state <- T_run (io, rest)
       | F_mask (b, rest) ->
           (* rules (Block Return)/(Unblock Return) *)
           bump_depth t (-1);
           set_mask st t b;
-          set_run t (Pack (Pure v, rest)))
+          t.t_state <- T_run (io, rest))
   | Throw e -> unwind st t ~async:false e frames
   | Throw_async e -> unwind st t ~async:true e frames
   | Bind (m, k) ->
       bump_depth t 1;
-      set_run t (Pack (m, F_bind (k, frames)))
+      t.t_state <- T_run (m, F_bind (k, frames))
   | Catch (m, h) ->
       bump_depth t 1;
-      set_run t (Pack (m, F_catch (h, t.t_mask, frames)))
+      t.t_state <- T_run (m, F_catch (h, t.t_mask, frames))
   | Catch_sync (m, h) ->
       bump_depth t 1;
-      set_run t (Pack (m, F_catch_sync (h, t.t_mask, frames)))
+      t.t_state <- T_run (m, F_catch_sync (h, t.t_mask, frames))
   | Mask (level, m) -> enter_mask st t level m frames
   | Mask_restore f ->
       let saved = t.t_mask in
@@ -779,12 +715,16 @@ let exec_step : state -> thread -> packed -> unit =
       enter_mask st t level (f (fun m -> Mask (saved, m))) frames
   | Prim p -> exec_prim st t p frames
 
-(* One counted scheduler step: the global and per-thread step counters,
-   then the step itself. *)
-let[@inline] counted_step st t packed =
+(* One step behind the §8.1 delivery check: a deliverable pending
+   exception is raised into [frames] in place of the step. *)
+let[@inline] checked_step st t io frames =
+  if deliverable t then unwind st t ~async:true (deliver_pending st t) frames
+  else exec_step st t io frames
+
+(* Bump the global and per-thread step counters. *)
+let[@inline] count_step st t =
   st.steps <- st.steps + 1;
-  t.t_steps <- t.t_steps + 1;
-  exec_step st t packed
+  t.t_steps <- t.t_steps + 1
 
 (* The fault-injection hook: consulted once per scheduler step (before the
    step executes) with the global step index and the thread about to run.
@@ -805,7 +745,7 @@ let apply_injection st t =
               | T_dead _ -> ()
               | T_run _ | T_blocked _ ->
                   st.injections <- st.injections + 1;
-                  post_now st target { p_exn = e; p_on_delivered = None })))
+                  post_now st target { p_exn = e; p_sender = No_sender })))
 
 (* Stamp the step journal with the thread about to run. *)
 let[@inline] note_step st t =
@@ -818,10 +758,11 @@ let[@inline] note_step st t =
 let run_slice st t =
   match t.t_state with
   | T_blocked _ | T_dead _ -> () (* stale queue entry *)
-  | T_run packed ->
+  | T_run (io, frames) ->
       note_step st t;
       apply_injection st t;
-      counted_step st t (take_pending st t packed);
+      count_step st t;
+      checked_step st t io frames;
       (match t.t_state with
       | T_run _ -> enqueue st t
       | T_blocked _ | T_dead _ -> ())
@@ -838,13 +779,13 @@ let pick_nonempty st =
 (* One fired wheel entry: a sleeper wakes normally; an armed alarm posts
    its token to the arming thread (rule (Interrupt) if it is blocked). *)
 let fire_timer st = function
-  | Tk_sleep { tm_thread; tm_wake } -> wake st tm_thread (tm_wake ())
+  | Tk_sleep { tm_thread; tm_frames } -> wake st tm_thread (Pure ()) tm_frames
   | Tk_alarm { al_thread; al_id } -> (
       match al_thread.t_state with
       | T_dead _ -> ()
       | T_run _ | T_blocked _ ->
           post_now st al_thread
-            { p_exn = Timer_signal al_id; p_on_delivered = None })
+            { p_exn = Timer_signal al_id; p_sender = No_sender })
 
 (* Advance the virtual clock to the earliest live deadline and wake every
    timer due at that instant. Returns false if no timer is pending. The
@@ -855,7 +796,7 @@ let advance_clock st =
   | None -> false
   | Some earliest ->
       st.now <- max st.now earliest;
-      emit st (Ev_clock { now = st.now });
+      if tracing st then emit st (Ev_clock { now = st.now });
       let fired = Timer_wheel.advance st.wheel ~now:st.now in
       List.iter (fire_timer st) fired;
       true
@@ -872,7 +813,7 @@ let wake_fd_waiters st tbl fd =
         if not w.fw_cancelled then begin
           st.fd_live <- st.fd_live - 1;
           woke := true;
-          wake st w.fw_thread (w.fw_wake ())
+          wake st w.fw_thread (Pure ()) w.fw_frames
         end
       done;
       if !woke then update_interest st fd
@@ -898,7 +839,7 @@ let poll_event_source st es ~blocking =
   match Timer_wheel.advance st.wheel ~now:st.now with
   | [] -> ()
   | fired ->
-      emit st (Ev_clock { now = st.now });
+      if tracing st then emit st (Ev_clock { now = st.now });
       List.iter (fire_timer st) fired
 
 (* --- state construction, shared by all three engines --------------------- *)
@@ -956,12 +897,11 @@ let make_main st main_io result =
       t_pending = [];
       t_state =
         T_run
-          (Pack
-             ( main_io,
-               F_stop
-                 (fun r ->
-                   result := Some r;
-                   st.finished <- true) ));
+          ( main_io,
+            F_stop
+              (fun r ->
+                result := Some r;
+                st.finished <- true) );
       t_frame_depth = 1;
       t_max_frame_depth = 1;
       t_steps = 0;
@@ -1054,23 +994,23 @@ let finish st ~outcome ?(domain_stats = []) ?replay_log
         (fun t acc ->
           match t.t_state with
           | T_run _ | T_dead _ -> acc
-          | T_blocked b ->
-              let mvar, full, last =
-                match b.b_on with
-                | None -> (None, None, None)
-                | Some (Ex_mvar m) ->
-                    ( Some m.mv_id,
-                      Some (m.mv_contents <> None),
-                      m.mv_last_taker )
+          | T_blocked (_, w) ->
+              let box m = (Some (m.mv_contents <> None), m.mv_last_taker) in
+              let full, last =
+                match w with
+                | On_take (m, _) -> box m
+                | On_put (m, _) -> box m
+                | On_sleep _ | On_fd _ | On_throw_to _ | On_get_char ->
+                    (None, None)
               in
               {
                 bt_tid = t.t_id;
                 bt_name = t.t_name;
-                bt_why = b.b_why;
-                bt_mvar = mvar;
+                bt_why = wait_reason_of w;
+                bt_mvar = wait_mvar_id w;
                 bt_mvar_full = full;
                 bt_last_taker = last;
-                bt_fd = b.b_fd;
+                bt_fd = (match w with On_fd fw -> Some fw.fw_fd | _ -> None);
               }
               :: acc)
         [];
@@ -1098,7 +1038,8 @@ let run_single config main_io =
    reads or writes shared scheduler state and must run under the lock,
    in a globally sequenced order. [Yield] is local but ends the segment
    (the scheduler switches threads). *)
-let step_is_local (Pack (io, frames)) =
+let step_is_local : type a. a io -> a frames -> bool =
+ fun io frames ->
   match io with
   | Pure _ | Throw _ | Throw_async _ -> (
       match frames with
@@ -1215,14 +1156,13 @@ let requeue d t =
    check authoritatively, execute the one shared-state step (or the
    delivery that preempts it), and record the segment. Returns whether
    the thread is still runnable. *)
-let boundary st m d t packed seg =
+let boundary st m d t io frames seg =
   lock_shared st m d;
   let deliver = deliverable t in
-  let packed = take_pending st t packed in
   d.d_steps <- d.d_steps + 1;
   t.t_steps <- t.t_steps + 1;
   flush_steps st d;
-  (try exec_step st t packed
+  (try checked_step st t io frames
    with e ->
      Mutex.unlock m.m_gl;
      raise e);
@@ -1270,9 +1210,9 @@ let run_thread st m d t =
     if Atomic.get d.d_poke then Atomic.set d.d_poke false;
     match t.t_state with
     | T_blocked _ | T_dead _ -> running := false
-    | T_run packed ->
-        if deliverable t || not (step_is_local packed) then begin
-          let still = boundary st m d t packed !seg in
+    | T_run (io, frames) ->
+        if deliverable t || not (step_is_local io frames) then begin
+          let still = boundary st m d t io frames !seg in
           seg := 0;
           incr total;
           if (not still) || Atomic.get m.m_stop then running := false
@@ -1283,10 +1223,8 @@ let run_thread st m d t =
           t.t_steps <- t.t_steps + 1;
           incr seg;
           incr total;
-          let yielded =
-            match packed with Pack (Prim Yield, _) -> true | _ -> false
-          in
-          exec_step st t packed;
+          let yielded = match io with Prim Yield -> true | _ -> false in
+          exec_step st t io frames;
           if yielded || !total >= quantum then hand_back ()
           else if d.d_steps - d.d_flushed >= local_flush then begin
             (* A long purely-local stretch: fold the step count into the
@@ -1525,7 +1463,7 @@ let run_replay config log main_io =
               let last = !j = k in
               match t.t_state with
               | T_blocked _ | T_dead _ -> diverged := true
-              | T_run packed ->
+              | T_run (io, frames) ->
                   note_step st t;
                   let before = st.injections in
                   apply_injection st t;
@@ -1534,12 +1472,15 @@ let run_replay config log main_io =
                        step with full single-domain semantics (delivery
                        check included) and hand over to the free
                        scheduler. *)
-                    counted_step st t (take_pending st t packed);
+                    count_step st t;
+                    checked_step st t io frames;
                     diverged := true
                   end
                   else if last && r.Rlog.r_kind = Rlog.K_deliver then
-                    if deliverable t then
-                      counted_step st t (take_pending st t packed)
+                    if deliverable t then begin
+                      count_step st t;
+                      checked_step st t io frames
+                    end
                     else diverged := true
                   else begin
                     (* A recorded plain step: local everywhere except the
@@ -1548,8 +1489,12 @@ let run_replay config log main_io =
                        live domains notice cross-domain posts with the
                        same bounded lag. *)
                     let sequenced = last && r.Rlog.r_kind = Rlog.K_op in
-                    if step_is_local packed = sequenced then diverged := true
-                    else counted_step st t packed
+                    if step_is_local io frames = sequenced then
+                      diverged := true
+                    else begin
+                      count_step st t;
+                      exec_step st t io frames
+                    end
                   end
             done)
   done;
@@ -1588,13 +1533,6 @@ let run ?(config = Config.default) main_io =
   | None ->
       if config.Config.domains > 1 then run_multi config main_io
       else run_single config main_io
-
-let run_value ?config io =
-  match (run ?config io).outcome with
-  | Value v -> v
-  | Uncaught e -> raise e
-  | Deadlock -> failwith "hio: deadlock"
-  | Out_of_steps -> failwith "hio: out of steps"
 
 let pp_outcome pp_value ppf = function
   | Value v -> Fmt.pf ppf "Value %a" pp_value v

@@ -216,22 +216,12 @@ type 'a result = {
           scheduler *)
 }
 
-val pp_thread_stat : Format.formatter -> thread_stat -> unit
-
-val pp_blocked_thread : Format.formatter -> blocked_thread -> unit
-(** One wait-graph node: [t2 (worker) blocked on takeMVar m3 [empty, last
-    held by t1]]. *)
-
 val pp_wait_graph : Format.formatter -> blocked_thread list -> unit
-(** The whole graph, one node per line, each MVar edge annotated with the
-    co-waiters queued on the same box. *)
+(** The deadlock watchdog's wait graph, one node per line — [t2 (worker)
+    blocked on takeMVar m3 [empty, last held by t1]] — each MVar edge
+    annotated with the co-waiters queued on the same box. *)
 
 val run : ?config:Config.t -> 'a Io.t -> 'a result
-
-val run_value : ?config:Config.t -> 'a Io.t -> 'a
-(** Convenience for tests: {!run} and require a {!Value} outcome.
-    @raise Failure describing the outcome otherwise (an [Uncaught e]
-    re-raises [e]). *)
 
 val pp_outcome :
   (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a outcome -> unit

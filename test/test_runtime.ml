@@ -287,6 +287,48 @@ let io_tests =
         done);
   ]
 
+(* Minor words allocated per scheduler step by five 200k-iteration loops
+   on one domain under round-robin. The bounds sit a little above what
+   the flat thread state costs (one 3-word [T_run] per step, plus what
+   the program allocates itself: its [Bind] nodes, closures and resumed
+   values), so a per-step box or a per-prim closure coming back fails. *)
+let words_per_step io =
+  let before = Gc.minor_words () in
+  let r = Runtime.run ~config:(rr_config ()) io in
+  let words = Gc.minor_words () -. before in
+  (match r.Runtime.outcome with
+  | Runtime.Value () -> ()
+  | _ -> Alcotest.fail "loop did not finish");
+  words /. float_of_int r.Runtime.steps
+
+let loop_iterations = 200_000
+
+let ping_pong n =
+  Mvar.new_empty >>= fun ping ->
+  Mvar.new_empty >>= fun pong ->
+  fork (Combinators.repeat n (Mvar.take ping >>= fun () -> Mvar.put pong ()))
+  >>= fun _ ->
+  Combinators.repeat n (Mvar.put ping () >>= fun () -> Mvar.take pong)
+
+let alloc_tests =
+  List.map
+    (fun (name, bound, io) ->
+      case (Printf.sprintf "%s loop: <= %.2f words per step" name bound)
+        (fun () ->
+          let w = words_per_step io in
+          if w > bound then
+            Alcotest.failf "%s: %.2f words per step, bound %.2f" name w bound))
+    [
+      ("bind", 9.5, Combinators.repeat loop_iterations (return ()));
+      ("yield", 7.5, Combinators.repeat loop_iterations yield);
+      ("block", 7.25, Combinators.repeat loop_iterations (block (return ())));
+      ( "catch",
+        7.5,
+        Combinators.repeat loop_iterations
+          (catch (return ()) (fun _ -> return ())) );
+      ("MVar ping-pong", 9., ping_pong loop_iterations);
+    ]
+
 let suites =
   [
     ("runtime:monad", monad_tests);
@@ -295,4 +337,5 @@ let suites =
     ("runtime:mvar", mvar_tests);
     ("runtime:time", time_tests);
     ("runtime:io", io_tests);
+    ("runtime:alloc", alloc_tests);
   ]
