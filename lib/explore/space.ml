@@ -57,24 +57,36 @@ let classify config (st : State.t) =
     | None ->
         if List.mem Step.Diverging stalls then Divergent else Deadlock
 
+(* A growable array, for the search's tables indexed by state id. *)
+type 'a vec = { mutable data : 'a array; mutable len : int }
+
+let vec () = { data = [||]; len = 0 }
+
+let push v x =
+  if v.len = Array.length v.data then begin
+    let data = Array.make (max 64 (2 * v.len)) x in
+    Array.blit v.data 0 data 0 v.len;
+    v.data <- data
+  end;
+  v.data.(v.len) <- x;
+  v.len <- v.len + 1
+
 let explore ?(config = Step.default_config) ?(max_states = 200_000)
     ?(jobs = 1) ?watch init =
   let visited : (string, int) Hashtbl.t = Hashtbl.create 1024 in
-  let adjacency : (int, int list) Hashtbl.t = Hashtbl.create 1024 in
-  let next_id = ref 0 in
-  (* parent edges for witness-path reconstruction *)
-  let parent : (string, string * Step.transition) Hashtbl.t =
-    Hashtbl.create 1024
-  in
+  (* For witness paths: state [id > 0] was first reached from state
+     [parent.(id)] by transition [via.(id - 1)]. *)
+  let parent = vec () and via = vec () in
+  (* The graph, for cycle detection: state [id]'s successors are
+     [succ.(first.(id))] to [succ.(first.(id + 1) - 1)]. *)
+  let first = vec () and succ = vec () in
   let terminals = ref [] and watch_hits = ref [] in
   let edges = ref 0 and truncated = ref false in
-  let path_to key =
-    let rec go key acc =
-      match Hashtbl.find_opt parent key with
-      | Some (parent_key, t) -> go parent_key (t :: acc)
-      | None -> acc
+  let path_to id =
+    let rec go id acc =
+      if id = 0 then acc else go parent.data.(id) (via.data.(id - 1) :: acc)
     in
-    go key []
+    go id []
   in
   (* The BFS is level-synchronous: each round snapshots the frontier (the
      FIFO queue's contents, in discovery order), expands every state —
@@ -82,18 +94,18 @@ let explore ?(config = Step.default_config) ?(max_states = 200_000)
      expensive part — and then merges sequentially {e in frontier order},
      doing exactly the Hashtbl reads/writes the plain FIFO loop would do.
      New states are appended in the same order a queue would append them,
-     so visited ids, parent edges, adjacency, terminal order, watch hits
+     so visited ids, parent edges, the graph, terminal order, watch hits
      and truncation are all byte-identical to the sequential search.
-     With [jobs > 1] the expansion step is farmed to a domain pool;
-     nothing else changes, so the result cannot depend on [jobs]. *)
+     Ids are handed out in frontier order, so states are expanded in id
+     order. With [jobs > 1] the expansion step is farmed to a domain
+     pool; nothing else changes, so the result cannot depend on [jobs]. *)
   let pool = if jobs > 1 then Some (Par.Pool.create jobs) else None in
   Fun.protect ~finally:(fun () -> Option.iter Par.Pool.shutdown pool)
   @@ fun () ->
-  let init_key = State.canonical_key init in
-  Hashtbl.add visited init_key !next_id;
-  incr next_id;
-  let frontier = ref [ (init, init_key) ] in
-  let expand (state, _key) =
+  Hashtbl.add visited (State.canonical_key init) 0;
+  push parent (-1);
+  let frontier = ref [ (init, 0) ] in
+  let expand (state, _id) =
     List.map
       (fun (t : Step.transition) -> (t, State.canonical_key t.Step.next))
       (Step.enumerate ~config state)
@@ -108,76 +120,68 @@ let explore ?(config = Step.default_config) ?(max_states = 200_000)
     in
     let additions = ref [] in
     Array.iteri
-      (fun i (state, key) ->
+      (fun i (state, id) ->
         (match watch with
         | Some pred when pred state ->
             watch_hits :=
-              { state; kind = classify config state; path = path_to key }
+              { state; kind = classify config state; path = path_to id }
               :: !watch_hits
         | Some _ | None -> ());
-        let my_id = Hashtbl.find visited key in
+        push first succ.len;
         match expansions.(i) with
         | [] ->
             terminals :=
-              { state; kind = classify config state; path = path_to key }
+              { state; kind = classify config state; path = path_to id }
               :: !terminals
         | transitions ->
-            let successors = ref [] in
             List.iter
               (fun ((t : Step.transition), next_key) ->
                 incr edges;
                 match Hashtbl.find_opt visited next_key with
-                | Some id -> successors := id :: !successors
+                | Some next -> push succ next
                 | None ->
-                    if Hashtbl.length visited >= max_states then
-                      truncated := true
+                    if parent.len >= max_states then truncated := true
                     else begin
-                      Hashtbl.add visited next_key !next_id;
-                      successors := !next_id :: !successors;
-                      incr next_id;
-                      Hashtbl.add parent next_key (key, t);
-                      additions := (t.Step.next, next_key) :: !additions
+                      let next = parent.len in
+                      Hashtbl.add visited next_key next;
+                      push succ next;
+                      push parent id;
+                      push via t;
+                      additions := (t.Step.next, next) :: !additions
                     end)
-              transitions;
-            Hashtbl.replace adjacency my_id !successors)
+              transitions)
       batch;
     frontier := List.rev !additions
   done;
-  (* Cycle detection: iterative three-colour DFS over the collected graph.
-     A back edge means some execution never terminates. *)
+  push first succ.len;
+  (* Cycle detection: three-colour DFS over the collected graph, from the
+     initial state. A back edge means some execution never terminates.
+     [cursor.(id)] is the next of [id]'s successors to follow. *)
   let has_cycle =
-    let colour : (int, [ `Grey | `Black ]) Hashtbl.t =
-      Hashtbl.create (Hashtbl.length adjacency)
-    in
+    let n = parent.len in
+    let colour = Bytes.make n 'w' and cursor = Array.sub first.data 0 n in
+    let stack = Array.make n 0 and top = ref 0 in
     let found = ref false in
-    let rec visit stack =
-      match stack with
-      | [] -> ()
-      | `Enter node :: rest -> (
-          match Hashtbl.find_opt colour node with
-          | Some _ -> visit rest
-          | None ->
-              Hashtbl.add colour node `Grey;
-              let succs =
-                Option.value (Hashtbl.find_opt adjacency node) ~default:[]
-              in
-              let pushes =
-                List.filter_map
-                  (fun s ->
-                    match Hashtbl.find_opt colour s with
-                    | Some `Grey ->
-                        found := true;
-                        None
-                    | Some `Black -> None
-                    | None -> Some (`Enter s))
-                  succs
-              in
-              visit (pushes @ (`Exit node :: rest)))
-      | `Exit node :: rest ->
-          Hashtbl.replace colour node `Black;
-          visit rest
-    in
-    visit [ `Enter 0 ];
+    Bytes.set colour 0 'g';
+    while !top >= 0 && not !found do
+      let id = stack.(!top) in
+      let i = cursor.(id) in
+      if i = first.data.(id + 1) then begin
+        Bytes.set colour id 'b';
+        decr top
+      end
+      else begin
+        cursor.(id) <- i + 1;
+        let next = succ.data.(i) in
+        match Bytes.get colour next with
+        | 'g' -> found := true
+        | 'w' ->
+            Bytes.set colour next 'g';
+            incr top;
+            stack.(!top) <- next
+        | _ -> ()
+      end
+    done;
     !found
   in
   {
@@ -199,12 +203,3 @@ let pp_terminal_kind ppf = function
   | Deadlock -> Fmt.string ppf "deadlock"
   | Divergent -> Fmt.string ppf "divergent"
   | Wedged m -> Fmt.pf ppf "wedged(%s)" m
-
-let pp_summary ppf result =
-  Fmt.pf ppf "@[<v>states=%d edges=%d%s%s@,terminals: %a@]" result.visited
-    result.edges
-    (if result.truncated then " (truncated)" else "")
-    (if result.has_cycle then " (has cycles: infinite executions exist)"
-     else "")
-    Fmt.(list ~sep:comma pp_terminal_kind)
-    (terminal_kinds result)

@@ -59,4 +59,3 @@ val terminal_kinds : result -> terminal_kind list
 (** The distinct terminal kinds, deduplicated, for concise assertions. *)
 
 val pp_terminal_kind : Format.formatter -> terminal_kind -> unit
-val pp_summary : Format.formatter -> result -> unit

@@ -33,6 +33,3 @@ val parse : string -> Term.term
 (** Parse a complete program.
     @raise Parse_error on syntax errors,
     @raise Lexer.Lex_error on lexical errors. *)
-
-val is_builtin : string -> bool
-(** Whether the identifier is one of the reserved primitive names. *)

@@ -7,4 +7,3 @@ val term_to_string : Term.term -> string
 val prim_op_symbol : Term.prim_op -> string
 (** The operator as written in source, e.g. ["/="]. *)
 
-val pp_prim_op : Format.formatter -> Term.prim_op -> unit

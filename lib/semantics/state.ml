@@ -36,11 +36,17 @@ let main_result st =
   | Some (Finished f) -> Some f
   | Some (Active _) | None -> None
 
+(* Writes [cs], most recent first, into [b] ending at index [i]. *)
+let rec fill_reversed b i = function
+  | [] -> ()
+  | c :: cs ->
+      Bytes.unsafe_set b i c;
+      fill_reversed b (i - 1) cs
+
 let output_string st =
   let n = List.length st.output in
   let b = Bytes.create n in
-  (* [output] holds the most recent character first *)
-  List.iteri (fun i c -> Bytes.unsafe_set b (n - 1 - i) c) st.output;
+  fill_reversed b (n - 1) st.output;
   Bytes.unsafe_to_string b
 
 let thread st tid = List.assoc_opt tid st.threads
@@ -61,199 +67,355 @@ let set_mvar st m v =
 
 (* --- Canonical keys (structural congruence + α-equivalence) ------------- *)
 
+(* The key is rendered into scratch state that lives as long as its
+   domain, so a call allocates the key string and nothing else: the
+   buffer, the binder stack and the renumbering slots are reset, not
+   rebuilt, and each [Par.Pool] worker has its own copy. *)
+
+(* Runtime names numbered by first sight: names below the state's fresh
+   counter in [slots], any others (hand-built states) in [others]. *)
+type renumbering = {
+  mutable slots : int array;
+  mutable size : int;
+  mutable others : (int * int) list;
+  mutable next : int;
+}
+
+(* A binder no variable can name (it is compared physically): the later
+   copies of a name that one [Alt] binds twice, so the first one wins. *)
+let shadowed = String.make 1 '_'
+
+type ctx = {
+  buf : Buffer.t;
+  mutable names : string array;  (** the binder at each de-Bruijn level *)
+  tids : renumbering;
+  mvars : renumbering;
+  mutable min_t : int;
+  mutable min_e : string;
+  mutable min_n : int;
+      (** how often the in-flight pair [(min_t, min_e)] that {!select}
+          found occurs *)
+}
+
+let renumbering () = { slots = [||]; size = 0; others = []; next = 0 }
+
+let ctx_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        buf = Buffer.create 512;
+        names = Array.make 64 shadowed;
+        tids = renumbering ();
+        mvars = renumbering ();
+        min_t = 0;
+        min_e = "";
+        min_n = 0;
+      })
+
+let reset r size =
+  let size = max 0 size in
+  if Array.length r.slots < size then
+    r.slots <- Array.make (max size (2 * Array.length r.slots)) (-1)
+  else Array.fill r.slots 0 size (-1);
+  r.size <- size;
+  r.others <- [];
+  r.next <- 0
+
 let rec find_name (n : int) = function
   | [] -> -1
   | (m, k) :: rest -> if m = n then k else find_name n rest
 
-(* Numbers runtime names by first sight: names below the state's fresh
-   counter in an array, any others (hand-built states) in an assoc list. *)
-let renamer size =
-  let slots = Array.make (max 0 size) (-1) and others = ref [] in
-  let next = ref 0 in
-  fun (n : int) ->
-    let in_range = n >= 0 && n < size in
-    let k = if in_range then slots.(n) else find_name n !others in
-    if k >= 0 then k
-    else begin
-      let k = !next in
-      incr next;
-      if in_range then slots.(n) <- k else others := (n, k) :: !others;
-      k
-    end
+let rename r (n : int) =
+  let in_range = n >= 0 && n < r.size in
+  let k = if in_range then r.slots.(n) else find_name n r.others in
+  if k >= 0 then k
+  else begin
+    let k = r.next in
+    r.next <- k + 1;
+    if in_range then r.slots.(n) <- k else r.others <- (n, k) :: r.others;
+    k
+  end
 
-(* The de-Bruijn level of a bound variable, or -1 if it is free. *)
-let rec level x = function
-  | [] -> -1
-  | (y, i) :: env -> if String.equal x y then i else level x env
+let add c s = Buffer.add_string c.buf s
+let addc c ch = Buffer.add_char c.buf ch
 
-(* Binds [xs] at levels [depth], [depth + 1], ...; the first of several
-   equal binders shadows the rest. *)
-let rec bind_all xs depth env =
-  match xs with
-  | [] -> env
-  | x :: xs -> (x, depth) :: bind_all xs (depth + 1) env
+let rec add_nat c n =
+  if n >= 10 then add_nat c (n / 10);
+  addc c (Char.unsafe_chr (48 + (n mod 10)))
 
-let rec add_nat buf n =
-  if n >= 10 then add_nat buf (n / 10);
-  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+let add_int c n =
+  if n >= 0 then add_nat c n
+  else if n = min_int then add c (string_of_int n)
+  else begin
+    addc c '-';
+    add_nat c (-n)
+  end
 
-let add_int buf n =
-  if n >= 0 then add_nat buf n else Buffer.add_string buf (string_of_int n)
+(* The bytes of [Char.escaped]. *)
+let add_escaped c = function
+  | '\'' -> add c "\\'"
+  | '\\' -> add c "\\\\"
+  | '\n' -> add c "\\n"
+  | '\t' -> add c "\\t"
+  | '\r' -> add c "\\r"
+  | '\b' -> add c "\\b"
+  | ' ' .. '~' as ch -> addc c ch
+  | ch ->
+      let n = Char.code ch in
+      addc c '\\';
+      addc c (Char.unsafe_chr (48 + (n / 100)));
+      addc c (Char.unsafe_chr (48 + (n / 10 mod 10)));
+      addc c (Char.unsafe_chr (48 + (n mod 10)))
+
+let bind c depth x =
+  let n = Array.length c.names in
+  if depth >= n then begin
+    let names = Array.make (2 * (depth + 1)) shadowed in
+    Array.blit c.names 0 names 0 n;
+    c.names <- names
+  end;
+  c.names.(depth) <- x
+
+(* The de-Bruijn level of a bound variable, searching the innermost
+   binder first, or -1 if it is free. *)
+let rec level c x i =
+  if i < 0 then -1
+  else
+    let y = c.names.(i) in
+    if y != shadowed && String.equal x y then i else level c x (i - 1)
+
+(* Binds an [Alt]'s names at levels [depth], [depth + 1], ...; [base] is
+   its first level. *)
+let rec bind_alt c base depth = function
+  | [] -> ()
+  | x :: xs ->
+      bind c depth (if level c x (depth - 1) >= base then shadowed else x);
+      bind_alt c base (depth + 1) xs
 
 (* One pass: names are numbered as the key first mentions them, and bound
-   variables are printed as de-Bruijn levels, so the key is α-insensitive.
-   Most keys of the §7 searches fit the initial 512 bytes. *)
-let canonical_key st =
-  let buf = Buffer.create 512 in
-  let add = Buffer.add_string buf and addc = Buffer.add_char buf in
-  let add_int = add_int buf in
-  let tid = renamer st.next_tid and mvar = renamer st.next_mvar in
-  let rec go env depth = function
-    | Var x ->
-        let i = level x env in
-        if i >= 0 then (addc 'b'; add_int i) else (add "v:"; add x)
-    | Lam (x, a) ->
-        add "(\\";
-        add_int depth;
-        addc '.';
-        go ((x, depth) :: env) (depth + 1) a;
-        addc ')'
-    | App (a, b) -> binary "@" a b env depth
-    | Con (c, ms) ->
-        add "(C:";
-        add c;
-        args env depth ms
-    | Lit_int i -> add_int i
-    | Lit_char c ->
-        addc '\'';
-        (match c with
-        | ' ' .. '~' when c <> '\'' && c <> '\\' -> addc c
-        | _ -> add (Char.escaped c));
-        addc '\''
-    | Lit_exn e -> addc '#'; add e
-    | Mvar m -> addc 'm'; add_int (mvar m)
-    | Tid t -> addc 't'; add_int (tid t)
-    | Prim (op, a, b) -> binary (Pretty.prim_op_symbol op) a b env depth
-    | If (a, b, c) ->
-        add "(if ";
-        go env depth a;
-        addc ' ';
-        binary_args b c env depth
-    | Case (s, alts) ->
-        add "(case ";
-        go env depth s;
-        List.iter
-          (function
-            | Alt (c, xs, b) ->
-                let n = List.length xs in
-                add " [";
-                add c;
-                addc '/';
-                add_int n;
-                addc ' ';
-                go (bind_all xs depth env) (depth + n) b;
-                addc ']'
-            | Default (x, b) ->
-                add " [_";
-                add_int depth;
-                addc ' ';
-                go ((x, depth) :: env) (depth + 1) b;
-                addc ']')
-          alts;
-        addc ')'
-    | Let (x, a, b) ->
-        add "(let";
-        add_int depth;
-        addc ' ';
-        go env depth a;
-        addc ' ';
-        go ((x, depth) :: env) (depth + 1) b;
-        addc ')'
-    | Fix a -> unary "fix" a env depth
-    | Raise a -> unary "raise" a env depth
-    | Return a -> unary "ret" a env depth
-    | Bind (a, b) -> binary ">>=" a b env depth
-    | Put_char a -> unary "putc" a env depth
-    | Get_char -> add "getc"
-    | New_mvar -> add "newmv"
-    | Take_mvar a -> unary "take" a env depth
-    | Put_mvar (a, b) -> binary "put" a b env depth
-    | Sleep a -> unary "sleep" a env depth
-    | Throw a -> unary "throw" a env depth
-    | Catch (a, b) -> binary "catch" a b env depth
-    | Throw_to (a, b) -> binary "thto" a b env depth
-    | Block a -> unary "blk" a env depth
-    | Unblock a -> unary "ublk" a env depth
-    | Fork a -> unary "fork" a env depth
-    | My_tid -> add "mytid"
-  and args env depth = function
-    | [] -> addc ')'
-    | m :: ms ->
-        addc ' ';
-        go env depth m;
-        args env depth ms
-  and unary tag a env depth =
-    addc '(';
-    add tag;
-    addc ' ';
-    go env depth a;
-    addc ')'
-  and binary tag a b env depth =
-    addc '(';
-    add tag;
-    addc ' ';
-    binary_args a b env depth
-  and binary_args a b env depth =
-    go env depth a;
-    addc ' ';
-    go env depth b;
-    addc ')'
-  in
-  let render tag m = add tag; go [] 0 m in
-  List.iter
-    (fun (t, th) ->
-      addc 'T';
-      add_int (tid t);
+   variables are printed as de-Bruijn levels, so the key is α-insensitive. *)
+let rec go c depth = function
+  | Var x ->
+      let i = level c x (depth - 1) in
+      if i >= 0 then begin
+        addc c 'b';
+        add_int c i
+      end
+      else begin
+        add c "v:";
+        add c x
+      end
+  | Lam (x, a) ->
+      add c "(\\";
+      add_int c depth;
+      addc c '.';
+      bind c depth x;
+      go c (depth + 1) a;
+      addc c ')'
+  | App (a, b) -> binary c "@" a b depth
+  | Con (con, ms) ->
+      add c "(C:";
+      add c con;
+      args c depth ms
+  | Lit_int i -> add_int c i
+  | Lit_char ch ->
+      addc c '\'';
+      add_escaped c ch;
+      addc c '\''
+  | Lit_exn e ->
+      addc c '#';
+      add c e
+  | Mvar m ->
+      addc c 'm';
+      add_int c (rename c.mvars m)
+  | Tid t ->
+      addc c 't';
+      add_int c (rename c.tids t)
+  | Prim (op, a, b) -> binary c (Pretty.prim_op_symbol op) a b depth
+  | If (a, b, e) ->
+      add c "(if ";
+      go c depth a;
+      addc c ' ';
+      binary_args c b e depth
+  | Case (s, alts) ->
+      add c "(case ";
+      go c depth s;
+      add_alts c depth alts;
+      addc c ')'
+  | Let (x, a, b) ->
+      add c "(let";
+      add_int c depth;
+      addc c ' ';
+      go c depth a;
+      addc c ' ';
+      bind c depth x;
+      go c (depth + 1) b;
+      addc c ')'
+  | Fix a -> unary c "fix" a depth
+  | Raise a -> unary c "raise" a depth
+  | Return a -> unary c "ret" a depth
+  | Bind (a, b) -> binary c ">>=" a b depth
+  | Put_char a -> unary c "putc" a depth
+  | Get_char -> add c "getc"
+  | New_mvar -> add c "newmv"
+  | Take_mvar a -> unary c "take" a depth
+  | Put_mvar (a, b) -> binary c "put" a b depth
+  | Sleep a -> unary c "sleep" a depth
+  | Throw a -> unary c "throw" a depth
+  | Catch (a, b) -> binary c "catch" a b depth
+  | Throw_to (a, b) -> binary c "thto" a b depth
+  | Block a -> unary c "blk" a depth
+  | Unblock a -> unary c "ublk" a depth
+  | Fork a -> unary c "fork" a depth
+  | My_tid -> add c "mytid"
+
+and add_alts c depth = function
+  | [] -> ()
+  | Alt (con, xs, b) :: rest ->
+      let n = List.length xs in
+      add c " [";
+      add c con;
+      addc c '/';
+      add_int c n;
+      addc c ' ';
+      bind_alt c depth depth xs;
+      go c (depth + n) b;
+      addc c ']';
+      add_alts c depth rest
+  | Default (x, b) :: rest ->
+      add c " [_";
+      add_int c depth;
+      addc c ' ';
+      bind c depth x;
+      go c (depth + 1) b;
+      addc c ']';
+      add_alts c depth rest
+
+and args c depth = function
+  | [] -> addc c ')'
+  | m :: ms ->
+      addc c ' ';
+      go c depth m;
+      args c depth ms
+
+and unary c tag a depth =
+  addc c '(';
+  add c tag;
+  addc c ' ';
+  go c depth a;
+  addc c ')'
+
+and binary c tag a b depth =
+  addc c '(';
+  add c tag;
+  addc c ' ';
+  binary_args c a b depth
+
+and binary_args c a b depth =
+  go c depth a;
+  addc c ' ';
+  go c depth b;
+  addc c ')'
+
+let rec add_threads c = function
+  | [] -> ()
+  | (t, th) :: rest ->
+      addc c 'T';
+      add_int c (rename c.tids t);
       (match th with
-      | Active (m, Runnable) -> render "o:" m
-      | Active (m, Stuck_thread) -> render "x:" m
-      | Finished (Done m) -> render "d:" m
-      | Finished (Threw e) -> add "e:"; add e);
-      addc ';')
-    st.threads;
-  List.iter
-    (fun (m, contents) ->
-      addc 'M';
-      add_int (mvar m);
-      (match contents with None -> add "()" | Some v -> render ":" v);
-      addc ';')
-    st.mvars;
-  (* In-flight exceptions whose target has finished are inert; drop them and
-     sort the rest so delivery bookkeeping does not distinguish states. *)
-  let live =
-    List.filter_map
-      (fun (_, i) ->
-        match List.assoc_opt i.target st.threads with
-        | Some (Active _) -> Some (tid i.target, i.exn)
-        | Some (Finished _) | None -> None)
-      st.inflight
-  in
-  let by_target (t, e) (t', e') =
-    if t = t' then String.compare e e' else Int.compare t t'
-  in
-  List.iter
-    (fun (t, e) ->
-      addc 'F';
-      add_int t;
-      add "<=";
-      add e;
-      addc ';')
-    (List.sort by_target live);
-  add "I:";
-  List.iter addc st.input;
-  add ";O:";
-  add (output_string st);
-  Buffer.contents buf
+      | Active (m, Runnable) ->
+          add c "o:";
+          go c 0 m
+      | Active (m, Stuck_thread) ->
+          add c "x:";
+          go c 0 m
+      | Finished (Done m) ->
+          add c "d:";
+          go c 0 m
+      | Finished (Threw e) ->
+          add c "e:";
+          add c e);
+      addc c ';';
+      add_threads c rest
+
+let rec add_mvars c = function
+  | [] -> ()
+  | (m, contents) :: rest ->
+      addc c 'M';
+      add_int c (rename c.mvars m);
+      (match contents with
+      | None -> add c "()"
+      | Some v ->
+          addc c ':';
+          go c 0 v);
+      addc c ';';
+      add_mvars c rest
+
+let rec is_active t = function
+  | [] -> false
+  | (u, th) :: rest -> (
+      if u <> t then is_active t rest
+      else match th with Active _ -> true | Finished _ -> false)
+
+let above t e t' e' = t > t' || (t = t' && String.compare e e' > 0)
+
+(* Finds the smallest live (target, exception) pair above [(lt, le)] and
+   how often it occurs. A live target is a thread, so it is numbered. *)
+let rec select c threads lt le = function
+  | [] -> ()
+  | (_, { target; exn }) :: rest ->
+      (if is_active target threads then
+         let t = rename c.tids target in
+         if above t exn lt le then
+           if c.min_n = 0 || above c.min_t c.min_e t exn then begin
+             c.min_t <- t;
+             c.min_e <- exn;
+             c.min_n <- 1
+           end
+           else if t = c.min_t && String.equal exn c.min_e then
+             c.min_n <- c.min_n + 1);
+      select c threads lt le rest
+
+(* In-flight exceptions whose target has finished are inert; drop them and
+   print the rest sorted by (target, exception), so delivery bookkeeping
+   does not distinguish states. *)
+let rec add_inflight c st lt le =
+  c.min_n <- 0;
+  select c st.threads lt le st.inflight;
+  let t = c.min_t and e = c.min_e in
+  for _ = 1 to c.min_n do
+    addc c 'F';
+    add_int c t;
+    add c "<=";
+    add c e;
+    addc c ';'
+  done;
+  if c.min_n > 0 then add_inflight c st t e
+
+(* The input comes before the ";O:" that ends it, so its ';' and '\' are
+   escaped; the output is last and needs no escape. *)
+let rec add_input c = function
+  | [] -> ()
+  | ch :: rest ->
+      if ch = ';' || ch = '\\' then addc c '\\';
+      addc c ch;
+      add_input c rest
+
+let canonical_key st =
+  let c = Domain.DLS.get ctx_key in
+  Buffer.clear c.buf;
+  reset c.tids st.next_tid;
+  reset c.mvars st.next_mvar;
+  add_threads c st.threads;
+  add_mvars c st.mvars;
+  add_inflight c st (-1) "";
+  add c "I:";
+  add_input c st.input;
+  add c ";O:";
+  let len = Buffer.length c.buf and n = List.length st.output in
+  let key = Bytes.create (len + n) in
+  Buffer.blit c.buf 0 key 0 len;
+  fill_reversed key (len + n - 1) st.output;
+  Bytes.unsafe_to_string key
 
 let pp ppf st =
   let pp_thread ppf (tid, th) =

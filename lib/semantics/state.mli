@@ -71,7 +71,13 @@ val canonical_key : t -> string
     order; then each MVar's name and then its contents, in MVar order;
     then the live in-flight exceptions' targets (already numbered, since
     each is a thread). Within a term, names are met left to right in
-    constructor-argument order. *)
+    constructor-argument order.
+
+    The key ends with ["I:"], the remaining input, [";O:"] and the output
+    written so far. In the input, [';'] and ['\\'] are escaped with a
+    ['\\'], so the first unescaped [';'] ends it: no two ways of
+    splitting a stream between input and output share a key. The output
+    is last and is not escaped. *)
 
 val pp : Format.formatter -> t -> unit
 (** Render the state in the paper's notation, e.g.

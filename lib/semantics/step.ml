@@ -64,26 +64,6 @@ let rule_name = function
   | R_stuck_put_mvar -> "(Stuck PutMVar)"
   | R_stuck_take_mvar -> "(Stuck TakeMVar)"
 
-let rule_figure = function
-  | R_bind | R_put_char | R_get_char | R_sleep | R_put_mvar | R_take_mvar
-  | R_new_mvar | R_fork | R_thread_id | R_propagate | R_catch | R_handle
-  | R_return_gc | R_throw_gc | R_proc_gc | R_eval | R_raise ->
-      4
-  | R_block_return | R_unblock_return | R_block_throw | R_unblock_throw
-  | R_throw_to | R_receive | R_interrupt | R_stuck_put_char | R_stuck_get_char
-  | R_stuck_sleep | R_stuck_put_mvar | R_stuck_take_mvar ->
-      5
-
-let all_rules =
-  [
-    R_bind; R_put_char; R_get_char; R_sleep; R_put_mvar; R_take_mvar;
-    R_new_mvar; R_fork; R_thread_id; R_propagate; R_catch; R_handle;
-    R_return_gc; R_throw_gc; R_proc_gc; R_eval; R_raise; R_block_return;
-    R_unblock_return; R_block_throw; R_unblock_throw; R_throw_to; R_receive;
-    R_interrupt; R_stuck_put_char; R_stuck_get_char; R_stuck_sleep;
-    R_stuck_put_mvar; R_stuck_take_mvar;
-  ]
-
 type label = Out_char of char | In_char of char | Time of int
 type actor = Thread_step of Term.tid | Delivery of int | Global
 
@@ -116,115 +96,55 @@ let default_config =
    applicable. *)
 let thread_transitions config (st : State.t) tid code status =
   let z = decompose code in
-  let step ?label rule redex' =
-    {
-      rule;
-      actor = Thread_step tid;
-      label;
-      next = State.set_thread st tid (State.Active (with_redex z redex', Runnable));
-    }
+  let actor = Thread_step tid in
+  let edge ?label rule next = { rule; actor; label; next } in
+  (* [from] (by default [st]) with this thread running [code] *)
+  let run ?(from = st) code =
+    State.set_thread from tid (State.Active (code, Runnable))
+  in
+  let step ?label ?from rule redex' =
+    edge ?label rule (run ?from (with_redex z redex'))
+  in
+  let pop rule frames redex =
+    [ edge rule (run (recompose { frames; redex })) ]
   in
   let finish rule outcome =
-    {
-      rule;
-      actor = Thread_step tid;
-      label = None;
-      next = State.set_thread st tid (State.Finished outcome);
-    }
+    [ edge rule (State.set_thread st tid (State.Finished outcome)) ]
   in
   let stuck rule =
     (* Only offered from the runnable state: a stuck-to-stuck transition
        would be an identity self-loop. *)
     if status = State.Runnable then
-      [
-        {
-          rule;
-          actor = Thread_step tid;
-          label = None;
-          next = State.set_thread st tid (State.Active (code, State.Stuck_thread));
-        };
-      ]
+      [ edge rule
+          (State.set_thread st tid (State.Active (code, State.Stuck_thread))) ]
     else []
   in
   let io_stuck rule = if config.stuck_io then stuck rule else [] in
   match z.redex with
   | Return n -> (
       match z.frames with
-      | F_bind m :: frames ->
-          [ { (step R_bind (Return n)) with
-              next =
-                State.set_thread st tid
-                  (State.Active (recompose { frames; redex = App (m, n) },
-                                 Runnable)) } ]
-      | F_catch _ :: frames ->
-          [ { (step R_handle (Return n)) with
-              next =
-                State.set_thread st tid
-                  (State.Active (recompose { frames; redex = Return n },
-                                 Runnable)) } ]
-      | F_block :: frames ->
-          [ { (step R_block_return (Return n)) with
-              next =
-                State.set_thread st tid
-                  (State.Active (recompose { frames; redex = Return n },
-                                 Runnable)) } ]
-      | F_unblock :: frames ->
-          [ { (step R_unblock_return (Return n)) with
-              next =
-                State.set_thread st tid
-                  (State.Active (recompose { frames; redex = Return n },
-                                 Runnable)) } ]
-      | [] -> [ finish R_return_gc (State.Done n) ])
+      | F_bind m :: frames -> pop R_bind frames (App (m, n))
+      | F_catch _ :: frames -> pop R_handle frames z.redex
+      | F_block :: frames -> pop R_block_return frames z.redex
+      | F_unblock :: frames -> pop R_unblock_return frames z.redex
+      | [] -> finish R_return_gc (State.Done n))
   | Throw (Lit_exn e) -> (
       match z.frames with
-      | F_bind _ :: frames ->
-          [ { (step R_propagate (Return unit_v)) with
-              next =
-                State.set_thread st tid
-                  (State.Active
-                     (recompose { frames; redex = Throw (Lit_exn e) },
-                      Runnable)) } ]
-      | F_catch h :: frames ->
-          [ { (step R_catch (Return unit_v)) with
-              next =
-                State.set_thread st tid
-                  (State.Active
-                     (recompose { frames; redex = App (h, Lit_exn e) },
-                      Runnable)) } ]
-      | F_block :: frames ->
-          [ { (step R_block_throw (Return unit_v)) with
-              next =
-                State.set_thread st tid
-                  (State.Active
-                     (recompose { frames; redex = Throw (Lit_exn e) },
-                      Runnable)) } ]
-      | F_unblock :: frames ->
-          [ { (step R_unblock_throw (Return unit_v)) with
-              next =
-                State.set_thread st tid
-                  (State.Active
-                     (recompose { frames; redex = Throw (Lit_exn e) },
-                      Runnable)) } ]
-      | [] -> [ finish R_throw_gc (State.Threw e) ])
+      | F_bind _ :: frames -> pop R_propagate frames z.redex
+      | F_catch h :: frames -> pop R_catch frames (App (h, Lit_exn e))
+      | F_block :: frames -> pop R_block_throw frames z.redex
+      | F_unblock :: frames -> pop R_unblock_throw frames z.redex
+      | [] -> finish R_throw_gc (State.Threw e))
   | Put_char (Lit_char c) ->
-      let write =
-        { (step ~label:(Out_char c) R_put_char (Return unit_v)) with
-          next =
-            (let st = { st with State.output = c :: st.State.output } in
-             State.set_thread st tid
-               (State.Active (with_redex z (Return unit_v), Runnable))) }
-      in
-      write :: io_stuck R_stuck_put_char
+      let from = { st with State.output = c :: st.State.output } in
+      step ~label:(Out_char c) ~from R_put_char (Return unit_v)
+      :: io_stuck R_stuck_put_char
   | Get_char ->
       let read =
         match st.State.input with
         | c :: input ->
-            [ { (step ~label:(In_char c) R_get_char (Return (Lit_char c))) with
-                next =
-                  (let st = { st with State.input = input } in
-                   State.set_thread st tid
-                     (State.Active (with_redex z (Return (Lit_char c)),
-                                    Runnable))) } ]
+            let from = { st with State.input } in
+            [ step ~label:(In_char c) ~from R_get_char (Return (Lit_char c)) ]
         | [] -> []
       in
       read @ io_stuck R_stuck_get_char
@@ -233,34 +153,26 @@ let thread_transitions config (st : State.t) tid code status =
   | Take_mvar (Mvar m) -> (
       match State.mvar st m with
       | Some (Some v) ->
-          [ { (step R_take_mvar (Return v)) with
-              next =
-                (let st = State.set_mvar st m None in
-                 State.set_thread st tid
-                   (State.Active (with_redex z (Return v), Runnable))) } ]
+          [ step ~from:(State.set_mvar st m None) R_take_mvar (Return v) ]
       | Some None -> stuck R_stuck_take_mvar
       | None -> [] (* reference to an unknown MVar: ill-typed *))
   | Put_mvar (Mvar m, payload) -> (
       match State.mvar st m with
       | Some None ->
-          [ { (step R_put_mvar (Return unit_v)) with
-              next =
-                (let st = State.set_mvar st m (Some payload) in
-                 State.set_thread st tid
-                   (State.Active (with_redex z (Return unit_v), Runnable))) } ]
+          [ step ~from:(State.set_mvar st m (Some payload)) R_put_mvar
+              (Return unit_v) ]
       | Some (Some _) -> stuck R_stuck_put_mvar
       | None -> [])
   | New_mvar ->
       let m = st.State.next_mvar in
-      [ { (step R_new_mvar (Return (Mvar m))) with
-          next =
-            (let st =
-               { st with
-                 State.mvars = st.State.mvars @ [ (m, None) ];
-                 next_mvar = m + 1 }
-             in
-             State.set_thread st tid
-               (State.Active (with_redex z (Return (Mvar m)), Runnable))) } ]
+      let from =
+        {
+          st with
+          State.mvars = st.State.mvars @ [ (m, None) ];
+          next_mvar = m + 1;
+        }
+      in
+      [ step ~from R_new_mvar (Return (Mvar m)) ]
   | Fork body ->
       let u = st.State.next_tid in
       let child =
@@ -269,29 +181,23 @@ let thread_transitions config (st : State.t) tid code status =
         then Block body
         else body
       in
-      [ { (step R_fork (Return (Tid u))) with
-          next =
-            (let st =
-               { st with
-                 State.threads =
-                   st.State.threads @ [ (u, State.Active (child, State.Runnable)) ];
-                 next_tid = u + 1 }
-             in
-             State.set_thread st tid
-               (State.Active (with_redex z (Return (Tid u)), Runnable))) } ]
+      let from =
+        { st with
+          State.threads =
+            st.State.threads @ [ (u, State.Active (child, State.Runnable)) ];
+          next_tid = u + 1 }
+      in
+      [ step ~from R_fork (Return (Tid u)) ]
   | My_tid -> [ step R_thread_id (Return (Tid tid)) ]
   | Throw_to (Tid u, Lit_exn e) ->
       let k = st.State.next_inflight in
-      [ { (step R_throw_to (Return unit_v)) with
-          next =
-            (let st =
-               { st with
-                 State.inflight =
-                   st.State.inflight @ [ (k, { State.target = u; exn = e }) ];
-                 next_inflight = k + 1 }
-             in
-             State.set_thread st tid
-               (State.Active (with_redex z (Return unit_v), Runnable))) } ]
+      let from =
+        { st with
+          State.inflight =
+            st.State.inflight @ [ (k, { State.target = u; exn = e }) ];
+          next_inflight = k + 1 }
+      in
+      [ step ~from R_throw_to (Return unit_v) ]
   | redex when not (is_value redex) -> (
       match Ch_pure.Eval.eval ~fuel:config.fuel redex with
       | Value v -> [ step R_eval v ]

@@ -44,11 +44,6 @@ val rule_name : rule -> string
 (** The paper's name for the rule, e.g. ["(Block Return)"] for
     {!R_block_return}. *)
 
-val rule_figure : rule -> int
-(** Which figure of the paper the rule comes from (4 or 5). *)
-
-val all_rules : rule list
-
 type label =
   | Out_char of char  (** [!c] *)
   | In_char of char  (** [?c] *)

@@ -303,10 +303,65 @@ let c4_tests =
           [ completed_int 1 ] (kinds_of program));
   ]
 
+(* The explorer's allocation, on C4d. An edge pays for its successor
+   state, the successor's key string and the search's bookkeeping; the
+   bounds sit a little above that, so a per-key scratch buffer or closure
+   set, or a second successor build per transition, coming back fails. *)
+let c4d_states () =
+  let states = ref [] in
+  let watch st =
+    states := st :: !states;
+    false
+  in
+  ignore (explore ~watch timeout_instant);
+  Array.of_list (List.rev !states)
+
+let alloc_tests =
+  [
+    slow_case "C4d's search: <= 200 minor words per edge" (fun () ->
+        ignore (explore timeout_instant);
+        let before = Gc.minor_words () in
+        let r = explore timeout_instant in
+        let per_edge =
+          (Gc.minor_words () -. before) /. float_of_int r.Space.edges
+        in
+        if per_edge > 200. then
+          Alcotest.failf "%.1f minor words per edge, bound 200" per_edge);
+    slow_case "canonical_key allocates its key and <= 4 words more" (fun () ->
+        let states = c4d_states () in
+        (* the first calls size the domain's scratch state *)
+        Array.iter (fun st -> ignore (State.canonical_key st)) states;
+        Array.iter
+          (fun st ->
+            let before = Gc.minor_words () in
+            let key = State.canonical_key st in
+            let words = Gc.minor_words () -. before in
+            (* a header word, then the bytes and at least one pad byte *)
+            let key_words = 1 + (String.length key / (Sys.word_size / 8)) + 1 in
+            if words > float_of_int (key_words + 4) then
+              Alcotest.failf "%.0f words for a %d-byte key" words
+                (String.length key))
+          states);
+    slow_case "keys rendered on 2 domains equal the sequential keys"
+      (fun () ->
+        let states = c4d_states () in
+        let sequential = Array.map State.canonical_key states in
+        Par.with_pool ~jobs:2 (fun pool ->
+            (* a buffer the two domains shared would garble some key in
+               most rounds *)
+            for round = 1 to 5 do
+              Alcotest.(check (array string))
+                (Printf.sprintf "round %d" round)
+                sequential
+                (Par.Pool.map pool ~chunk:1 State.canonical_key states)
+            done));
+  ]
+
 let suites =
   [
     ("claims:C1-races-exist", c1_tests);
     ("claims:C2-block-safe", c2_tests);
     ("claims:C3-interruptible", c3_tests);
     ("claims:C4-combinators", c4_tests);
+    ("explore:alloc", alloc_tests);
   ]

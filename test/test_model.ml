@@ -108,6 +108,24 @@ let checker_tests =
             Alcotest.(check string) "echoed" "z"
               (State.output_string t.Space.state))
           r.Space.terminals);
+    case "an echo loop deadlocks when its input ';O:' runs out" (fun () ->
+        (* Once the loop has echoed ";O:", the state (input "", output
+           ";O:") must not share a key with the initial state (input
+           ";O:", output ""): that merge folded the deadlock into a
+           cycle, and the search reported no terminal at all. *)
+        let program =
+          parse "fix (\\loop -> getChar >>= \\c -> putChar c >>= \\u -> loop)"
+        in
+        let r =
+          Space.explore ~config:quiet (State.initial ~input:";O:" program)
+        in
+        Alcotest.(check (list kind_testable)) "deadlock" [ Space.Deadlock ]
+          (kinds r);
+        match r.Space.terminals with
+        | [ t ] ->
+            Alcotest.(check string) "echoed" ";O:"
+              (State.output_string t.Space.state)
+        | _ -> Alcotest.fail "expected one terminal");
     case "witness paths replay to their state" (fun () ->
         let program = Ch_corpus.Locking.harness Ch_corpus.Locking.unprotected in
         let r = explore program in

@@ -266,6 +266,8 @@ let pinned_keys : (string * State.t * string) list =
     ( "initial",
       State.initial ~input:"hi" (parse "newEmptyMVar >>= \\m -> takeMVar m"),
       "T0o:(>>= newmv (\\0.(take b0)));I:hi;O:" );
+    (* The input's ';' is escaped, so that no input/output split of one
+       stream can render like another: "I:a\\;b;O:x\ny". *)
     ( "every constructor, renamed names, in-flight, I/O",
       {
         State.threads =
@@ -299,7 +301,7 @@ let pinned_keys : (string * State.t * string) list =
        (\\2.(>>= (put m0 (C:())) (\\3.(>>= (take b2) (\\4.(>>= (sleep 0) \
        (\\5.(>>= mytid (\\6.(ret (C:Ops (* b1 b4) (/ b5 b6) (/= b3 '\\\\') \
        (< t2 m1) (<= t0 t3)))))))))))))))));T1d:t0;T3e:E;M0:m2;M2();M1:-3;\
-       F0<=A;F0<=A;F2<=B;F2<=Z;I:a;b;O:x\ny" );
+       F0<=A;F0<=A;F2<=B;F2<=Z;I:a\\;b;O:x\ny" );
     ( "no threads",
       {
         (State.initial Get_char) with
@@ -310,6 +312,27 @@ let pinned_keys : (string * State.t * string) list =
       },
       "M0();I:;O:" );
   ]
+
+(* Binders 300 levels deep, past the key renderer's initial binder
+   stack: names repeat every 7 levels (so inner ones shadow outer ones),
+   and the innermost [Alt] binds "a" twice (the first one wins). *)
+let deep_binders =
+  let rec nest i =
+    if i = 300 then
+      Case
+        ( Con ("P", [ Var "x0"; Var "x5" ]),
+          [
+            Alt
+              ( "P",
+                [ "a"; "x3"; "a" ],
+                Con ("R", [ Var "a"; Var "x3"; Var "x6"; Var "free" ]) );
+          ] )
+    else
+      let x = "x" ^ string_of_int (i mod 7) in
+      if i mod 2 = 0 then Lam (x, nest (i + 1))
+      else Let (x, Var ("x" ^ string_of_int ((i + 3) mod 7)), nest (i + 1))
+  in
+  nest 0
 
 let state_tests =
   List.map
@@ -372,6 +395,37 @@ let state_tests =
         let b = { a with State.output = [ 'x' ] } in
         Alcotest.(check bool) "differ" false
           (String.equal (State.canonical_key a) (State.canonical_key b)));
+    case "binders nested past the initial binder stack" (fun () ->
+        let key = State.canonical_key (State.initial deep_binders) in
+        (* its tail reads "(let299 b295 (case (C:P b294 b299) [P/3 (C:R
+           b300 b301 b293 v:free)]))": the Alt's first "a" is b300, and
+           "x6" is the Let at level 293 *)
+        Alcotest.(check (pair int string))
+          "length, digest"
+          (3051, "1db7b23bf4ac7f59a3cef2aac17b4e7f")
+          (String.length key, Digest.to_hex (Digest.string key)));
+    case "char literals render as Char.escaped" (fun () ->
+        for i = 0 to 255 do
+          let c = Char.chr i in
+          Alcotest.(check string)
+            (Printf.sprintf "char %d" i)
+            ("T0o:(ret '" ^ Char.escaped c ^ "');I:;O:")
+            (State.canonical_key (mk (Return (Lit_char c))))
+        done);
+    case "no two input/output splits of one string share a key" (fun () ->
+        (* input [w[0..k)], output [w[k..n)]: the key must tell where the
+           input ends even when either side holds ";O:" or '\\' *)
+        let w = "a;O:\\;O:\\b;" in
+        let n = String.length w in
+        let split k =
+          let output = List.rev (List.init (n - k) (fun i -> w.[k + i])) in
+          State.canonical_key
+            { (State.initial ~input:(String.sub w 0 k) Get_char) with
+              State.output }
+        in
+        let keys = List.init (n + 1) split in
+        Alcotest.(check int) "distinct keys" (n + 1)
+          (List.length (List.sort_uniq String.compare keys)));
     case "output_string renders a long output oldest first" (fun () ->
         let expected = String.init 700 (fun i -> Char.chr (32 + (i mod 95))) in
         (* [output] holds the most recent character first *)
