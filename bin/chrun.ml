@@ -559,8 +559,8 @@ let suite_arg =
            operation site, plus combined kill+fault runs), $(b,actor) \
            (the exception-linked actor layer: link/monitor delivery \
            races, call/stop, the mailbox-FIFO token ring, and the \
-           sharded supervised server with targeted router / shard / \
-           supervisor kills), $(b,overload) (open-loop load ramps at 1x \
+           sharded supervised server with targeted shard / supervisor \
+           / worker kills), $(b,overload) (open-loop load ramps at 1x \
            to 10x of nominal against the supervised and sharded servers, \
            with resource-exhaustion chaos — fd budgets, backlog caps, \
            send caps — and kills layered on top; gates goodput and the \

@@ -3,8 +3,8 @@
      dune exec examples/sharded_server.exe -- --shards 4 --clients 32 \
        --reqs 8 --json BENCH_actor.json
 
-   The §11 server sharded over lib/actor: [shards] serving actors
-   behind a consistent-hash router, each with its own nested supervisor
+   The §11 server sharded over lib/actor: [shards] serving actors on a
+   consistent-hash ring, each with its own nested supervisor
    and bulkhead (lib/server/shard.ml). Three measured phases, all on
    the simulated clock so every number is deterministic:
 

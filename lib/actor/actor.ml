@@ -36,7 +36,7 @@ type cell = {
 and watcher = {
   w_on : cell;
   mutable w_active : bool;
-  w_deliver : down -> unit Io.t;  (* a Mailbox.push closure: never blocks *)
+  w_deliver : down -> unit Io.t;  (* a Mailbox.push_urgent closure *)
 }
 
 type monitor_ref = watcher
@@ -93,10 +93,12 @@ let create ?(name = "actor") ?bound ?on_drop ?metrics () =
 
 (* The exit protocol. Runs under [uninterruptibly]: a second kill aimed
    at the dying actor must not cut the delivery fan-out short, or a
-   monitor could lose its one [down]. The bookkeeping is one atomic
-   step — after it, the actor is observably dead and every link/monitor
-   is claimed by this incarnation's protocol, so delivery happens
-   exactly once no matter how many exceptions are in flight. *)
+   monitor could lose its one [down]. ([Chan.send]'s own [block]
+   downgrades that mask at the write-cursor wait, which is why the
+   [down] push retries: {!Mailbox.push_urgent}.) The bookkeeping is one
+   atomic step — after it, the actor is observably dead and every
+   link/monitor is claimed by this incarnation's protocol, so delivery
+   happens exactly once no matter how many exceptions are in flight. *)
 let exit_protocol cell res =
   uninterruptibly
     ( lift (fun () ->
@@ -211,15 +213,10 @@ let link a b =
          signals now (if its death was abnormal) *)
       late_signal ~from:ca ~to_:cb >>= fun () -> late_signal ~from:cb ~to_:ca
 
-let unlink a b =
-  lift (fun () ->
-      let ca = a.a_cell and cb = b.a_cell in
-      ca.c_links <- List.filter (fun c -> c != cb) ca.c_links;
-      cb.c_links <- List.filter (fun c -> c != ca) cb.c_links)
-
 (* Arm a watcher on a cell, or fire immediately if it is already dead.
-   [deliver] is a mailbox push (or [reply_error] for calls): it never
-   blocks, so the exit protocol's fan-out is wait-free. *)
+   [deliver] is an urgent mailbox push (or [reply_error] for calls): it
+   waits at most behind a concurrent sender and is never lost to a
+   kill, so the exit protocol's fan-out delivers every [down]. *)
 let watch_cell cell deliver =
   let w = { w_on = cell; w_active = true; w_deliver = deliver } in
   lift (fun () ->

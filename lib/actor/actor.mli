@@ -92,8 +92,6 @@ val link : 'a t -> 'b t -> unit Io.t
     {!Exit_signal} via [throw_to]. Linking to an already-dead actor
     delivers immediately (if that death was abnormal). Idempotent. *)
 
-val unlink : 'a t -> 'b t -> unit Io.t
-
 type monitor_ref
 
 val monitor : watcher:'w t -> inject:(down -> 'w) -> 'a t -> monitor_ref Io.t
@@ -108,8 +106,9 @@ val demonitor : monitor_ref -> unit Io.t
 (* --- messaging --------------------------------------------------------- *)
 
 val send : 'm t -> 'm -> unit Io.t
-(** Cast: enqueue and return. Never blocks, never fails — a message to
-    a dead (or never-started) actor just sits in the mailbox. *)
+(** Cast: enqueue and return — a message to a dead (or never-started)
+    actor just sits in the mailbox. Waits only behind a concurrent
+    sender ({!Mailbox.push}). *)
 
 val receive : 'm t -> ('m -> 'a option) -> 'a Io.t
 (** Selective receive on the actor's own mailbox ({!Mailbox.receive}).
@@ -124,8 +123,6 @@ type 'r reply
 val reply : 'r reply -> 'r -> unit Io.t
 (** Fulfil a call. Idempotent; a late reply to a timed-out or dead
     caller is silently dropped. *)
-
-val reply_error : 'r reply -> exn -> unit Io.t
 
 val call : ?timeout:int -> 'm t -> ('r reply -> 'm) -> 'r Io.t
 (** Synchronous request: [call srv make] sends [make r], waits for

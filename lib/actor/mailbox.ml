@@ -11,7 +11,18 @@ type 'a t = {
   mutable dropped : int;  (* pushes shed by the bound *)
   on_drop : ('a -> unit) option;
   g_depth : Obs.Metrics.gauge option;
+  uncount : exn -> unit Io.t;  (* see [send_counted] *)
 }
+
+(* Both run inside a [lift] of the pusher/owner. *)
+let bump t =
+  t.len <- t.len + 1;
+  if t.len > t.hw then t.hw <- t.len;
+  match t.g_depth with Some g -> Obs.Metrics.set g t.len | None -> ()
+
+let consumed t =
+  t.len <- t.len - 1;
+  match t.g_depth with Some g -> Obs.Metrics.set g t.len | None -> ()
 
 let create ?bound ?on_drop ?metrics ?(name = "mailbox") () =
   Chan.create () >>= fun q ->
@@ -25,21 +36,29 @@ let create ?bound ?on_drop ?metrics ?(name = "mailbox") () =
                  ~labels:[ ("name", name) ]
                  "mailbox_depth")
       in
-      { q; stash = []; bound; len = 0; hw = 0; dropped = 0; on_drop; g_depth })
+      let rec t =
+        {
+          q;
+          stash = [];
+          bound;
+          len = 0;
+          hw = 0;
+          dropped = 0;
+          on_drop;
+          g_depth;
+          uncount =
+            (fun e -> lift (fun () -> consumed t) >>= fun () -> throw e);
+        }
+      in
+      t)
 
-(* Both run inside a [lift] of the pusher/owner. *)
-let bump t =
-  t.len <- t.len + 1;
-  if t.len > t.hw then t.hw <- t.len;
-  match t.g_depth with Some g -> Obs.Metrics.set g t.len | None -> ()
+(* A push is masked so a kill cannot separate the depth accounting from
+   the send itself. The send is still interruptible where it waits for
+   the write cursor another pusher holds (§5.3); an interrupted send has
+   enqueued nothing, so its handler undoes the count (§5.2). The handler
+   is built once per mailbox, not once per push. *)
+let send_counted t m = catch (Chan.send t.q m) t.uncount
 
-let consumed t =
-  t.len <- t.len - 1;
-  match t.g_depth with Some g -> Obs.Metrics.set g t.len | None -> ()
-
-(* Masked so a kill cannot separate the depth accounting from the send
-   itself; [Chan.send] on an unbounded channel never blocks, so there is
-   no interruptible point inside the mask. *)
 let push t m =
   mask_
     ( lift (fun () ->
@@ -56,14 +75,17 @@ let push t m =
               true)
     >>= function
     | false -> return ()
-    | true -> Chan.send t.q m )
+    | true -> send_counted t m )
 
-(* Control-plane push: counted in the depth but never shed — dropping a
-   stop request or a monitor's one [down] would break their
+(* Control-plane push: counted in the depth but never shed, and never
+   lost to a kill (the send retries, {!Combinators.critical}) — dropping
+   a stop request or a monitor's one [down] would break their
    exactly-once/liveness contracts, and they are not amplified by load
    the way data messages are. *)
 let push_urgent t m =
-  mask_ (lift (fun () -> bump t) >>= fun () -> Chan.send t.q m)
+  mask_
+    ( lift (fun () -> bump t) >>= fun () ->
+      Combinators.critical (Chan.send t.q m) )
 
 let stashed t = lift (fun () -> List.length t.stash)
 let length t = lift (fun () -> t.len)

@@ -15,7 +15,7 @@
     into a full mailbox drops the {e new} message (counted in
     {!dropped_count}, reported to [on_drop]) rather than blocking the
     pusher or evicting an older message someone may already be waiting
-    on — under overload the router keeps routing and the load-shedding
+    on — under overload the pushers keep going and the load-shedding
     layers above decide what the lost message costs.
 
     Asynchronous-exception safety (the reason this module exists rather
@@ -44,13 +44,19 @@ val create :
     ["mailbox"]) whose high-water mark is the worst depth seen. *)
 
 val push : 'a t -> 'a -> unit Io.t
-(** Enqueue a message. Never blocks and is safe from any thread; on a
-    full bounded mailbox the message is dropped (see {!create}). *)
+(** Enqueue a message; safe from any thread. On a full bounded mailbox
+    the message is dropped (see {!create}). Runs masked, and waits only
+    while another pusher holds the channel's write cursor; a kill
+    delivered at that interruptible wait (§5.3) enqueues nothing and
+    leaves {!length} as it was. *)
 
 val push_urgent : 'a t -> 'a -> unit Io.t
-(** {!push} that ignores the bound — for control messages (stop
-    requests, monitor downs) whose exactly-once/liveness contracts must
-    survive overload. Still counted in {!length}. *)
+(** {!push} that ignores the bound and always completes — for control
+    messages (stop requests, monitor downs) whose exactly-once/liveness
+    contracts must survive overload and a second kill. A kill delivered
+    while it waits is re-posted to the pusher and the send retried
+    ({!Hio_std.Combinators.critical}), so it surfaces at the pusher's
+    next interruptible point instead. Still counted in {!length}. *)
 
 val receive : 'a t -> ('a -> 'b option) -> 'b Io.t
 (** [receive t f] returns [x] for the first message [m] (stash first,

@@ -1,36 +1,30 @@
-open Hio
-open Io
-
-type 'm msg = Route of string * 'm
-
-type 'm t = {
-  r_actor : 'm msg Actor.t;
-  r_ring : (int * 'm Actor.t) array;  (* sorted by point, immutable *)
-}
+type t = (int * int) array  (* (point, shard index), sorted by point *)
 
 (* FNV-1a, 32-bit. Written out (not Hashtbl.hash) so ring placement —
    and every sweep schedule downstream of it — is identical on every
-   OCaml version and word size. *)
-let hash s =
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF)
-    s;
-  !h
+   OCaml version and word size. [fnv h s] continues a hash over [s]. *)
+let fnv h s =
+  String.fold_left
+    (fun h c -> (h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF)
+    h s
 
-let build_ring vnodes shards =
-  let points =
-    List.concat_map
-      (fun (name, a) ->
-        List.init vnodes (fun v -> (hash (Printf.sprintf "%s#%d" name v), a)))
-      shards
+let hash s = fnv 0x811c9dc5 s
+
+(* Shard [i]'s points hash "shard-i#v"; the common prefix is hashed
+   once per shard. *)
+let create ?(vnodes = 32) shards =
+  if shards < 1 then invalid_arg "Router.create: no shards";
+  let ring =
+    Array.concat
+      (List.init shards (fun i ->
+           let prefix = hash (Printf.sprintf "shard-%d#" i) in
+           Array.init vnodes (fun v -> (fnv prefix (string_of_int v), i))))
   in
-  let arr = Array.of_list points in
-  Array.sort (fun (h1, _) (h2, _) -> compare h1 h2) arr;
-  arr
+  Array.sort (fun (h1, _) (h2, _) -> Int.compare h1 h2) ring;
+  ring
 
 (* First ring point at or after the key's hash, wrapping. *)
-let pick_ring ring key =
+let pick ring key =
   let h = hash key in
   let n = Array.length ring in
   let rec bs lo hi =
@@ -41,25 +35,3 @@ let pick_ring ring key =
   in
   let i = bs 0 n in
   snd ring.(if i = n then 0 else i)
-
-let create ?(name = "router") ?(vnodes = 32) shards =
-  if shards = [] then invalid_arg "Router.create: no shards";
-  Actor.create ~name () >>= fun a ->
-  return { r_actor = a; r_ring = build_ring vnodes shards }
-
-let pick t key = pick_ring t.r_ring key
-
-let dispatch t self =
-  Hio_std.Combinators.forever
-    ( Actor.receive self (fun (Route (k, m)) -> Some (k, m)) >>= fun (k, m) ->
-      Actor.send (pick_ring t.r_ring k) m )
-
-let body t = Actor.body t.r_actor (dispatch t)
-
-let spawn ?name ?vnodes shards =
-  create ?name ?vnodes shards >>= fun t ->
-  Actor.fork_body t.r_actor (dispatch t) >>= fun () -> return t
-
-let route t key m = Actor.send t.r_actor (Route (key, m))
-let actor t = t.r_actor
-let stop t = Actor.stop t.r_actor

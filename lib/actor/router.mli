@@ -1,42 +1,19 @@
-(** A consistent-hash router actor: routes keyed messages to a fixed set
-    of shard actors. The ring is built once (FNV-1a over
-    ["name#vnode"], written out rather than [Hashtbl.hash] so placement
-    is stable across OCaml versions — sweep schedules depend on it) and
-    is immutable, so {!pick} is pure; the router {e actor} exists to be
-    a kill target: routing through it serialises casts per key order,
-    and killing it under the sweep must only delay delivery (the
-    mailbox holds the backlog for the restarted incarnation). *)
+(** A consistent-hash ring over shard indices: {!pick} names the shard
+    that owns a key. The ring is built once (FNV-1a over
+    ["shard-i#vnode"], written out rather than [Hashtbl.hash] so
+    placement is stable across OCaml versions — sweep schedules depend
+    on it) and is immutable, so any thread may pick without a hop
+    through another thread. *)
 
-open Hio
+type t
 
-type 'm msg = Route of string * 'm
-type 'm t
+val create : ?vnodes:int -> int -> t
+(** [create n] is the ring over shards [0 .. n-1], [vnodes] points per
+    shard (default 32).
+    @raise Invalid_argument if [n < 1]. *)
 
-val create :
-  ?name:string -> ?vnodes:int -> (string * 'm Actor.t) list -> 'm t Io.t
-(** Build the ring over the named shards ([vnodes] per shard, default
-    32) and the router's own actor cell — no thread yet. [name]
-    defaults to ["router"]. *)
-
-val body : 'm t -> unit Io.t
-(** The dispatch loop as a runnable body (a {!Hsup.Sup.child}
-    candidate): receive [Route (key, m)], forward [m] to the shard
-    owning [key]. *)
-
-val spawn : ?name:string -> ?vnodes:int -> (string * 'm Actor.t) list -> 'm t Io.t
-(** {!create} + fork {!body}. *)
-
-val route : 'm t -> string -> 'm -> unit Io.t
-(** Cast through the router actor (never blocks). *)
-
-val pick : 'm t -> string -> 'm Actor.t
-(** The shard owning a key — pure ring lookup, no actor hop. Routing
-    and [pick] always agree. *)
-
-val actor : 'm t -> 'm msg Actor.t
-(** The router's own actor (to kill, monitor, stop or supervise). *)
-
-val stop : 'm t -> (unit, exn) Stdlib.result Io.t
+val pick : t -> string -> int
+(** The index of the shard owning a key. Total and deterministic. *)
 
 val hash : string -> int
 (** The ring's FNV-1a 32-bit hash (exposed for tests). *)

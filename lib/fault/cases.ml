@@ -464,6 +464,10 @@ let sup_all_for_one =
       Sup.child_starts sup "b" >>= fun sb ->
       Sweep.require "all-for-one: children start in lockstep" (sa = sb))
 
+(* Retry over a breaker around a flaky operation: the baseline walks
+   closed → open → fail-fast → half-open → closed; after the kill, a
+   probe past the reset window must still be admitted and close the
+   circuit (no wedged half-open trial). *)
 let sup_retry_breaker =
   Sweep.case "sup-retry-breaker"
     ( lift (fun () -> ref 0) >>= fun calls ->
@@ -491,6 +495,8 @@ let sup_retry_breaker =
       Sweep.require "breaker: probe success closes the circuit"
         (st = Breaker.Closed) )
 
+(* Four jobs through a capacity-2/waiting-1 bulkhead: after the kill,
+   occupancy is back to zero and a fresh call is admitted. *)
 let sup_bulkhead =
   Sweep.case "sup-bulkhead"
     ( Bulkhead.create ~capacity:2 ~max_waiting:1 () >>= fun bh ->
@@ -553,7 +559,6 @@ let sup_server_targets =
    tree is the victim. *)
 
 module Actor = Hactor.Actor
-module Router = Hactor.Router
 
 let actor_link =
   Sweep.case "actor-link"
@@ -655,6 +660,10 @@ let actor_call =
              | e -> throw e)
        else return ()) )
 
+(* A token ring (4 actors × 2 laps): if nobody was killed the token
+   completes; killed or not, each member's single-predecessor hop
+   numbers are strictly increasing — per-sender mailbox FIFO under
+   every schedule the sweep reaches. *)
 let actor_ring =
   Sweep.case "actor-ring"
     ( let n = 4 and laps = 2 in
@@ -731,9 +740,10 @@ let actor_ring =
       >>= Sweep.require "ring: per-member hop order is FIFO" )
 
 (* The sharded server on the serving protocol: keyed clients, one per
-   shard — the case is swept unsampled over seven targets, so it is kept
-   deliberately small — with kill targets that include the router
-   actor, a shard subtree, the shard's serving actor and its workers. *)
+   shard — the case is swept unsampled over six targets, so it is kept
+   deliberately small — with kill targets at every layer of the tree:
+   the root, a shard subtree, its nested supervisor, the shard's
+   serving actor and its workers. *)
 let actor_shard_config =
   {
     Server.default_config with
@@ -752,7 +762,6 @@ let actor_shard =
 let actor_shard_targets =
   [
     Plan.Acting;
-    Plan.Named "router";
     Plan.Named "shard-0";
     Plan.Named "shard-sup-0";
     Plan.Named "shard-serve";

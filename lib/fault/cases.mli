@@ -92,33 +92,10 @@ val server : Sweep.case
 val server_targets : Plan.target list
 (** The three adversaries above, in that order. *)
 
-val sup_one_for_one : Sweep.case
-(** Two permanent heartbeat children under a one-for-one supervisor:
-    after any kill, either both children are live again (≤ 1 restart
-    spent) and the tree stops gracefully, or — if the supervisor itself
-    was hit — the heartbeats are provably silent (no stranded child). *)
-
-val sup_all_for_one : Sweep.case
-(** Same shape under {!Hsup.Sup.All_for_one}; additionally requires the
-    two children's start counts stay in lockstep (collective restart). *)
-
-val sup_retry_breaker : Sweep.case
-(** {!Hsup.Retry.retry} over {!Hsup.Breaker.run} of a flaky operation:
-    the baseline walks closed → open → fail-fast → half-open → closed;
-    after the kill, a probe past the reset window must still be admitted
-    and close the circuit (no wedged half-open trial). *)
-
-val sup_bulkhead : Sweep.case
-(** Four jobs through a capacity-2/waiting-1 {!Hsup.Bulkhead}: after the
-    kill, occupancy is back to zero and a fresh call is admitted. *)
-
 val sup_server : Sweep.case
 (** Four clients saturate the supervised server (capacity 2 + 1
     waiting, so the baseline sheds), under the serving protocol with
     two probes. *)
-
-val sup_server_targets : Plan.target list
-(** [Acting; Named "supervisor"; Named "listener"; Named "conn-worker"]. *)
 
 val actor_link : Sweep.case
 (** A monitored, linked child that crashes on demand: whatever single
@@ -133,30 +110,17 @@ val actor_call : Sweep.case
     survived, its state is bounded by the completed calls and a
     graceful [stop] drains the mailbox FIFO before acknowledging. *)
 
-val actor_ring : Sweep.case
-(** A token ring (4 actors × 2 laps): if nobody was killed the token
-    completes; killed or not, each member's single-predecessor hop
-    numbers are strictly increasing — per-sender mailbox FIFO under
-    every schedule the sweep reaches. *)
-
-val actor_shard : Sweep.case
-(** The sharded supervised server ({!Hserver.Shard}): two keyed clients
-    against 2 shards (capacity 2 + 1 waiting each), under the serving
-    protocol with a probe key per shard. *)
-
-val actor_shard_targets : Plan.target list
-(** [Acting; Named "router"; Named "shard-0"; Named "shard-sup-0";
-    Named "shard-serve"; Named "conn-worker"; Named "shard-root"] —
-    every layer of the sharded tree. *)
-
 val suites : (string * (Sweep.case * Plan.target) list) list
 (** The hio kill-sweep suites by name, in the order [chrun sweep] runs
     them: [std] (each {!std} case, {!Plan.Acting}), [server] ({!server}
-    against each of {!server_targets}), [sup] (each supervision case
-    with its targets, then {!sup_server} against each of
-    {!sup_server_targets}) and [actor] (link/call/ring with their
-    targets, then {!actor_shard} against each of
-    {!actor_shard_targets}). *)
+    against each of {!server_targets}), [sup] (the one-for-one,
+    all-for-one, retry-over-breaker and bulkhead cases with their
+    targets, then {!sup_server} against [Acting], the supervisor, the
+    listener and a worker) and [actor] ({!actor_link}, {!actor_call}
+    and a token ring with their targets, then the sharded server —
+    two keyed clients against 2 shards — against [Acting] and every
+    layer of its tree: [shard-0], [shard-sup-0], [shard-serve],
+    [conn-worker] and [shard-root]). *)
 
 val naive_lock : Sweep.case
 (** A deliberately §5.2-violating lock (bare [take]/[put], nothing

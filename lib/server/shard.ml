@@ -12,12 +12,12 @@ type t = {
   registry : Obs.Metrics.t;
   ins : instruments;
   queued : Obs.Metrics.gauge;
-      (* shard_routed_backlog: connections handed to the router/shard
-         mailboxes and not yet picked up by a worker — what shutdown's
-         quiesce loop watches *)
+      (* shard_routed_backlog: connections pushed into a shard mailbox
+         and not yet picked up by a worker — what shutdown's quiesce
+         loop watches *)
   handler : Server.handler;
   root : Hsup.Sup.t;
-  rt : msg Hactor.Router.t;
+  ring : Hactor.Router.t;
   actors : msg Hactor.Actor.t array;
   subs : Hsup.Sup.t option array;
   breakers : Hsup.Breaker.t array;
@@ -29,7 +29,7 @@ type t = {
 (* --- the shard actor ------------------------------------------------------
 
    The serving loop is an actor body: connections arrive as mailbox
-   messages (from the router or the accept pump), each spawns a
+   messages (from [connect] or the accept pump), each spawns a
    Transient worker under the shard's nested supervisor. The actor is
    itself a Permanent child of that supervisor — killed, it restarts
    and resumes draining the same mailbox: that is the property the
@@ -83,17 +83,6 @@ let shard_child_body t i =
       | Stdlib.Error e -> throw e)
     (fun sub -> catch (ignore_result (Hsup.Sup.stop sub)) (fun _ -> return ()))
 
-(* [Router.pick] and routing always agree, so the breaker consulted at
-   the route point is exactly the one the connection's workers feed. *)
-let shard_index t key =
-  let a = Hactor.Router.pick t.rt key in
-  let rec find i =
-    if i >= t.n_shards - 1 then i
-    else if t.actors.(i) == a then i
-    else find (i + 1)
-  in
-  find 0
-
 (* Brownout: the target shard's breaker is open, so queueing this
    connection would only let it rot in a mailbox behind other doomed
    work. Answer a degraded 503 right here at the route point — the
@@ -105,13 +94,26 @@ let brownout t conn =
     t.ins.m_degraded service_unavailable
   >>= fun () -> close_quietly conn
 
+(* The one route point, run in the caller's thread: the ring names the
+   shard, so the breaker consulted here is exactly the one the
+   connection's workers feed. Many callers push into one mailbox at
+   once, and a push waiting behind another sender is interruptible
+   (§5.3); masked, with the backlog count undone if the push is
+   interrupted (§5.2), so a kill cannot leave a phantom in the routed
+   backlog that shutdown's quiesce would wait on. *)
 let route_or_brownout t key conn =
-  Hsup.Breaker.rejecting t.breakers.(shard_index t key) >>= fun browned ->
+  let i = Hactor.Router.pick t.ring key in
+  Hsup.Breaker.rejecting t.breakers.(i) >>= fun browned ->
   if browned then brownout t conn
   else
-    lift (fun () -> Obs.Metrics.add t.queued 1) >>= fun () ->
     Hsup.Deadline.mint t.config.Server.request_timeout >>= fun dl ->
-    Hactor.Router.route t.rt key (`Serve (conn, dl))
+    mask_
+      ( lift (fun () -> Obs.Metrics.add t.queued 1) >>= fun () ->
+        catch
+          (Hactor.Actor.send t.actors.(i) (`Serve (conn, dl)))
+          (fun e ->
+            lift (fun () -> Obs.Metrics.add t.queued (-1)) >>= fun () ->
+            throw e) )
 
 let pump_body t el =
   accept_pump t.ins el (fun conn ->
@@ -155,9 +157,6 @@ let start ?(config = Server.default_config) ?metrics ?backend ~shards handler =
       >>= fun b -> mk_brk (i - 1) (b :: acc)
   in
   mk_brk (n_shards - 1) [] >>= fun breaker_list ->
-  Hactor.Router.create ~name:"router"
-    (List.mapi (fun i a -> (Printf.sprintf "shard-%d" i, a)) actor_list)
-  >>= fun rt ->
   Hsup.Sup.start ~name:"shard-root" ~strategy:Hsup.Sup.One_for_one
     ~intensity:config.Server.restart_intensity ~metrics:registry []
   >>= fun root ->
@@ -176,7 +175,7 @@ let start ?(config = Server.default_config) ?metrics ?backend ~shards handler =
       queued;
       handler;
       root;
-      rt;
+      ring = Hactor.Router.create n_shards;
       actors = Array.of_list actor_list;
       subs = Array.make n_shards None;
       breakers = Array.of_list breaker_list;
@@ -185,11 +184,7 @@ let start ?(config = Server.default_config) ?metrics ?backend ~shards handler =
       ext;
     }
   in
-  (* children in deterministic order: router, shards, pump *)
-  Hsup.Sup.start_child root
-    (Hsup.Sup.child ~lifetime:Hsup.Sup.Permanent "router"
-       (Hactor.Router.body rt))
-  >>= fun () ->
+  (* children in deterministic order: shards, then the pump *)
   let rec start_shards i =
     if i >= n_shards then return ()
     else
@@ -278,10 +273,7 @@ let shutdown t =
       restarts;
     }
 
-let router t = t.rt
-let shard_breaker t i = t.breakers.(i)
-let shard_actor t i = t.actors.(i)
+let owner t key = t.actors.(Hactor.Router.pick t.ring key)
 let supervisor t = t.root
-let shard_sup t i = t.subs.(i)
 let metrics t = t.registry
 let shards t = t.n_shards

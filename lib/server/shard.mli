@@ -1,13 +1,13 @@
-(** The §11 server, sharded: N serving shards behind a consistent-hash
-    {!Hactor.Router}, each shard a supervised actor
-    ({!Hactor.Actor.body} as a {!Hsup.Sup} child) pulling accepted
-    connections off its own mailbox and forking [Transient]
-    connection workers, with {!Hsup.Bulkhead} backpressure per shard.
+(** The §11 server, sharded: N serving shards, each connection's shard
+    named by the consistent-hash ring {!Hactor.Router}. Each shard is a
+    supervised actor ({!Hactor.Actor.body} as a {!Hsup.Sup} child)
+    pulling accepted connections off its own mailbox and forking
+    [Transient] connection workers, with {!Hsup.Bulkhead} backpressure
+    per shard.
 
     The tree:
     {v
     shard-root (One_for_one, Permanent children)
-    ├── router                  the routing actor
     ├── shard-0                 owns a nested tree:
     │     shard-sup-0 (One_for_one)
     │     ├── shard-serve      the shard actor (Permanent)
@@ -16,12 +16,17 @@
     └── accept-pump            only with an explicit ?backend
     v}
 
-    Killing anything — a worker, a shard actor, a nested supervisor, the
-    router, even shard-root — degrades (503s, closed connections, a
-    routed backlog held in mailboxes until the restart) and never
-    wedges: the [actor] kill-sweep suite drives a client load against
-    every one of those targets. Each connection worker runs the request
-    pipeline {!Server} runs — the same code, not a copy: progress
+    There is no routing thread: the caller of {!connect} (or the accept
+    pump) picks the shard on the immutable ring and pushes straight into
+    that shard's mailbox, masked, with the routed-backlog count undone
+    if a kill interrupts the push.
+
+    Killing anything — a worker, a shard actor, a nested supervisor,
+    even shard-root — degrades (503s, closed connections, a routed
+    backlog held in mailboxes until the restart) and never wedges: the
+    [actor] kill-sweep suite drives a client load against every one of
+    those targets. Each connection worker runs the request pipeline
+    {!Server} runs — the same code, not a copy: progress
     protocol, degrade-on-restart, bounded writes, absorbed read faults,
     escaping write faults, and keep-alive (with [config.keep_alive] a
     worker serves requests off one connection until close/timeout/parse
@@ -58,11 +63,12 @@ val start :
 
 val connect : ?key:string -> t -> Http.Conn.t Io.t
 (** A client connection. Without [?backend] at {!start}: a simulated
-    pipe routed through the router actor under [key] (default: a
-    per-server sequence ["conn-N"]) — the shard is chosen by consistent
-    hash, and a connection queued in a dead shard's mailbox is served
-    after the restart; if that shard's breaker is rejecting, the pipe
-    carries an immediate degraded 503 instead (brownout). With a
+    pipe pushed, in the calling thread, into the mailbox of the shard
+    that owns [key] on the consistent-hash ring (default key: a
+    per-server sequence ["conn-N"]); a connection queued in a dead
+    shard's mailbox is served after the restart; if that shard's
+    breaker is rejecting, the pipe carries an immediate degraded 503
+    instead (brownout). With a
     backend: [l_dial] bounded by [config.dial_timeout] (the one
     client-dial patience knob, shared with {!Server.connect}); failures
     are counted in [client_dial_errors_total{kind}] before re-raising.
@@ -76,22 +82,13 @@ val shutdown : t -> Server.stats Io.t
     down through [Sup.stop], and return totals. [restarts] sums the
     root and every nested shard supervisor. *)
 
-val router : t -> [ `Serve of Http.Conn.t * Hsup.Deadline.t ] Hactor.Router.t
-(** The routing actor (sweep target, tests). *)
-
-val shard_actor :
-  t -> int -> [ `Serve of Http.Conn.t * Hsup.Deadline.t ] Hactor.Actor.t
-(** Shard [i]'s serving actor. *)
+val owner :
+  t -> string -> [ `Serve of Http.Conn.t * Hsup.Deadline.t ] Hactor.Actor.t
+(** The serving actor of the shard that owns a key (tests, kill
+    drivers). *)
 
 val supervisor : t -> Hsup.Sup.t
 (** shard-root. *)
-
-val shard_sup : t -> int -> Hsup.Sup.t option
-(** Shard [i]'s nested supervisor ([None] until its child body has
-    run). *)
-
-val shard_breaker : t -> int -> Hsup.Breaker.t
-(** Shard [i]'s brownout breaker (tests, chaos drivers). *)
 
 val metrics : t -> Obs.Metrics.t
 val shards : t -> int

@@ -195,13 +195,15 @@ let timeout t a =
 
 let safe_point = unblock (return ())
 
-let critical_take mvar =
+let critical io =
   let rec go () =
-    catch (Mvar.take mvar) (fun e ->
+    catch io (fun e ->
         my_thread_id >>= fun me ->
         throw_to me e >>= fun () -> go ())
   in
   go ()
+
+let critical_take mvar = critical (Mvar.take mvar)
 
 let rec forever action = action >>= fun () -> forever action
 

@@ -72,15 +72,23 @@ val safe_point : unit Io.t
 (** §7.4: a checkpoint at which a masked long computation briefly accepts
     pending asynchronous exceptions: [unblock (return ())]. *)
 
+val critical : 'a Io.t -> 'a Io.t
+(** Run an action that must complete even if a kill arrives while it
+    waits: for release paths that must not abandon a held resource, and
+    for reports that must not be lost. A blocking operation is
+    interruptible while its resource is held by another thread (§5.3),
+    so even a masked handler can be killed mid-release. The paper's
+    primitives have no uninterruptible mask (GHC added one years later,
+    for exactly this; {!Io.uninterruptibly} here, which an inner
+    {!Io.block} downgrades); the equivalent idiom — usable only under
+    {!Io.block} — is to catch the asynchronous exception, re-post it to
+    ourselves with the asynchronous {!Io.throw_to} (masked, it just
+    returns to our pending queue), and retry. Only for an action that
+    raises nothing synchronously and has no effect when interrupted
+    (a take, a [Chan.send] waiting for its write cursor). *)
+
 val critical_take : 'a Mvar.t -> 'a Io.t
-(** [takeMVar] for release paths that must not abandon a held resource:
-    [Mvar.take] is interruptible while the MVar is held by another thread
-    (§5.3), so a cleanup handler using a bare take can itself be killed
-    mid-release. The paper's primitives have no uninterruptible mask (GHC
-    added one years later, for exactly this); the equivalent idiom —
-    usable only under {!Io.block} — is to catch the asynchronous
-    exception, re-post it to ourselves with the asynchronous {!Io.throw_to}
-    (masked, it just returns to our pending queue), and retry. *)
+(** [critical (Mvar.take mvar)]: [takeMVar] for release paths. *)
 
 val forever : unit Io.t -> 'a Io.t
 (** Repeat an action indefinitely (convenience; ends only by exception). *)

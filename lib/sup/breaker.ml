@@ -90,11 +90,12 @@ let record_failure b now e =
 
 (* ---- the peek/note surface for brownout ---------------------------------
 
-   A router doing brownout does not wrap calls in [run] — it {e peeks} at
-   the breaker before queueing work for a backend and records outcomes
-   observed elsewhere. [rejecting] never mutates (peeking must not claim
-   the half-open trial slot: the probe that closes the circuit is just
-   the first request allowed through once the reset window has passed).
+   A route point doing brownout does not wrap calls in [run] — it
+   {e peeks} at the breaker before queueing work for a backend and
+   records outcomes observed elsewhere. [rejecting] never mutates
+   (peeking must not claim the half-open trial slot: the probe that
+   closes the circuit is just the first request allowed through once
+   the reset window has passed).
    [note_failure] gives that probe discipline without the trial flag:
    a countable failure after the reset window re-trips the circuit —
    the implicit half-open probe failed — refreshing [opened_at]. *)

@@ -45,9 +45,10 @@ val run : t -> 'a Io.t -> 'a Io.t
 
 (** {1 Peek/note — the brownout surface}
 
-    For callers (the shard router) that do not wrap work in {!run} but
-    decide {e before queueing} whether a backend is worth sending work
-    to, and record outcomes observed elsewhere (its workers). *)
+    For callers (the sharded server's route point) that do not wrap work
+    in {!run} but decide {e before queueing} whether a backend is worth
+    sending work to, and record outcomes observed elsewhere (its
+    workers). *)
 
 val rejecting : t -> bool Io.t
 (** Would new work for this backend be brownout-shed right now? [true]

@@ -106,8 +106,6 @@ let run b io =
       else return ())
 
 let entered b = lift (fun () -> b.count)
-let shed_count b = lift (fun () -> Obs.Metrics.counter_value b.c_shed)
-let queue_depth b = lift (fun () -> b.waiting)
 
 let queue_shed_count b =
   lift (fun () -> Obs.Metrics.counter_value b.c_qshed)

@@ -47,11 +47,6 @@ val run : t -> 'a Io.t -> ('a, [ `Shed ]) result Io.t
 val entered : t -> int Io.t
 (** Occupants plus waiters right now (snapshot, for tests/monitoring). *)
 
-val shed_count : t -> int Io.t
-
-val queue_depth : t -> int Io.t
-(** CoDel waiters parked right now ([0] without [queue_target]). *)
-
 val queue_shed_count : t -> int Io.t
 (** Waiters shed because their sojourn exceeded [queue_target]. *)
 

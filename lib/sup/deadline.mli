@@ -3,7 +3,7 @@
     A deadline is an {e absolute} expiry instant, minted once when a
     request enters the system (at accept/enqueue, so time spent queued
     counts against it) and carried with the request through every layer:
-    the server backlog, [Shard.connect] → the router actor → the shard
+    the server backlog, [Shard.connect] → the shard mailbox → the shard
     worker. Each nested bound derives from the {e remaining} budget via
     {!timeout} instead of restarting the full [request_timeout] from
     scratch — so a request that has already burned its budget waiting is

@@ -66,13 +66,21 @@ let retire t slot = t.slots <- List.filter (fun s -> s != slot) t.slots
    be split by a kill, and an [Exited] message, once received, is always
    accounted before the next delivery point. *)
 
+(* A child's exit report must reach the supervisor, or its slot stays up
+   and [drain_exits] waits for it forever. Children taken down together
+   all report at once, and a report waiting for [ctl]'s write cursor is
+   interruptible even in the masked child (§5.3): a second kill landing
+   there would lose it. So the report retries ({!Combinators.critical});
+   the re-posted kill dies with the thread. *)
 let spawn_slot t slot =
+  let report res =
+    Combinators.critical (Chan.send t.ctl (Exited (slot, res)))
+  in
   block
     ( fork ~name:slot.sl_spec.sp_name
         (catch
-           ( unblock slot.sl_spec.sp_start >>= fun () ->
-             Chan.send t.ctl (Exited (slot, Stdlib.Ok ())) )
-           (fun e -> Chan.send t.ctl (Exited (slot, Stdlib.Error e))))
+           (unblock slot.sl_spec.sp_start >>= fun () -> report (Stdlib.Ok ()))
+           (fun e -> report (Stdlib.Error e)))
     >>= fun tid ->
       lift (fun () ->
           slot.sl_tid <- Some tid;

@@ -67,8 +67,9 @@ val start :
 
 val start_child : t -> spec -> unit Io.t
 (** Ask the supervisor to add and start one more child. Asynchronous
-    (mailbox send, never blocks): use {!child_up} / {!children} to
-    observe the start. Dropped if the supervisor is dead. *)
+    (a channel send that waits at most behind a concurrent sender): use
+    {!child_up} / {!children} to observe the start. Dropped if the
+    supervisor is dead. *)
 
 val stop_child : t -> string -> unit Io.t
 (** Ask the supervisor to kill every live child with this name, without

@@ -43,6 +43,28 @@ let expect_deadlock ?input io =
 (* [yields n] gives the scheduler n switch points. *)
 let yields n = Hio_std.Combinators.repeat n Io.yield
 
+(* Second-kill adversary: poll (yielding) until one of [tids] is blocked
+   in an MVar take — for a sender, the interruptible wait for a
+   channel's write cursor another sender holds (§5.3) — and kill it
+   there. [false] if none was seen waiting within [rounds]. *)
+let kill_first_waiting ?(rounds = 500) tids =
+  let open Io in
+  let rec waiting = function
+    | [] -> return None
+    | t :: rest -> (
+        thread_status t >>= function
+        | Blocked_on W_take_mvar -> return (Some t)
+        | _ -> waiting rest)
+  in
+  let rec go n =
+    if n = 0 then return false
+    else
+      waiting tids >>= function
+      | Some t -> throw_to t Kill_thread >>= fun () -> return true
+      | None -> yield >>= fun () -> go (n - 1)
+  in
+  go rounds
+
 let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f
 

@@ -251,6 +251,39 @@ let sup_tests =
         in
         Alcotest.check bool_v "killed" true (r = Stdlib.Error Kill_thread);
         Alcotest.check bool_v "no stranded child" false stranded);
+    case "a child killed again while reporting its exit is still marked down"
+      (fun () ->
+        (* [stop] kills every child at once; they all report their exit
+           on the supervisor's channel, and the one waiting for its
+           write cursor takes a second kill — the report must still
+           arrive, or [stop] waits for that child forever *)
+        let names = List.init 8 (Printf.sprintf "c%d") in
+        let hit, r, kids =
+          value
+            ( Sup.start
+                (List.map (fun n -> Sup.child n (sleep 1_000_000)) names)
+              >>= fun sup ->
+              yields 20 >>= fun () ->
+              let rec tids acc = function
+                | [] -> return acc
+                | n :: rest ->
+                    Sup.child_tid sup n >>= fun t ->
+                    tids (Option.to_list t @ acc) rest
+              in
+              tids [] names >>= fun ts ->
+              Hio.Mvar.new_empty >>= fun stopped ->
+              fork (Sup.stop sup >>= Hio.Mvar.put stopped) >>= fun _ ->
+              kill_first_waiting ts >>= fun hit ->
+              Hio.Mvar.take stopped >>= fun r ->
+              Sup.children sup >>= fun kids -> return (hit, r, kids) )
+        in
+        Alcotest.check bool_v "a reporting child took the second kill" true hit;
+        Alcotest.check bool_v "stop returned Ok" true (r = Stdlib.Ok ());
+        Alcotest.check
+          Alcotest.(list (pair string bool))
+          "every child down"
+          (List.map (fun n -> (n, false)) names)
+          kids);
   ]
 
 (* --- retry ---------------------------------------------------------------- *)
