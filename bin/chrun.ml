@@ -416,15 +416,14 @@ let check_cmd =
     handle_syntax (fun () ->
         let program = read_program file expr prelude in
         let config = config_of fuel stuck_io in
+        let init = State.initial ~input program in
         (match dot_file with
         | Some path ->
-            Dot.write ~path
-              (Dot.dot ~config ~max_states (State.initial ~input program));
+            Dot.write ~path (Dot.dot ~config ~max_states init);
             Fmt.pr "state graph written to %s@." path
         | None -> ());
         let result =
-          Space.explore ~config ~max_states ~jobs:(resolve_jobs jobs)
-            (State.initial ~input program)
+          Space.explore ~config ~max_states ~jobs:(resolve_jobs jobs) init
         in
         Fmt.pr "states: %d   transitions: %d%s@." result.Space.visited
           result.Space.edges
@@ -444,7 +443,7 @@ let check_cmd =
                     Fmt.(
                       list (fun ppf (tr : Step.transition) ->
                           Fmt.string ppf (Step.rule_name tr.Step.rule)))
-                    t.Space.path
+                    (Space.witness ~config init t.Space.path)
               | None -> ())
           kinds)
   in

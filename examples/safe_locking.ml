@@ -51,7 +51,8 @@ let model_check name protocol =
   let open Ch_explore in
   let config = { Step.default_config with Step.stuck_io = false } in
   let program = Ch_corpus.Locking.harness protocol in
-  let result = Space.explore ~config (State.initial program) in
+  let init = State.initial program in
+  let result = Space.explore ~config init in
   Printf.printf "%s: %d states, %d transitions\n" name result.Space.visited
     result.Space.edges;
   List.iter
@@ -62,15 +63,15 @@ let model_check name protocol =
        (fun t -> t.Space.kind = Space.Deadlock)
        result.Space.terminals
    with
-  | Some witness ->
-      Fmt.pr "  a doomed schedule (%d steps):@."
-        (List.length witness.Space.path);
+  | Some dead ->
+      let path = Space.witness ~config init dead.Space.path in
+      Fmt.pr "  a doomed schedule (%d steps):@." (List.length path);
       List.iteri
         (fun i (tr : Step.transition) ->
           if i < 14 then
             Fmt.pr "    %2d. %s@." (i + 1) (Step.rule_name tr.Step.rule))
-        witness.Space.path;
-      if List.length witness.Space.path > 14 then Fmt.pr "    ...@."
+        path;
+      if List.length path > 14 then Fmt.pr "    ...@."
   | None -> Fmt.pr "  no deadlocking schedule exists.@.");
   print_newline ()
 

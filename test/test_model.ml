@@ -132,12 +132,8 @@ let checker_tests =
         let dead =
           List.find (fun t -> t.Space.kind = Space.Deadlock) r.Space.terminals
         in
-        (* replay the path from the initial state *)
-        let final =
-          List.fold_left
-            (fun _st (tr : Step.transition) -> tr.Step.next)
-            (State.initial program) dead.Space.path
-        in
+        (* replay the index path from the initial state *)
+        let final = witness_end program dead.Space.path in
         Alcotest.(check string) "replay reaches the terminal"
           (State.canonical_key dead.Space.state)
           (State.canonical_key final));
