@@ -11,14 +11,7 @@
 
 open Ch_lang
 
-val new_chan_t : Term.term
-(** [newChan :: IO (Chan a)] as a term. *)
-
-val write_chan_t : Term.term
-(** [\c -> \v -> ...]. *)
-
-val read_chan_t : Term.term
-(** [\c -> ...]; interruptible while the channel is empty. *)
-
 val with_channel_prelude : Term.term -> Term.term
-(** Bind [newChan], [writeChan], [readChan] around a program. *)
+(** Bind [newChan :: IO (Chan a)], [writeChan] ([\c -> \v -> ...]) and
+    [readChan] ([\c -> ...], interruptible while the channel is empty)
+    around a program. *)

@@ -37,13 +37,12 @@ val timeout_t : Term.term
     otherwise; composable and nestable. *)
 
 val safe_point_t : Term.term
-(** [unblock (return ())] — §7.4. *)
-
-val put_str_t : Term.term
-(** [\s -> ...]: print a [Cons]/[Nil] list of characters (the parser's
-    desugaring of string literals). *)
+(** [unblock (return ())] — §7.4: the one point of a [block]ed
+    computation, besides its interruptible operations, where a pending
+    asynchronous exception can be delivered. *)
 
 val with_prelude : Term.term -> Term.term
 (** Bind [finally], [bracket], [either], [both], [timeout], [safePoint]
-    and [putStr] around the given program, so corpus sources can call them
-    by name. *)
+    and [putStr] ([\s -> ...]: print a [Cons]/[Nil] list of characters,
+    the parser's desugaring of string literals) around the given program,
+    so corpus sources can call them by name. *)

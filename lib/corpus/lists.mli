@@ -11,11 +11,8 @@
 
 open Ch_lang
 
-val definitions : (string * Term.term) list
-(** In dependency order: [map], [filter], [foldr], [foldl], [append],
-    [length], [take], [drop], [head], [tail], [repeat], [iterate],
-    [zipWith], [range], [sum], [reverse]. *)
-
 val with_list_prelude : Term.term -> Term.term
-(** Bind the whole prelude around a program (earlier definitions are in
-    scope for later ones). *)
+(** Bind the whole prelude around a program, in dependency order: [map],
+    [filter], [foldr], [foldl], [append], [length], [take], [drop],
+    [head], [tail], [repeat], [iterate], [zipWith], [range], [sum],
+    [reverse] (earlier definitions are in scope for later ones). *)
