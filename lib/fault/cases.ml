@@ -753,11 +753,12 @@ let actor_shard_config =
   }
 
 let actor_shard =
-  (* a key per shard, then the first again *)
+  (* a key per shard ("key-0" on shard 0, "key-10" on shard 1, as
+     actor:router's "placement is pinned" checks), then the first again *)
   serving ~tree:(Sharded 2) "actor-shard" actor_shard_config
     ~clients:
-      [ { at = None; key = Some "key-0" }; { at = None; key = Some "key-1" } ]
-    ~probes:[ Some "key-0"; Some "key-1"; Some "key-0" ]
+      [ { at = None; key = Some "key-0" }; { at = None; key = Some "key-10" } ]
+    ~probes:[ Some "key-0"; Some "key-10"; Some "key-0" ]
 
 let actor_shard_targets =
   [
