@@ -27,7 +27,7 @@ module Pool : sig
   type t
   (** A fixed set of worker domains that can execute many jobs over its
       lifetime (cheaper than spawning domains per call when a caller —
-      e.g. the level-synchronous BFS — submits one job per round). *)
+      e.g. the sliced BFS — submits one job per frontier slice). *)
 
   val create : int -> t
   (** [create jobs] makes a pool with [jobs] worker slots ([jobs - 1]

@@ -100,6 +100,9 @@ let explore_tests =
     explore_equiv "catch-only lock (has Deadlock terminals)"
       (Ch_corpus.Locking.harness Ch_corpus.Locking.catch_only);
     explore_equiv "ping-pong (larger graph)" Ch_corpus.Programs.ping_pong;
+    (* 381 states at its widest level: more than one 2-domain slice *)
+    explore_equiv "C4d's timeout (frontier wider than a slice)"
+      timeout_instant;
     explore_equiv "truncated search truncates identically" ~max_states:100
       (Ch_corpus.Locking.harness Ch_corpus.Locking.unprotected);
     explore_equiv "watch hits collected identically"
