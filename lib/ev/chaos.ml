@@ -39,13 +39,6 @@ let pp_rule ppf r =
   Format.fprintf ppf "%s@%d:%s" (op_label r.r_op) r.r_at
     (fault_label r.r_fault)
 
-let pp_plan ppf = function
-  | [] -> Format.pp_print_string ppf "(empty)"
-  | rules ->
-      Format.pp_print_list
-        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
-        pp_rule ppf rules
-
 (* ---- resource plans ----------------------------------------------------
 
    Deterministic resource exhaustion, orthogonal to the fault plan: an
@@ -78,7 +71,6 @@ type ctl = {
   resources : resources;
   mutable live : int; (* conns from the wrapped listener, minus closes *)
   mutable pending : int; (* dialled, not yet accepted *)
-  mutable denials : (string * int) list; (* kind -> count, sorted *)
 }
 
 let create ?metrics ?(resources = no_resources) plan =
@@ -92,7 +84,6 @@ let create ?metrics ?(resources = no_resources) plan =
     resources;
     live = 0;
     pending = 0;
-    denials = [];
   }
 
 (* One atomic step: number this op occurrence, look it up in the plan,
@@ -121,14 +112,8 @@ let decide ctl op =
         Some r.r_fault
   end
 
-(* Record a resource denial (pure; runs inside the op's decision lift). *)
+(* Count a resource denial (pure; runs inside the op's decision lift). *)
 let deny ctl kind =
-  ctl.denials <-
-    (match List.assoc_opt kind ctl.denials with
-    | Some _ ->
-        List.map (fun (k, c) -> if k = kind then (k, c + 1) else (k, c))
-          ctl.denials
-    | None -> List.sort compare ((kind, 1) :: ctl.denials));
   match ctl.metrics with
   | None -> ()
   | Some m ->
@@ -152,8 +137,6 @@ let site_counts ctl =
 
 let injected ctl = List.rev ctl.injections
 let injected_count ctl = List.length ctl.injections
-let denied ctl = ctl.denials
-let live_conns ctl = ctl.live
 
 (* ---- the decorator ---------------------------------------------------- *)
 

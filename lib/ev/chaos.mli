@@ -113,15 +113,6 @@ val injected : ctl -> (op * int * fault) list
 
 val injected_count : ctl -> int
 
-val denied : ctl -> (string * int) list
-(** Resource denials per kind (["fd"], ["backlog"], ["sendbuf"]),
-    kind-sorted. Empty without a resource plan. *)
-
-val live_conns : ctl -> int
-(** Connections currently counted against the fd budget — created
-    through the wrapped listener and not yet closed. Always [0] without
-    a resource plan. *)
-
 val all_ops : op list
 
 val default_faults : op -> fault list
@@ -137,4 +128,3 @@ val fault_label : fault -> string
     label values and in the sweep JSON's fault-kind breakdown. *)
 
 val pp_rule : Format.formatter -> rule -> unit
-val pp_plan : Format.formatter -> plan -> unit

@@ -40,18 +40,13 @@ let round_robin_pick cursor transitions =
       | [], [], t :: _ -> t
       | [], [], [] -> assert false)
 
-let run ?config ?intervene ?(max_steps = 20_000) policy init =
+let run ?config ?(max_steps = 20_000) policy init =
   let rng =
     match policy with
     | Random seed -> Some (Random.State.make [| seed |])
     | First | Round_robin -> None
   in
   let rec go state trace steps cursor =
-    let state =
-      match intervene with
-      | None -> state
-      | Some f -> ( match f ~step:steps state with Some s -> s | None -> state)
-    in
     if steps >= max_steps then
       { final = state; trace = List.rev trace; steps; outcome = Out_of_steps }
     else

@@ -25,21 +25,11 @@ type run = {
 }
 
 val run :
-  ?config:Step.config ->
-  ?intervene:(step:int -> State.t -> State.t option) ->
-  ?max_steps:int ->
-  policy ->
-  State.t ->
-  run
+  ?config:Step.config -> ?max_steps:int -> policy -> State.t -> run
 (** Run a program state to termination (or to [max_steps], default
-    [20_000]).
-
-    [intervene] is consulted before each step with the step index and the
-    current state; returning [Some st'] substitutes [st'] (returning
-    [None] leaves the state alone). The fault-injection sweep uses it to
-    drop a [KillThread] into {!State.t.inflight} at a chosen step —
-    delivery then happens through the ordinary (Receive)/(Interrupt)
-    rules, exactly as a real [throwTo] would. *)
+    [20_000]). One schedule and no adversary: {!Space.explore} follows
+    every schedule, and with [kills] every placement of an environment
+    [KillThread] too. *)
 
 val pp_trace : Format.formatter -> Step.transition list -> unit
 (** One line per step: rule name, acting thread, label. *)

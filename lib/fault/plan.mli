@@ -19,5 +19,4 @@ val kill : ?target:target -> int -> injection
     the paper's adversary (§5.2: "no matter where" the exception lands). *)
 
 val pp_target : Format.formatter -> target -> unit
-val pp_injection : Format.formatter -> injection -> unit
 val pp : Format.formatter -> t -> unit

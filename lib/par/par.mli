@@ -1,7 +1,7 @@
 (** A small domain-parallel fork-join pool for the verification engines.
 
-    Both the kill-point sweep ({!Fault.Sweep}, {!Fault.Ch_sweep}) and the
-    state-space explorer ({!Ch_explore.Space}) are embarrassingly
+    Both the kill-point sweeps (the drivers of {!Fault.Sweep}'s pipeline)
+    and the state-space explorer ({!Ch_explore.Space}) are embarrassingly
     parallel: each faulted re-run, and each frontier expansion, is
     independent work over immutable inputs (a recorded schedule, a
     program state). This module farms that work to worker domains and

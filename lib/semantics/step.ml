@@ -32,6 +32,7 @@ type rule =
   | R_stuck_sleep
   | R_stuck_put_mvar
   | R_stuck_take_mvar
+  | R_kill
 
 let rule_name = function
   | R_bind -> "(Bind)"
@@ -63,6 +64,7 @@ let rule_name = function
   | R_stuck_sleep -> "(Stuck Sleep)"
   | R_stuck_put_mvar -> "(Stuck PutMVar)"
   | R_stuck_take_mvar -> "(Stuck TakeMVar)"
+  | R_kill -> "(Kill)"
 
 type label = Out_char of char | In_char of char | Time of int
 type actor = Thread_step of Term.tid | Delivery of int | Global
@@ -253,11 +255,13 @@ let receive_transitions config (st : State.t) =
       | Some (State.Finished _) | None -> [])
     st.State.inflight
 
+(* Once main alone remains, every in-flight exception targets a finished
+   thread: it is inert, and [State.canonical_key] already drops it, so
+   reaping it alone would be a step to the same key — a self-loop that
+   hides the terminal from the explorer. *)
 let proc_gc_transition (st : State.t) =
   match State.main_result st with
-  | Some _
-    when List.length st.State.threads > 1
-         || st.State.mvars <> [] || st.State.inflight <> [] ->
+  | Some _ when List.length st.State.threads > 1 || st.State.mvars <> [] ->
       [
         {
           rule = R_proc_gc;
@@ -286,6 +290,29 @@ let enumerate ?(config = default_config) (st : State.t) =
       st.State.threads
   in
   per_thread @ receive_transitions config st @ proc_gc_transition st
+
+let kills (st : State.t) =
+  let k = st.State.next_inflight in
+  List.filter_map
+    (fun (target, th) ->
+      match th with
+      | State.Active _ ->
+          Some
+            {
+              rule = R_kill;
+              actor = Global;
+              label = None;
+              next =
+                {
+                  st with
+                  State.inflight =
+                    st.State.inflight
+                    @ [ (k, { State.target; exn = "KillThread" }) ];
+                  next_inflight = k + 1;
+                };
+            }
+      | State.Finished _ -> None)
+    st.State.threads
 
 type stall = Waiting | Diverging | Ill_typed of string
 

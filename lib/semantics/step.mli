@@ -39,6 +39,8 @@ type rule =
   | R_stuck_sleep
   | R_stuck_put_mvar
   | R_stuck_take_mvar
+  (* the environment *)
+  | R_kill
 
 val rule_name : rule -> string
 (** The paper's name for the rule, e.g. ["(Block Return)"] for
@@ -53,7 +55,7 @@ type actor =
   | Thread_step of Term.tid  (** a rule firing at thread [t]'s redex *)
   | Delivery of int
       (** rules (Receive)/(Interrupt) consuming in-flight exception [k] *)
-  | Global  (** rule (Proc GC) *)
+  | Global  (** rule (Proc GC), or the environment's (Kill) *)
 
 type transition = {
   rule : rule;
@@ -85,6 +87,15 @@ val enumerate : ?config:config -> State.t -> transition list
     empty result means the state is terminal: either every thread has
     finished (possibly after (Proc GC)), or the program is deadlocked,
     ill-typed, or purely divergent — {!thread_stall} distinguishes these. *)
+
+val kills : State.t -> transition list
+(** The environment's [throwTo]: for each [Active] thread [t], in thread
+    order, a (Kill) transition that appends [⟦t ⇐ KillThread⟧] to the
+    in-flight exceptions. It is not a rule of Figures 4 and 5 and
+    {!enumerate} never offers it; the kill is delivered by the ordinary
+    (Receive)/(Interrupt) rules, as a program's [throwTo] would be. The
+    explorer's adversary ({!Ch_explore.Space.explore}'s [kills]) offers
+    these transitions. *)
 
 type stall =
   | Waiting  (** blocked on an unavailable resource or exhausted input *)

@@ -1,8 +1,8 @@
 (* Tests for the lib/fault kill-point sweep: the shrinker, harness
    validation against a deliberately broken lock, the §7 suites swept at
    every armed step (the paper's universally-quantified safety claims),
-   the object-language sweep, and deterministic regression pins for the
-   Chan/Bchan cursor-restoration fix. *)
+   and deterministic regression pins for the Chan/Bchan
+   cursor-restoration fix. *)
 
 open Hio
 open Hio_std
@@ -150,97 +150,6 @@ let regression_tests =
                catch (ignore_result (Task.await t)) (fun _ -> return ())
                >>= fun () ->
                Bchan.send c 7 >>= fun () -> Bchan.recv c )));
-  ]
-
-(* --- the object-language sweep ------------------------------------------- *)
-
-open Ch_semantics
-
-(* cli.t's two lock protocols: the paper's §5.2-protected form, and the
-   catch-only form whose lock a kill can lose. *)
-let protected_lock =
-  "do { m <- newEmptyMVar; putMVar m 0; t <- forkIO (block (do { a <- \
-   takeMVar m; b <- catch (unblock (return (a + 1))) (\\e -> do { putMVar \
-   m a; throw e }); putMVar m b })); takeMVar m }"
-
-let naive_lock_src =
-  "do { m <- newEmptyMVar; putMVar m 0; t <- forkIO (do { a <- takeMVar \
-   m; b <- catch (return (a + 1)) (\\e -> do { putMVar m a; throw e }); \
-   putMVar m b }); takeMVar m }"
-
-let ch_state src = State.initial (Ch_lang.Parser.parse src)
-
-let ch_sweep_tests =
-  [
-    case "sequential corpus programs only die, never wedge" (fun () ->
-        List.iter
-          (fun name ->
-            let init = List.assoc name Ch_sweep.corpus in
-            let r = Ch_sweep.sweep name init in
-            Alcotest.check Alcotest.bool (name ^ " quiescent") true
-              (Ch_sweep.quiescent r))
-          [ "hello"; "echo"; "counter-loop" ]);
-    case "ping-pong wedges when a peer dies (the motivating failure)"
-      (fun () ->
-        let r =
-          Ch_sweep.sweep "ping-pong" (List.assoc "ping-pong" Ch_sweep.corpus)
-        in
-        Alcotest.check Alcotest.bool "wedged runs exist" true
-          (r.Ch_sweep.rc_wedged > 0);
-        (* every wedge is main waiting on an MVar, visible in the report *)
-        List.iter
-          (fun p ->
-            match p.Ch_sweep.verdict with
-            | Ch_sweep.Wedged ((_, "takeMVar", Some _) :: _) -> ()
-            | v ->
-                Alcotest.failf "unexpected verdict %a" Ch_sweep.pp_verdict v)
-          r.Ch_sweep.rc_points);
-    case "the §5.2-protected lock is quiescent; the catch-only one is not"
-      (fun () ->
-        let ok = Ch_sweep.sweep "protected" (ch_state protected_lock) in
-        Alcotest.check Alcotest.bool "protected quiescent" true
-          (Ch_sweep.quiescent ok);
-        let bad = Ch_sweep.sweep "naive" (ch_state naive_lock_src) in
-        Alcotest.check Alcotest.bool "naive wedges" true
-          (bad.Ch_sweep.rc_wedged > 0));
-    case "intervene lands a real in-flight exception" (fun () ->
-        let init = ch_state "do { sleep 1; sleep 1; return 0 }" in
-        let intervene ~step st =
-          if step = 1 then
-            Some
-              {
-                st with
-                State.inflight =
-                  st.State.inflight
-                  @ [ (st.State.next_inflight,
-                       { State.target = 0; exn = "Boom" }) ];
-                next_inflight = st.State.next_inflight + 1;
-              }
-          else None
-        in
-        let r =
-          Ch_explore.Sched.run ~intervene Ch_explore.Sched.Round_robin init
-        in
-        match State.main_result r.Ch_explore.Sched.final with
-        | Some (State.Threw "Boom") -> ()
-        | _ -> Alcotest.fail "expected main to die of the injected #Boom");
-    case "blocked_reasons classifies takeMVar/putMVar/getChar waits"
-      (fun () ->
-        let r =
-          Ch_explore.Sched.run Ch_explore.Sched.Round_robin
-            (ch_state
-               "do { m <- newEmptyMVar; f <- newEmptyMVar; putMVar f 1; t \
-                <- forkIO (do { putMVar f 2; return 0 }); u <- forkIO \
-                getChar; takeMVar m }")
-        in
-        Alcotest.check
-          (Alcotest.list
-             (Alcotest.triple Alcotest.int Alcotest.string
-                (Alcotest.option Alcotest.int)))
-          "wait graph"
-          [ (0, "takeMVar", Some 0); (1, "putMVar", Some 1);
-            (2, "getChar", None) ]
-          (Step.blocked_reasons r.Ch_explore.Sched.final));
   ]
 
 (* --- jobs-invariance: the parallel sweep is observationally sequential ---- *)
@@ -422,7 +331,6 @@ let suites =
     ("fault:shrink", shrink_tests);
     ("fault:sweep", sweep_tests);
     ("fault:regressions", regression_tests);
-    ("fault:ch-sweep", ch_sweep_tests);
     ("fault:jobs-invariance", jobs_invariance_tests);
     ("fault:domain-sweep", domain_sweep_tests);
   ]

@@ -77,11 +77,12 @@ open Ch_semantics
 let quiet =
   { Step.default_config with Step.stuck_io = false; fuel = 20_000 }
 
-let explore_equiv ?max_states ?watch name program =
+let explore_equiv ?max_states ?kills ?watch name program =
   case (name ^ ": explore is jobs-invariant") (fun () ->
       let init = State.initial program in
       let go jobs =
-        Ch_explore.Space.explore ~config:quiet ?max_states ~jobs ?watch init
+        Ch_explore.Space.explore ~config:quiet ?max_states ~jobs ?kills
+          ?watch init
       in
       let seq = go 1 in
       List.iter
@@ -100,6 +101,8 @@ let explore_tests =
     explore_equiv "catch-only lock (has Deadlock terminals)"
       (Ch_corpus.Locking.harness Ch_corpus.Locking.catch_only);
     explore_equiv "ping-pong (larger graph)" Ch_corpus.Programs.ping_pong;
+    explore_equiv "ping-pong under 1 kill (budgets and kill paths)" ~kills:1
+      Ch_corpus.Programs.ping_pong;
     (* 381 states at its widest level: more than one 2-domain slice *)
     explore_equiv "C4d's timeout (frontier wider than a slice)"
       timeout_instant;

@@ -179,6 +179,18 @@ let fig4_tests =
             Alcotest.(check int) "one thread" 1
               (List.length t.Ch_explore.Space.state.State.threads))
           r.Ch_explore.Space.terminals);
+    case "an exception in flight to a finished main is not reaped alone"
+      (fun () ->
+        (* main throws to itself under block and may finish before the
+           delivery: the key drops the inert exception, so a (Proc GC)
+           reaping only it would loop on that key and hide the ending *)
+        let r = explore (parse "do { t <- myThreadId; block (throwTo t #Boom) }") in
+        Alcotest.(check (list kind_testable))
+          "both endings"
+          [ Ch_explore.Space.Completed (State.Done unit_v);
+            Ch_explore.Space.Completed (State.Threw "Boom") ]
+          (kinds r);
+        Alcotest.(check bool) "no cycle" false r.Ch_explore.Space.has_cycle);
     case "(Eval) evaluates a non-value redex" (fun () ->
         let st = mk (parse "putChar (if True then 'a' else 'b')") in
         let t = fire st Step.R_eval in
