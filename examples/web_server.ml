@@ -6,10 +6,10 @@
    it now rides the hserver library, which packages the same §11
    discipline — one thread per connection, a per-request timeout built
    from the composable §7.3 combinator, bounded concurrency — behind
-   [Server.start]. The simulated network is requested explicitly with
-   [Ev.Backend.sim ()]: the implicit default is deprecated, and the same
-   program runs on the real epoll backend by swapping that one argument
-   (see examples/tcp_load.ml).
+   [Server.start]. The simulated network is named explicitly with
+   [Ev.Backend.sim ()] (also the default), so the same program runs on
+   the real epoll backend by swapping that one argument (see
+   examples/tcp_load.ml).
 
    Run with: dune exec examples/web_server.exe *)
 

@@ -234,8 +234,13 @@ and prim op va vb =
   | Lt -> compare_v ( < )
   | Le -> compare_v ( <= )
 
+(* The denotation of a closed term of IO type: performing the action runs
+   the program on the hio runtime. *)
 let io_of_term term = delay (fun () -> eval [] term)
 
+(* Deeply force a value and render it as a term (for observation), with a
+   step budget against divergent components; [Ill_typed] on open
+   results. *)
 let readback ?(budget = 100_000) v =
   let remaining = ref budget in
   let rec go v =

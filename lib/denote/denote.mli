@@ -24,18 +24,6 @@ exception Ill_typed of string
     ill-typed object program applies an integer, scrutinizes a function,
     etc. Well-typed programs never trigger it. *)
 
-type value
-(** A weak-head-normal object value. *)
-
-val io_of_term : Term.term -> value Hio.Io.t
-(** The denotation of a closed term of IO type: performing the action runs
-    the program on the hio runtime. *)
-
-val readback : ?budget:int -> value -> Term.term Hio.Io.t
-(** Deeply force a value and render it as a term (for observation), with a
-    step budget against divergent components.
-    @raise Ill_typed on open results. *)
-
 type observation = {
   ending : ending;
   output : string;

@@ -1,5 +1,4 @@
 open Hio
-open Hio_std
 open Hio.Io
 
 exception Connection_reset
@@ -136,41 +135,43 @@ let rec wake = function
   | [] -> return ()
   | w :: ws -> Mvar.try_put w () >>= fun _ -> wake ws
 
-(* Park on [w] until woken; on an exception (a kill, a timeout) withdraw
-   the registration with [unregister] and re-raise. *)
-let park w ~unregister =
-  catch (Mvar.take w) (fun e -> unregister () >>= fun () -> throw e)
+type 'a attempt = Done of 'a * unit Mvar.t list | Failed of exn | Wait
 
-type 'a attempt = Done of 'a * unit Mvar.t list | Closed | Wait
-
-(* One blocking pipe operation, for either direction: [attempt] runs in
-   a single [lift] and settles ([Done] with the waiters to wake, or
-   [Closed]) or asks to [Wait], in which case the caller parks on [q]
-   until a peer's state change wakes it, then retries. *)
-let pipe_blocking q attempt =
+(* One blocking operation on a pipe or an accept queue: [attempt] runs
+   in a single [lift] and settles ([Done] with the waiters to wake, or
+   [Failed] with what to raise) or asks to [Wait]. Only then does the
+   operation allocate a waiter [w]: it retries, registering [w] on [q]
+   in the same step as the check, and parks until a peer's state change
+   wakes it, then starts over. A kill or timeout while parked withdraws
+   [w] and re-raises. *)
+let blocking q attempt =
   block
-    (let rec go () =
-       Mvar.new_empty >>= fun w ->
-       lift (fun () ->
-           match attempt () with
-           | Wait ->
-               q := !q @ [ w ];
-               Wait
-           | r -> r)
-       >>= function
+    (let rec go () = lift attempt >>= settle
+     and settle = function
        | Done (v, ws) -> wake ws >>= fun () -> return v
-       | Closed -> throw End_of_file
-       | Wait ->
-           park w ~unregister:(fun () ->
-               lift (fun () -> q := List.filter (fun x -> x != w) !q))
-           >>= go
+       | Failed e -> throw e
+       | Wait -> (
+           Mvar.new_empty >>= fun w ->
+           lift (fun () ->
+               match attempt () with
+               | Wait ->
+                   q := !q @ [ w ];
+                   Wait
+               | r -> r)
+           >>= function
+           | Wait ->
+               catch (Mvar.take w) (fun e ->
+                   lift (fun () -> q := List.filter (fun x -> x != w) !q)
+                   >>= fun () -> throw e)
+               >>= go
+           | r -> settle r)
      in
      go ())
 
 let pipe_recv p ~upto ~max =
-  pipe_blocking p.p_readers (fun () ->
+  blocking p.p_readers (fun () ->
       if p.p_len > 0 then Done (ring_take p ~upto ~max, take_all p.p_writers)
-      else if p.p_closed then Closed
+      else if p.p_closed then Failed End_of_file
       else Wait)
 
 let pipe_try_recv p =
@@ -189,8 +190,8 @@ let pipe_send p s =
   let rec go off =
     if off >= String.length s then return ()
     else
-      pipe_blocking p.p_writers (fun () ->
-          if p.p_closed then Closed
+      blocking p.p_writers (fun () ->
+          if p.p_closed then Failed End_of_file
           else if p.p_len < Bytes.length p.p_buf then
             Done (ring_put p s off, take_all p.p_readers)
           else Wait)
@@ -227,25 +228,43 @@ let sim_pipe ?(capacity = 64) () =
     ( sim_conn ~incoming:b_to_a ~outgoing:a_to_b,
       sim_conn ~incoming:a_to_b ~outgoing:b_to_a )
 
-let sim () =
-  {
-    b_name = "sim";
-    b_event_source = None;
-    b_listen =
-      (fun ~backlog ->
-        Bchan.create backlog >>= fun q ->
-        lift (fun () -> ref false) >>= fun closed ->
-        return
-          {
-            l_accept = (fun () -> Bchan.recv q);
-            l_dial =
-              (fun () ->
-                lift (fun () -> !closed) >>= fun c ->
-                if c then throw Connection_refused
-                else
-                  sim_pipe () >>= fun (near, far) ->
-                  Bchan.send q far >>= fun () -> return near);
-            l_close = (fun () -> lift (fun () -> closed := true));
-            l_port = None;
-          });
-  }
+(* ---- the simulated listener: a closeable bounded accept queue --------
+
+   A dialer queues the far end of a fresh {!sim_pipe}, parking while
+   [backlog] connections already wait; an acceptor parks while none
+   does. Both park through [blocking], so a kill while parked withdraws
+   the waiter and leaves the queue as it was. Closing refuses every
+   parked dialer; acceptors drain what is queued, then get
+   [End_of_file]. *)
+let sim_listen ~backlog =
+  lift (fun () -> (Queue.create (), ref false, ref [], ref []))
+  >>= fun (conns, closed, acceptors, dialers) ->
+  let accept () =
+    blocking acceptors (fun () ->
+        if not (Queue.is_empty conns) then
+          Done (Queue.pop conns, take_all dialers)
+        else if !closed then Failed End_of_file
+        else Wait)
+  in
+  let dial () =
+    sim_pipe () >>= fun (near, far) ->
+    blocking dialers (fun () ->
+        if !closed then Failed Connection_refused
+        else if Queue.length conns < max 1 backlog then begin
+          Queue.push far conns;
+          Done (near, take_all acceptors)
+        end
+        else Wait)
+  in
+  let close () =
+    lift (fun () ->
+        if !closed then []
+        else begin
+          closed := true;
+          take_all dialers @ take_all acceptors
+        end)
+    >>= wake
+  in
+  return { l_accept = accept; l_dial = dial; l_close = close; l_port = None }
+
+let sim () = { b_name = "sim"; b_event_source = None; b_listen = sim_listen }

@@ -18,8 +18,8 @@
       and a monotonic clock driving the runtime's timer wheel.
 
     Connections and listeners are records of closures rather than a
-    functor or first-class module: the server stores heterogeneous
-    connections in one backlog queue and switches backends at runtime
+    functor or first-class module: one server type serves whatever
+    connections its backend produces and switches backends at runtime
     ([Server.start ?backend]), which a type-level [Backend.conn] per
     implementation would preclude. *)
 
@@ -37,13 +37,13 @@ exception Connection_refused
 exception Accept_failed
 (** A transient [l_accept] failure (injected; real accept maps its
     transient errno cases to retries internally). The server's accept
-    pump must survive it. *)
+    loop must survive it. *)
 
 exception Too_many_fds
 (** The deterministic stand-in for EMFILE/ENFILE: raised by [l_accept]
     and [l_dial] when a {!Chaos} resource plan's fd budget is exhausted.
     Recovers as connections close; [Hsup.Retry.transient_io] retries it,
-    the server's accept pump must survive it. *)
+    the server's accept loop must survive it. *)
 
 exception Buffer_full
 (** The deterministic stand-in for a send-buffer overrun under a
@@ -93,13 +93,19 @@ val make_conn :
 
 type listener = {
   l_accept : unit -> conn Io.t;
-      (** Wait (interruptibly) for the next inbound connection. *)
+      (** Wait (interruptibly) for the next inbound connection. After
+          {!l_close}: the connections still queued ({!sim}; a real
+          close resets its kernel queue), then [End_of_file]. *)
   l_dial : unit -> conn Io.t;
       (** Open a fresh client connection to this listener — the only
           portable way to "connect" that does not need an address type
           spanning both in-memory and socket transports. For the real
           backend, out-of-process clients use {!l_port} instead. *)
   l_close : unit -> unit Io.t;
+      (** Idempotent. Refuses later dials; in {!sim} it also refuses
+          every dialer parked on a full queue ([Connection_refused]) and
+          wakes every parked acceptor. Shutdown drains: close, then
+          accept until [End_of_file]. *)
   l_port : int option;
       (** The bound TCP port (real backend), for external clients. *)
 }
@@ -129,8 +135,9 @@ val sim_pipe : ?capacity:int -> unit -> (conn * conn) Io.t
     [Ev.Real] maps read-0/ECONNRESET/EPIPE. *)
 
 val sim : unit -> t
-(** The deterministic in-memory backend. [l_dial] performs the
-    rendezvous the server's [connect] used to inline: create a
-    {!sim_pipe}, enqueue the far end on the listener's backlog, return
-    the near end. Dialling a closed listener raises
+(** The deterministic in-memory backend. A listener is a bounded queue
+    of [backlog] connections (at least 1): [l_dial] creates a
+    {!sim_pipe}, queues the far end (parking, interruptibly, while the
+    queue is full) and returns the near end; [l_accept] takes the
+    oldest queued end. Dialling a closed listener raises
     {!Connection_refused}. *)

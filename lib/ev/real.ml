@@ -260,18 +260,21 @@ let listen ~on_close ~backlog =
   let lclosed = ref false in
   let rec accept () =
     lift (fun () ->
-        match Unix.accept ~cloexec:true lfd with
-        | cfd, _ ->
-            prepare_socket cfd;
-            `Conn cfd
-        | exception
-            Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            `Block
-        | exception
-            Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
-            `Again)
+        if !lclosed then `Closed
+        else
+          match Unix.accept ~cloexec:true lfd with
+          | cfd, _ ->
+              prepare_socket cfd;
+              `Conn cfd
+          | exception
+              Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+              `Block
+          | exception
+              Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
+              `Again)
     >>= function
     | `Conn cfd -> return (conn_of_fd ~on_close cfd)
+    | `Closed -> throw End_of_file
     | `Again -> accept ()
     | `Block -> wait_readable ifd >>= fun () -> accept ()
   in

@@ -370,7 +370,7 @@ let std =
 
 (* --- the §11 server ------------------------------------------------------ *)
 
-(* A kill-sweep case on the serving protocol, over the implicit
+(* A kill-sweep case on the serving protocol, over the tree's default
    transport. *)
 let serving ?(tree = Single) name config ~clients ~probes =
   Sweep.case ~max_steps:400_000 name

@@ -74,10 +74,12 @@ val serve :
   (outcome option array * Obs.Metrics.t) Hio.Io.t
 (** Run the protocol: start the tree, run the clients in the armed
     window, then disarm and check lawful outcomes, steady state and
-    refusal after shutdown. Without [chaos] the tree runs on the
-    implicit transport; with it, on an [Ev.Backend.sim ()] wrapped
-    through that ctl, and the ctl is disarmed with the kill window. Returns each client's outcome
-    ([None] for a kill victim) and the tree's metrics registry. *)
+    refusal after shutdown. Without [chaos] the tree runs on its
+    default transport (a server's own sim listener, a shard's keyed
+    in-process connect); with it, on an [Ev.Backend.sim ()] wrapped
+    through that ctl, and the ctl is disarmed with the kill window.
+    Returns each client's outcome ([None] for a kill victim) and the
+    tree's metrics registry. *)
 
 val std : Sweep.case list
 (** [sem-units], [barrier-withdraw], [chan-conserve], [bchan-conserve],

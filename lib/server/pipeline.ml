@@ -254,14 +254,20 @@ let worker ~request_timeout ~keep_alive ~admit ~breaker ins handler conn
           loop dl0 )
     (lift (fun () -> Obs.Metrics.add ins.m_inflight (-1)))
 
-(* An external listener's accept loop. A transient accept failure must
-   not deafen the server: count it, then back off — a synchronously
+(* The accept loop of both servers. Accept and hand-off run masked
+   (§5.2): a kill lands only while [l_accept] waits, with nothing taken
+   yet, or at an interruptible point of the hand-off, which closes the
+   connection — it is served or closed, never dropped. A transient
+   accept failure is counted and backed off from: a synchronously
    failing accept (EMFILE under an fd budget) would otherwise spin the
-   pump without ever reaching a blocking point. *)
+   loop without ever reaching a blocking point. *)
 let accept_pump ins el on_accept =
   Combinators.forever
     (catch
-       (el.Ev.Backend.l_accept () >>= on_accept)
+       (mask (fun restore ->
+            el.Ev.Backend.l_accept () >>= fun conn ->
+            Combinators.on_exception (on_accept restore conn)
+              (close_quietly conn)))
        (fun e ->
          match io_fault_kind e with
          | Some kind -> count_io ins kind >>= fun () -> sleep 10
@@ -269,12 +275,16 @@ let accept_pump ins el on_accept =
 
 (* A dead, saturated or chaos-refusing listener yields [Dial_timeout],
    not a forever-blocked client thread; every flavour of dial failure is
-   counted before it propagates. *)
+   counted before it propagates. [timeout = None] is for a listener
+   nothing outside the program can stall. *)
 let dial ins timeout el =
   catch
-    ( Combinators.timeout timeout (el.Ev.Backend.l_dial ()) >>= function
-      | Some conn -> return conn
-      | None -> throw Dial_timeout )
+    (match timeout with
+    | None -> el.Ev.Backend.l_dial ()
+    | Some t -> (
+        Combinators.timeout t (el.Ev.Backend.l_dial ()) >>= function
+        | Some conn -> return conn
+        | None -> throw Dial_timeout))
     (fun e ->
       match dial_error_kind e with
       | Some kind ->

@@ -2,7 +2,7 @@
     [hserver]. One connection worker (progress protocol,
     degrade-on-restart, bounded writes, absorbed read faults, escaping
     write faults, keep-alive), the fault classifiers, the metrics
-    instruments, the accept pump, the counted dial and the supervised
+    instruments, the accept loop, the counted dial and the supervised
     child retirement. The two servers differ only in how connections
     reach a worker and in what the worker's admission step and breaker
     feed are. *)
@@ -73,13 +73,19 @@ val worker :
     is told each request's success, shed or deadline. *)
 
 val accept_pump :
-  instruments -> Ev.Backend.listener -> (Http.Conn.t -> unit Io.t) -> unit Io.t
-(** Accept forever, handing each connection to the callback; transient
-    accept faults are counted and backed off from. *)
+  instruments ->
+  Ev.Backend.listener ->
+  ((unit Io.t -> unit Io.t) -> Http.Conn.t -> unit Io.t) ->
+  unit Io.t
+(** [accept_pump ins el on_accept]: accept forever, handing each
+    connection to [on_accept restore conn] under [mask]; an exception
+    out of the hand-off closes [conn] and propagates. A worker it forks
+    must run its body under [restore]. Transient accept faults are
+    counted and backed off from. *)
 
-val dial : instruments -> int -> Ev.Backend.listener -> Http.Conn.t Io.t
-(** [dial ins timeout el]: [l_dial] bounded by [timeout] (expiry raises
-    {!Dial_timeout}); failures are counted in
+val dial : instruments -> int option -> Ev.Backend.listener -> Http.Conn.t Io.t
+(** [dial ins timeout el]: [l_dial], bounded by [timeout] when given
+    (expiry raises {!Dial_timeout}); failures are counted in
     [client_dial_errors_total{kind}] before re-raising. *)
 
 val stop_sup_child : Hsup.Sup.t -> string -> unit Io.t

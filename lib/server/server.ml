@@ -49,38 +49,36 @@ type mode =
   | Supervised of { sup : Hsup.Sup.t; bulk : Hsup.Bulkhead.t }
   | Plain of { listener : Io.thread_id; admission : Sem.t }
 
-(* An external (backend-provided) listener and the thread pumping its
-   accepts into the in-process backlog queue. In supervised mode the
-   pump runs as a Permanent child of the tree ([pump = None]) so a kill
-   or crash restarts it instead of deafening the server; in plain mode
-   it is a bare fork we kill at shutdown. *)
-type ext = { el : Ev.Backend.listener; pump : Io.thread_id option }
-
 type t = {
-  backlog : (Http.Conn.t * Hsup.Deadline.t) Bchan.t;
+  el : Ev.Backend.listener;
+  dial_timeout : int option;
+      (* [None] on the server's own sim listener: nothing outside the
+         program can stall that dial, so it forks no timeout child *)
   registry : Obs.Metrics.t;
   ins : instruments;
   config : config;
   mutable accepting : bool;
   mode : mode;
-  ext : ext option;
 }
 
-(* The accept loop: every backlogged connection gets one worker running
-   the shared pipeline — a Transient child of the tree (admission through
-   the bulkhead: at most [max_concurrent] requests run, at most
-   [max_waiting] more queue, the rest are shed with a 503), or, in plain
-   mode, a bare fork behind a semaphore. A plain worker has no supervisor
-   to restart it and close its connection when a write fault or a handler
-   crash escapes, so the fork closes it instead. *)
-let listener_body config ins mode backlog handler =
+(* The accept loop: every accepted connection gets its deadline, minted
+   here so the admission queue counts against the request, and one
+   worker running the shared pipeline — a Transient child of the tree
+   (admission through the bulkhead: at most [max_concurrent] requests
+   run, at most [max_waiting] more queue, the rest are shed with a 503),
+   or, in plain mode, a bare fork behind a semaphore. A plain worker has
+   no supervisor to restart it and close its connection when a write
+   fault or a handler crash escapes, so the fork closes it instead; the
+   fork inherits the loop's mask, so that handler is armed before
+   [restore] lets a kill in. *)
+let listener_body config ins mode el handler =
   let serve ~admit conn progress dl =
     worker ~request_timeout:config.request_timeout
       ~keep_alive:config.keep_alive ~admit ~breaker:None ins handler conn
       progress dl
   in
-  Combinators.forever
-    ( Bchan.recv backlog >>= fun (conn, dl) ->
+  accept_pump ins el (fun restore conn ->
+      Hsup.Deadline.mint config.request_timeout >>= fun dl ->
       lift (fun () -> ref Fresh) >>= fun progress ->
       match mode with
       | `Supervised (sup, bulk) ->
@@ -90,12 +88,24 @@ let listener_body config ins mode backlog handler =
       | `Plain admission ->
           let admit io = Sem.with_unit admission (map Result.ok io) in
           fork ~name:"conn-worker"
-            (Combinators.on_exception (serve ~admit conn progress dl)
-               (close_quietly conn))
-          >>= fun _tid -> return () )
+            (catch
+               (restore (serve ~admit conn progress dl))
+               (fun e -> close_quietly conn >>= fun () -> throw e))
+          >>= fun _tid -> return ())
 
-let start_core ~config ~metrics ?backend_name handler =
-  Bchan.create config.accept_queue >>= fun backlog ->
+let start ?(config = default_config) ?metrics ?backend handler =
+  (* An explicit backend puts a [backend=sim|real] label on every series,
+     so one registry can compare the two side by side, and bounds each
+     dial by [dial_timeout]. The default, the server's own sim listener,
+     stays label-free (the pre-redesign metric names are pinned by golden
+     output) and is dialled without a bound. *)
+  let b, labels, dial_timeout =
+    match backend with
+    | None -> (Ev.Backend.sim (), [], None)
+    | Some b ->
+        (b, [ ("backend", b.Ev.Backend.b_name) ], Some config.dial_timeout)
+  in
+  b.Ev.Backend.b_listen ~backlog:config.accept_queue >>= fun el ->
   (* The default registry must be created here, inside the continuation —
      i.e. once per {e run} — not when [start] is applied. A server Io value
      is typically built once and run many times (tests, kill sweeps), and
@@ -106,16 +116,9 @@ let start_core ~config ~metrics ?backend_name handler =
   let registry =
     match metrics with Some reg -> reg | None -> Obs.Metrics.create ()
   in
-  (* When an explicit backend is in play every series carries a
-     [backend=sim|real] label, so one registry can compare the two side by
-     side. The default (no [?backend]) stays label-free: the pre-redesign
-     metric names are pinned by golden output. *)
-  let labels =
-    match backend_name with None -> [] | Some n -> [ ("backend", n) ]
-  in
   let ins = instruments ~labels registry in
   let server mode =
-    { backlog; registry; ins; config; accepting = true; mode; ext = None }
+    { el; dial_timeout; registry; ins; config; accepting = true; mode }
   in
   if config.supervised then
     Hsup.Sup.start ~name:"supervisor" ~strategy:Hsup.Sup.One_for_one
@@ -127,44 +130,15 @@ let start_core ~config ~metrics ?backend_name handler =
     >>= fun bulk ->
     Hsup.Sup.start_child sup
       (Hsup.Sup.child ~lifetime:Hsup.Sup.Permanent "listener"
-         (listener_body config ins (`Supervised (sup, bulk)) backlog handler))
+         (listener_body config ins (`Supervised (sup, bulk)) el handler))
     >>= fun () -> return (server (Supervised { sup; bulk }))
   else
     Sem.create config.max_concurrent >>= fun admission ->
     fork ~name:"listener"
       (catch
-         (listener_body config ins (`Plain admission) backlog handler)
+         (listener_body config ins (`Plain admission) el handler)
          (fun _ -> return ()))
     >>= fun listener -> return (server (Plain { listener; admission }))
-
-(* The default (no [?backend]) path is [start_core] alone. An explicit
-   backend adds, after the server is up, a listener from the backend plus
-   an accept pump feeding the same in-process backlog the workers already
-   drain: the serving pipeline is shared, only the byte source differs. *)
-let start ?(config = default_config) ?metrics ?backend handler =
-  match backend with
-  | None -> start_core ~config ~metrics handler
-  | Some b ->
-      start_core ~config ~metrics ~backend_name:b.Ev.Backend.b_name handler
-      >>= fun server ->
-      b.Ev.Backend.b_listen ~backlog:config.accept_queue >>= fun el ->
-      let pump_body =
-        accept_pump server.ins el (fun conn ->
-            (* the deadline is minted at accept: time spent queued in the
-               backlog counts against the request budget *)
-            Hsup.Deadline.mint config.request_timeout >>= fun dl ->
-            Bchan.send server.backlog (conn, dl))
-      in
-      (match server.mode with
-      | Supervised { sup; _ } ->
-          Hsup.Sup.start_child sup
-            (Hsup.Sup.child ~lifetime:Hsup.Sup.Permanent "accept-pump"
-               pump_body)
-          >>= fun () -> return None
-      | Plain _ ->
-          fork ~name:"accept-pump" (catch pump_body (fun _ -> return ()))
-          >>= fun tid -> return (Some tid))
-      >>= fun pump -> return { server with ext = Some { el; pump } }
 
 let metrics server = server.registry
 
@@ -175,15 +149,7 @@ let supervisor server =
 
 let connect server =
   if not server.accepting then throw Server_stopped
-  else
-    match server.ext with
-    | Some { el; _ } -> dial server.ins server.config.dial_timeout el
-    | None ->
-        (* no backend was given: the implicit simulated transport *)
-        Ev.Backend.sim_pipe () >>= fun (client_side, server_side) ->
-        Hsup.Deadline.mint server.config.request_timeout >>= fun dl ->
-        Bchan.send server.backlog (server_side, dl) >>= fun () ->
-        return client_side
+  else dial server.ins server.dial_timeout server.el
 
 let shutdown server =
   lift (fun () -> server.accepting <- false) >>= fun () ->
@@ -193,13 +159,20 @@ let shutdown server =
   | Plain { listener; _ } -> throw_to listener Kill_thread
   | Supervised { sup; _ } -> stop_sup_child sup "listener")
   >>= fun () ->
-  (* Reject anything still queued. Each 503 write is bounded and
+  (* Close the listener (a dialer parked on it is refused) and reject
+     what is still queued: accept until the closed listener raises,
+     [End_of_file] once empty. Each 503 write is bounded and
      fault-tolerant — a queued connection whose peer already vanished
      (or is being chaos-trickled) must not stall the shutdown — and the
      connection is closed so the peer sees EOF, not silence. *)
+  server.el.Ev.Backend.l_close () >>= fun () ->
   let rec drain () =
-    Bchan.try_recv server.backlog >>= function
-    | Some (conn, _dl) ->
+    catch
+      (server.el.Ev.Backend.l_accept () >>= fun conn -> return (Some conn))
+      (fun e ->
+        match io_fault_kind e with Some _ -> return None | None -> throw e)
+    >>= function
+    | Some conn ->
         count server.ins.m_rejected >>= fun () ->
         catch
           ( Combinators.timeout server.config.request_timeout
@@ -215,18 +188,7 @@ let shutdown server =
         close_quietly conn >>= fun () -> drain ()
     | None -> return ()
   in
-  (match server.ext with
-  | None -> drain ()
-  | Some { el; pump } ->
-      (* stop the accept pump and close the external listener before
-         draining, so no new connection can slip into the backlog *)
-      (match (pump, server.mode) with
-      | Some tid, _ -> throw_to tid Kill_thread
-      | None, Supervised { sup; _ } -> stop_sup_child sup "accept-pump"
-      | None, Plain _ -> return ())
-      >>= fun () ->
-      el.Ev.Backend.l_close () >>= fun () -> drain ())
-  >>= fun () ->
+  drain () >>= fun () ->
   (* wait for in-flight workers; each is bounded by the request timeout *)
   let rec wait_drained () =
     if Obs.Metrics.gauge_value server.ins.m_inflight = 0 then return ()

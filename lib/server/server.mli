@@ -18,17 +18,19 @@
 
     Every robustness property comes from a §7 combinator: workers release
     their admission slot via [bracket]; a killed or timed-out worker
-    cannot wedge a connection (channel ends are restored per §5.2); and
-    shutdown is a plain asynchronous exception into the accept loop.
+    cannot wedge a connection (channel ends are restored per §5.2); the
+    accept loop takes each connection and hands it to its worker under
+    [mask], closing it if the hand-off is interrupted, so a kill never
+    strands an accepted connection; and shutdown is a plain asynchronous
+    exception into the accept loop.
 
     Since the overload rework every request carries an {!Hsup.Deadline}
-    budget of [request_timeout] µs minted when the connection is
-    {e enqueued} (at {!connect} for the simulated transport, at accept in
-    the backend pump): time spent waiting in the backlog and the
-    admission queue counts against the request, every nested bound
-    derives from the remaining budget, and a request whose budget is
-    exhausted before a worker picks it up is shed early with a 503
-    instead of burning a worker on a guaranteed 504.
+    budget of [request_timeout] µs minted when the accept loop takes the
+    connection: time spent waiting in the admission queue counts against
+    the request, every nested bound derives from the remaining budget,
+    and a request whose budget is exhausted before a worker picks it up
+    is shed early with a 503 instead of burning a worker on a guaranteed
+    504.
 
     Since the I/O-chaos hardening the per-request deadline also covers
     the {e response write} (a stalled or trickling reader cannot hold a
@@ -37,7 +39,7 @@
     as a counted close ([server_io_faults_total{kind}]) rather than
     escaping as crashes; a fault {e during} the response write escapes
     on purpose so the supervisor restarts the worker, whose fresh
-    incarnation closes the broken connection; the accept pump survives
+    incarnation closes the broken connection; the accept loop survives
     transient accept failures; and the shutdown drain's 503s are
     individually bounded and fault-tolerant. The combined kill×I/O sweep
     ([chrun sweep --suite chaos]) holds all of this at zero failures. *)
@@ -98,7 +100,7 @@ type stats = {
   served : int;
   timeouts : int;
   bad_requests : int;
-  rejected : int;  (** connections that arrived after shutdown *)
+  rejected : int;  (** queued at shutdown (503); Shard: mailbox drops *)
   shed : int;  (** connections refused by the bulkhead (503) *)
   restarts : int;  (** supervisor restarts over the server's lifetime *)
 }
@@ -118,20 +120,18 @@ val start :
   ?backend:Ev.Backend.t ->
   handler ->
   t Io.t
-(** Fork the accept loop (under a supervisor unless
-    [config.supervised = false]) and return a handle.
+(** Open a listener on the backend ([b_listen ~backlog:accept_queue]),
+    fork the accept loop on it (under a supervisor unless
+    [config.supervised = false]) and return a handle. The loop runs as
+    the thread named ["listener"]: it accepts each connection, mints its
+    deadline and starts its worker.
 
-    [?backend] selects the transport. Omitted, the server speaks the
-    implicit simulated transport ({!connect} is the only way in) —
-    this default exists for the golden traces and the kill sweep, and
-    serves exactly as a backend does (the worker closes its end of
-    every connection it served); new code that cares about the
-    transport should pass [Ev.Backend.sim] or an [Ev.Real] backend
-    explicitly. With a backend, the server opens a listener via
-    [b_listen] and pumps its accepts into the same worker pipeline, and
-    every metric below gains a [backend=sim|real] label. Running with a
-    real backend additionally requires installing its event source into
-    the runtime: [Hio.Runtime.run ~config:(Ev.Backend.install b cfg)].
+    [?backend] selects the transport, [Ev.Backend.sim ()] when omitted.
+    An explicit backend adds a [backend=sim|real] label to every metric
+    below (the default stays label-free) and bounds {!connect}'s dial by
+    [config.dial_timeout]. Running with a real backend additionally
+    requires installing its event source into the runtime:
+    [Hio.Runtime.run ~config:(Ev.Backend.install b cfg)].
 
     All accounting goes through an {!Obs.Metrics} registry — pass one to
     share a table with the runtime's own collector
@@ -153,24 +153,22 @@ val supervisor : t -> Hsup.Sup.t option
     probes, demos and the kill sweep. *)
 
 val connect : t -> Http.Conn.t Io.t
-(** Create a client connection to the server: [l_dial] on the backend's
-    listener when the server was started with [?backend], else a fresh
-    simulated pipe enqueued on the backlog.
-
-    {b Deprecated default:} relying on the implicit simulated transport
-    (no [?backend] at {!start}) is retained for the deterministic test
-    fleet but deprecated for new code — pass [Ev.Backend.sim ()]
-    explicitly so the transport choice is visible at the call site.
+(** Dial the server's listener ([l_dial]) and return the client end;
+    a failed dial is counted in [client_dial_errors_total{kind}]. Only
+    an explicit [?backend]'s dial is bounded: nothing outside the
+    program can stall the default sim listener's.
     @raise Server_stopped (as a synchronous throw) after {!shutdown}.
     @raise Dial_timeout when an explicit backend's listener does not
-    answer the dial within [config.dial_timeout]. *)
+    answer the dial within [config.dial_timeout].
+    @raise Ev.Backend.Connection_refused when the listener closes while
+    the dial waits. *)
 
 val shutdown : t -> stats Io.t
 (** Stop the accept loop (a supervised listener is retired, not
-    restarted), kill the accept pump and close the backend listener (if
-    any), answer anything still queued with a 503, wait for in-flight
-    workers (each bounded by the request timeout), stop the supervisor,
-    and return final statistics. *)
+    restarted), close the listener, answer every connection still queued
+    on it with a 503 (counted in [rejected]), wait for in-flight workers
+    (each bounded by the request timeout), stop the supervisor, and
+    return final statistics. *)
 
 val route : (string * (string -> Http.response)) list -> handler
 (** A tiny router over exact paths; the handler value receives the request

@@ -4,8 +4,6 @@ open Pipeline
 
 type msg = [ `Serve of Http.Conn.t * Hsup.Deadline.t ]
 
-type ext = { el : Ev.Backend.listener }
-
 type t = {
   config : Server.config;
   n_shards : int;
@@ -23,7 +21,7 @@ type t = {
   breakers : Hsup.Breaker.t array;
   mutable accepting : bool;
   mutable conn_seq : int;
-  ext : ext option;
+  listener : Ev.Backend.listener option;  (* an explicit backend's *)
 }
 
 (* --- the shard actor ------------------------------------------------------
@@ -116,7 +114,7 @@ let route_or_brownout t key conn =
             throw e) )
 
 let pump_body t el =
-  accept_pump t.ins el (fun conn ->
+  accept_pump t.ins el (fun _restore conn ->
       lift (fun () ->
           t.conn_seq <- t.conn_seq + 1;
           Printf.sprintf "conn-%d" t.conn_seq)
@@ -164,8 +162,8 @@ let start ?(config = Server.default_config) ?metrics ?backend ~shards handler =
   | None -> return None
   | Some b ->
       b.Ev.Backend.b_listen ~backlog:config.Server.accept_queue
-      >>= fun el -> return (Some { el }))
-  >>= fun ext ->
+      >>= fun el -> return (Some el))
+  >>= fun listener ->
   let t =
     {
       config;
@@ -181,7 +179,7 @@ let start ?(config = Server.default_config) ?metrics ?backend ~shards handler =
       breakers = Array.of_list breaker_list;
       accepting = true;
       conn_seq = 0;
-      ext;
+      listener;
     }
   in
   (* children in deterministic order: shards, then the pump *)
@@ -195,9 +193,9 @@ let start ?(config = Server.default_config) ?metrics ?backend ~shards handler =
       >>= fun () -> start_shards (i + 1)
   in
   start_shards 0 >>= fun () ->
-  (match ext with
+  (match listener with
   | None -> return ()
-  | Some { el } ->
+  | Some el ->
       Hsup.Sup.start_child root
         (Hsup.Sup.child ~lifetime:Hsup.Sup.Permanent "accept-pump"
            (pump_body t el)))
@@ -206,8 +204,8 @@ let start ?(config = Server.default_config) ?metrics ?backend ~shards handler =
 let connect ?key t =
   if not t.accepting then throw Server.Server_stopped
   else
-    match t.ext with
-    | Some { el } -> dial t.ins t.config.Server.dial_timeout el
+    match t.listener with
+    | Some el -> dial t.ins (Some t.config.Server.dial_timeout) el
     | None ->
         lift (fun () ->
             match key with
@@ -221,9 +219,9 @@ let connect ?key t =
 
 let shutdown t =
   lift (fun () -> t.accepting <- false) >>= fun () ->
-  (match t.ext with
+  (match t.listener with
   | None -> return ()
-  | Some { el } ->
+  | Some el ->
       (* retire the pump before closing the listener so no accepted
          connection is dropped between the two *)
       stop_sup_child t.root "accept-pump" >>= fun () ->

@@ -454,8 +454,64 @@ let chunk_tests =
                read_checked b ~upto:None ~max:64 11 )));
   ]
 
+(* What a listener operation ended in, for the close contract below. *)
+let listener_outcome io =
+  catch io (fun e ->
+      return
+        (if e = Ev.Backend.Connection_refused then "refused"
+         else if e = End_of_file then "eof"
+         else Printexc.to_string e))
+
+(* A dialer parked on a full accept queue when the listener closes is
+   refused; the connection already queued is still accepted, then
+   accept raises [End_of_file]; a later dial is refused. *)
+let listener_close_scenario =
+  (Ev.Backend.sim ()).Ev.Backend.b_listen ~backlog:1 >>= fun l ->
+  l.Ev.Backend.l_dial () >>= fun first ->
+  Mvar.new_empty >>= fun res ->
+  fork
+    (listener_outcome (l.Ev.Backend.l_dial () >>= fun _ -> return "dialled")
+    >>= Mvar.put res)
+  >>= fun _ ->
+  (* give the second dialer time to park on the full queue *)
+  sleep 100 >>= fun () ->
+  l.Ev.Backend.l_close () >>= fun () ->
+  Mvar.take res >>= fun parked ->
+  listener_outcome
+    ( l.Ev.Backend.l_accept () >>= fun served ->
+      served.Ev.Backend.c_send "q" >>= fun () ->
+      first.Ev.Backend.c_recv_char () >>= fun c ->
+      return (if c = 'q' then "queued" else "other") )
+  >>= fun queued ->
+  listener_outcome (l.Ev.Backend.l_accept () >>= fun _ -> return "accepted")
+  >>= fun drained ->
+  listener_outcome (l.Ev.Backend.l_dial () >>= fun _ -> return "dialled")
+  >>= fun late -> return [ parked; queued; drained; late ]
+
+(* An acceptor parked on an empty queue when the listener closes wakes
+   with [End_of_file]. *)
+let parked_accept_scenario =
+  (Ev.Backend.sim ()).Ev.Backend.b_listen ~backlog:1 >>= fun l ->
+  Mvar.new_empty >>= fun res ->
+  fork
+    (listener_outcome (l.Ev.Backend.l_accept () >>= fun _ -> return "accepted")
+    >>= Mvar.put res)
+  >>= fun _ ->
+  sleep 100 >>= fun () ->
+  l.Ev.Backend.l_close () >>= fun () -> Mvar.take res
+
 let close_tests =
   [
+    case "sim listener: close refuses a parked dialer; accept drains, then \
+          ends"
+      (fun () ->
+        Alcotest.(check (list string))
+          "parked dialer, queued conn, drained accept, late dial"
+          [ "refused"; "queued"; "eof"; "refused" ]
+          (value listener_close_scenario));
+    case "sim listener: close wakes a parked acceptor with End_of_file"
+      (fun () ->
+        Alcotest.(check string) "woken" "eof" (value parked_accept_scenario));
     case "sim: close during a blocked read wakes it with End_of_file"
       (fun () ->
         Alcotest.(check string) "woken" "eof"

@@ -63,8 +63,57 @@ let only_the_kill_exempts =
             true
             (contains msg "client0 died of" && contains msg "Bad_request"))
 
+(* §5.2 at the accept hand-off: two clients, and a kill into the listener
+   at every armed step, on the default transport and on an explicit sim
+   backend (a chaos wrapper with an empty plan). Wherever the kill lands —
+   in an accept, in the hand-off to a worker — the accepted connection is
+   served or closed, never dropped, so no client waits out its timeout.
+   The serving protocol alone would not notice: a timeout is lawful. *)
+let handoff_case ~explicit =
+  let name = if explicit then "handoff-explicit" else "handoff" in
+  Sweep.case ~max_steps:400_000 name
+    Hio.Io.(
+      lift (fun () ->
+          if explicit then Some (Ev.Chaos.create []) else None)
+      >>= fun chaos ->
+      Cases.serve ?chaos
+        {
+          Cases.name;
+          tree = Single;
+          config = Hserver.Server.default_config;
+          handler = Cases.hello;
+          clients = Cases.at_once 2;
+          timeout = 1_000;
+          probes = [ None ];
+          attempts = 1;
+        }
+      >>= fun (outcomes, _) ->
+      Sweep.require
+        (name ^ ": no client waits out its timeout")
+        (Array.for_all (fun o -> o <> Some Cases.Timed_out) outcomes))
+
+let handoff ~explicit =
+  Helpers.case
+    (Printf.sprintf
+       "a listener kill never strands an accepted connection (%s transport)"
+       (if explicit then "explicit sim" else "default"))
+    (fun () ->
+      let r =
+        Sweep.sweep ~target:(Plan.Named "listener") (handoff_case ~explicit)
+      in
+      Alcotest.check Alcotest.bool "kills applied" true (r.Sweep.r_applied > 0);
+      Alcotest.(check int)
+        (Printf.sprintf "failures of %d applied kills" r.Sweep.r_applied)
+        0
+        (List.length r.Sweep.r_failures))
+
 let suites =
   [
     ( "fault:server",
-      List.map sweep_target Cases.server_targets @ [ only_the_kill_exempts ] );
+      List.map sweep_target Cases.server_targets
+      @ [
+          only_the_kill_exempts;
+          handoff ~explicit:false;
+          handoff ~explicit:true;
+        ] );
   ]
