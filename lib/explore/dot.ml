@@ -12,22 +12,24 @@ let escape s =
     s;
   Buffer.contents buf
 
+module Table = State.Fingerprint.Table
+
 let truncate n s = if String.length s <= n then s else String.sub s 0 n ^ "…"
 
 let dot ?(config = Step.default_config) ?(max_states = 2_000)
     ?(show_terms = false) init =
-  let ids : (string, int) Hashtbl.t = Hashtbl.create 256 in
+  let ids = Table.create 256 in
   let nodes = Buffer.create 1024 and edges = Buffer.create 1024 in
   let queue = Queue.create () in
   let next_id = ref 0 in
   let id_of state =
-    let key = State.canonical_key state in
-    match Hashtbl.find_opt ids key with
+    let key = State.fingerprint ~budget:0 state in
+    match Table.find_opt ids key with
     | Some id -> (id, false)
     | None ->
         let id = !next_id in
         incr next_id;
-        Hashtbl.add ids key id;
+        Table.add ids key id;
         (id, true)
   in
   let node_decl id state transitions =
@@ -65,9 +67,9 @@ let dot ?(config = Step.default_config) ?(max_states = 2_000)
       (fun (t : Step.transition) ->
         let target_id, fresh = id_of t.Step.next in
         if fresh then
-          if Hashtbl.length ids > max_states then truncated := true
+          if Table.length ids > max_states then truncated := true
           else Queue.add (t.Step.next, target_id) queue;
-        if Hashtbl.length ids <= max_states || not fresh then
+        if Table.length ids <= max_states || not fresh then
           Buffer.add_string edges
             (Printf.sprintf "  n%d -> n%d [label=\"%s\"%s];\n" id target_id
                (escape (Step.rule_name t.Step.rule))

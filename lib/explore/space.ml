@@ -70,6 +70,8 @@ let stranded ?(config = Step.default_config) (st : State.t) =
   | [ { Step.rule = Step.R_proc_gc; _ } ] -> true
   | _ -> false
 
+module Visited = State.Fingerprint.Table
+
 (* A growable array, for the search's tables indexed by state id. *)
 type 'a vec = { mutable data : 'a array; mutable len : int }
 
@@ -101,11 +103,6 @@ let with_kills budget state = function
 let spend budget (t : Step.transition) =
   if t.Step.rule = Step.R_kill then budget - 1 else budget
 
-(* With a budget, it leads the visited key: the same state with more
-   kills left has more futures. *)
-let budget_key budget state =
-  string_of_int budget ^ "|" ^ State.canonical_key state
-
 (* The search's adversary bookkeeping, made only when [kills > 0], so
    the plain search allocates nothing for it: state [id] has
    [budget.(id)] kills left, and [enumerated.(i)] carries slice entry
@@ -115,7 +112,9 @@ type adversary = { budget : int vec; enumerated : int array }
 
 let explore ?(config = Step.default_config) ?(max_states = 200_000)
     ?(jobs = 1) ?(kills = 0) ?watch init =
-  let visited : (string, int) Hashtbl.t = Hashtbl.create 1024 in
+  (* Keyed on the fingerprint of (kill budget, state): the same state
+     with more kills left has more futures. *)
+  let visited = Visited.create 1024 in
   (* For witness paths: state [id > 0] was first reached from state
      [parent.(id)] by the [via.(id - 1)]-th transition of its
      [Step.enumerate] list (or, past its end, of the adversary's kills).
@@ -134,11 +133,11 @@ let explore ?(config = Step.default_config) ?(max_states = 200_000)
     go id []
   in
   (* The BFS consumes its FIFO frontier in slices: it expands a slice —
-     [Step.enumerate] plus the successors' [canonical_key]s, the pure and
+     [Step.enumerate] plus the successors' fingerprints, the pure and
      expensive part — and then merges it sequentially {e in frontier
      order}, appending new states to the frontier, before it takes the
      next slice. States enter the frontier in id order, so the [n]-th
-     state taken has id [n]. The merge does exactly the Hashtbl reads and
+     state taken has id [n]. The merge does exactly the table reads and
      writes of a plain FIFO loop, so visited ids, witness paths, the
      graph, terminal order, watch hits and truncation do not depend on
      the slice size. With [jobs = 1] a slice is one state, so a
@@ -150,9 +149,7 @@ let explore ?(config = Step.default_config) ?(max_states = 200_000)
   let pool = if jobs > 1 then Some (Par.Pool.create jobs) else None in
   Fun.protect ~finally:(fun () -> Option.iter Par.Pool.shutdown pool)
   @@ fun () ->
-  Hashtbl.add visited
-    (if kills > 0 then budget_key kills init else State.canonical_key init)
-    0;
+  Visited.add visited (State.fingerprint ~budget:kills init) 0;
   push parent (-1);
   let frontier = Queue.create () in
   Queue.add init frontier;
@@ -162,7 +159,7 @@ let explore ?(config = Step.default_config) ?(max_states = 200_000)
     expansions.(i) <-
       List.map
         (fun (t : Step.transition) ->
-          (t.Step.next, State.canonical_key t.Step.next))
+          (t.Step.next, State.fingerprint ~budget:0 t.Step.next))
         (Step.enumerate ~config batch.(i))
   in
   let expanded = ref 0 in
@@ -184,7 +181,8 @@ let explore ?(config = Step.default_config) ?(max_states = 200_000)
           a.enumerated.(i) <- List.length program;
           expansions.(i) <-
             List.map
-              (fun t -> (t.Step.next, budget_key (spend b t) t.Step.next))
+              (fun t ->
+                (t.Step.next, State.fingerprint ~budget:(spend b t) t.Step.next))
               (with_kills b state program)
   in
   let merge id state successors =
@@ -204,13 +202,13 @@ let explore ?(config = Step.default_config) ?(max_states = 200_000)
         List.iteri
           (fun i (next_state, next_key) ->
             incr edges;
-            match Hashtbl.find_opt visited next_key with
+            match Visited.find_opt visited next_key with
             | Some next -> push succ next
             | None ->
                 if parent.len >= max_states then truncated := true
                 else begin
                   let next = parent.len in
-                  Hashtbl.add visited next_key next;
+                  Visited.add visited next_key next;
                   push succ next;
                   push parent id;
                   push via i;
@@ -277,7 +275,7 @@ let explore ?(config = Step.default_config) ?(max_states = 200_000)
     !found
   in
   {
-    visited = Hashtbl.length visited;
+    visited = Visited.length visited;
     edges = !edges;
     terminals = List.rev !terminals;
     truncated = !truncated;

@@ -3,13 +3,29 @@
 
     The checker performs a breadth-first search over the quotient of program
     states by structural congruence and α-equivalence (via
-    {!Ch_semantics.State.canonical_key}), following {e every} transition of
+    {!Ch_semantics.State.canonical_key}, stored as its
+    {!Ch_semantics.State.fingerprint}), following {e every} transition of
     Figures 4 and 5 — in particular every possible delivery point of every
     asynchronous exception. A claim like "this locking protocol never loses
     the lock" (paper §5.1–5.2) is checked over all schedules, which no
     concrete run of a real runtime could establish. With a kill budget
     the search is also its own adversary, and decides §5.2's "no matter
-    where the exception lands" over every schedule. *)
+    where the exception lands" over every schedule.
+
+    {b Hash compaction.} The visited set holds each state's 126-bit
+    {!State.fingerprint}, not its ~250-byte key: a table entry is 7
+    words, not ~39 (Stern and Dill, "Improved probabilistic verification
+    by hash compaction", CHARME 1995). A collision would merge two
+    distinct states, and the search would not expand the second, so it
+    could hide a terminal. If fingerprints behave as uniform random
+    values, the chance that any two of [n] visited states collide is at
+    most [n²/2¹²⁷]: about [6 × 10⁻²⁷] at a million states. The hash is two
+    multiply–xorshift lanes over the rendering, eight bytes at a time,
+    not [Digest]. MD5 (the only digest in OCaml 5.1's stdlib) over the
+    same rendering slowed perfbench's [explore_timeout] (one search of
+    C4d's 4,638 states per op, 2-vCPU VM) from a 29–33 ms median op to
+    45–48 ms, in 3 of 3 alternating pairs against the key-string table;
+    the word-at-a-time hash makes that search faster, not slower. *)
 
 open Ch_semantics
 
@@ -61,20 +77,20 @@ val explore :
     appending [⟦t ⇐ KillThread⟧] and spending one unit — delivered later
     by the ordinary (Receive)/(Interrupt) rules. A state the program
     cannot leave stays terminal, so a deadlock is never killed away. The
-    remaining budget is part of the visited key, so [visited] counts
+    remaining budget is part of the fingerprint, so [visited] counts
     (state, budget) pairs and a state can be a terminal once per budget.
     A thread a kill leaves waiting after main has returned is reaped by
     (Proc GC) on the way to a [Completed] terminal: {!stranded} as the
     [watch] finds it.
     At [kills = 0] the search is the plain one, key for key.
 
-    The search holds only the visited keys, id-indexed integer tables,
-    its frontier and the slice being expanded: a merged state is dropped
+    The search holds only the visited fingerprints, id-indexed integer
+    tables, its frontier and the slice being expanded: a merged state is dropped
     unless it is a terminal or a watch hit. The frontier is taken in
     slices; a slice is expanded and merged into the visited set before
     the next is taken, and no BFS level is buffered. [jobs] (default 1) expands each slice across
-    that many domains: every state's transitions and successor canonical
-    keys are computed in parallel (the pure, expensive part), and the
+    that many domains: every state's transitions and successor
+    fingerprints are computed in parallel (the pure, expensive part), and the
     merge runs sequentially in frontier order — so ids, witness paths,
     terminal order, watch hits and truncation are byte-identical to the
     sequential search for every [jobs] value. *)

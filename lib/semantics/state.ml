@@ -68,9 +68,9 @@ let set_mvar st m v =
 (* --- Canonical keys (structural congruence + α-equivalence) ------------- *)
 
 (* The key is rendered into scratch state that lives as long as its
-   domain, so a call allocates the key string and nothing else: the
-   buffer, the binder stack and the renumbering slots are reset, not
-   rebuilt, and each [Par.Pool] worker has its own copy. *)
+   domain, so a call allocates the key string (or the fingerprint) and
+   nothing else: the bytes, the binder stack and the renumbering slots
+   are reset, not rebuilt, and each [Par.Pool] worker has its own copy. *)
 
 (* Runtime names numbered by first sight: names below the state's fresh
    counter in [slots], any others (hand-built states) in [others]. *)
@@ -86,7 +86,8 @@ type renumbering = {
 let shadowed = String.make 1 '_'
 
 type ctx = {
-  buf : Buffer.t;
+  mutable bytes : Bytes.t;  (** the rendering is [bytes[0 .. len)] *)
+  mutable len : int;
   mutable names : string array;  (** the binder at each de-Bruijn level *)
   tids : renumbering;
   mvars : renumbering;
@@ -102,7 +103,8 @@ let renumbering () = { slots = [||]; size = 0; others = []; next = 0 }
 let ctx_key =
   Domain.DLS.new_key (fun () ->
       {
-        buf = Buffer.create 512;
+        bytes = Bytes.create 512;
+        len = 0;
         names = Array.make 64 shadowed;
         tids = renumbering ();
         mvars = renumbering ();
@@ -135,8 +137,25 @@ let rename r (n : int) =
     k
   end
 
-let add c s = Buffer.add_string c.buf s
-let addc c ch = Buffer.add_char c.buf ch
+(* Makes room for [n] more bytes. *)
+let reserve c n =
+  let size = Bytes.length c.bytes in
+  if c.len + n > size then begin
+    let bytes = Bytes.create (max (c.len + n) (2 * size)) in
+    Bytes.blit c.bytes 0 bytes 0 c.len;
+    c.bytes <- bytes
+  end
+
+let add c s =
+  let n = String.length s in
+  reserve c n;
+  Bytes.unsafe_blit_string s 0 c.bytes c.len n;
+  c.len <- c.len + n
+
+let addc c ch =
+  if c.len = Bytes.length c.bytes then reserve c 1;
+  Bytes.unsafe_set c.bytes c.len ch;
+  c.len <- c.len + 1
 
 let rec add_nat c n =
   if n >= 10 then add_nat c (n / 10);
@@ -400,9 +419,8 @@ let rec add_input c = function
       addc c ch;
       add_input c rest
 
-let canonical_key st =
-  let c = Domain.DLS.get ctx_key in
-  Buffer.clear c.buf;
+(* Appends the key of [st] to what [c] holds. *)
+let render c st =
   reset c.tids st.next_tid;
   reset c.mvars st.next_mvar;
   add_threads c st.threads;
@@ -411,11 +429,78 @@ let canonical_key st =
   add c "I:";
   add_input c st.input;
   add c ";O:";
-  let len = Buffer.length c.buf and n = List.length st.output in
-  let key = Bytes.create (len + n) in
-  Buffer.blit c.buf 0 key 0 len;
-  fill_reversed key (len + n - 1) st.output;
-  Bytes.unsafe_to_string key
+  let n = List.length st.output in
+  reserve c n;
+  fill_reversed c.bytes (c.len + n - 1) st.output;
+  c.len <- c.len + n
+
+let canonical_key st =
+  let c = Domain.DLS.get ctx_key in
+  c.len <- 0;
+  render c st;
+  Bytes.sub_string c.bytes 0 c.len
+
+(* --- Fingerprints (hash compaction) ------------------------------------- *)
+
+module Fingerprint = struct
+  type t = { hi : int; lo : int }
+
+  let equal a b = a.lo = b.lo && a.hi = b.hi
+
+  module Table = Hashtbl.Make (struct
+    type nonrec t = t
+
+    let equal = equal
+    let hash a = a.lo land max_int
+  end)
+end
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* Two multiply-xorshift lanes over the 63-bit ints, with different
+   multipliers and shifts, each a bijection of its state for a given
+   word. A 64-bit word enters [lo] as its low 63 bits and [hi] as its
+   high 63, so the pair of lanes sees every bit. *)
+let lane_lo h w =
+  let h = (h lxor w) * 0x3f58476d1ce4e5b9 in
+  h lxor (h lsr 32)
+
+let lane_hi h w =
+  let h = (h lxor w) * 0x14d049bb133111eb in
+  h lxor (h lsr 29)
+
+(* A splitmix-style finaliser: every input bit reaches every output bit. *)
+let finish h =
+  let h = (h lxor (h lsr 30)) * 0x3f51afd7ed558ccd in
+  let h = (h lxor (h lsr 27)) * 0x04ceb9fe1a85ec53 in
+  h lxor (h lsr 31)
+
+let hash_bytes b len =
+  let lo = ref 0x2545f4914f6cdd1d and hi = ref 0x1b873593cc9e2d51 in
+  let i = ref 0 in
+  while !i + 8 <= len do
+    let w = get64u b !i in
+    lo := lane_lo !lo (Int64.to_int w);
+    hi := lane_hi !hi (Int64.to_int (Int64.shift_right_logical w 1));
+    i := !i + 8
+  done;
+  (* the last [len mod 8] bytes, 56 bits at most *)
+  let w = ref 0 in
+  for j = len - 1 downto !i do
+    w := (!w lsl 8) lor Char.code (Bytes.unsafe_get b j)
+  done;
+  {
+    Fingerprint.hi = finish (lane_hi !hi !w lxor len);
+    lo = finish (lane_lo !lo !w + len);
+  }
+
+let fingerprint ~budget st =
+  let c = Domain.DLS.get ctx_key in
+  c.len <- 0;
+  add_int c budget;
+  addc c '|';
+  render c st;
+  hash_bytes c.bytes c.len
 
 let pp ppf st =
   let pp_thread ppf (tid, th) =

@@ -79,6 +79,29 @@ val canonical_key : t -> string
     splitting a stream between input and output share a key. The output
     is last and is not escaped. *)
 
+(** Fingerprints: a state's key hashed to 126 bits. *)
+module Fingerprint : sig
+  type t
+
+  val equal : t -> t -> bool
+
+  module Table : Hashtbl.S with type key = t
+end
+
+val fingerprint : budget:int -> t -> Fingerprint.t
+(** [fingerprint ~budget st] hashes the bytes of [string_of_int budget],
+    a ['|'] and {!canonical_key}[ st] to two 63-bit lanes, without
+    building the key string: it renders into the same domain-local
+    scratch as {!canonical_key}, and allocates only the 3-word result.
+    The budget comes first so the explorer can key (state, kill budget)
+    pairs; a search without kills passes [0].
+
+    Equal keys under equal budgets give equal fingerprints. The converse
+    holds up to a collision of the hash, which is deterministic (the
+    same bytes give the same fingerprint in every run, on every domain)
+    but not cryptographic: states differ in the fingerprint unless their
+    renderings collide in both lanes. *)
+
 val pp : Format.formatter -> t -> unit
 (** Render the state in the paper's notation, e.g.
     [⟨takeMVar %m0⟩t0/○ | ⟨⟩m0 | ⟦t0 ⇐ KillThread⟧]. *)

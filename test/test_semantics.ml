@@ -346,6 +346,52 @@ let deep_binders =
   in
   nest 0
 
+(* Pairs of congruent states, which must share a key. *)
+let allocation_order_pair =
+  ( mk ~mvars:[ (3, None) ] (Put_mvar (Mvar 3, Lit_int 1)),
+    mk ~mvars:[ (7, None) ] (Put_mvar (Mvar 7, Lit_int 1)) )
+
+let alpha_pair =
+  ( mk (parse "return 0 >>= \\x -> return x"),
+    mk (parse "return 0 >>= \\y -> return y") )
+
+let inert_inflight_pair =
+  let finished : State.thread = State.Finished (State.Done unit_v) in
+  let base = mk (parse "return 0") in
+  ( {
+      base with
+      State.threads = base.State.threads @ [ (1, finished) ];
+      inflight = [ (0, { State.target = 1; exn = "E" }) ];
+      next_tid = 2;
+      next_inflight = 1;
+    },
+    {
+      base with
+      State.threads = base.State.threads @ [ (1, finished) ];
+      next_tid = 2;
+    } )
+
+(* Pairs of states that differ, which must not. *)
+let mvar_contents_pair =
+  ( mk ~mvars:[ (0, None) ] (parse "takeMVar %m0"),
+    mk ~mvars:[ (0, Some (Lit_int 1)) ] (parse "takeMVar %m0") )
+
+let live_inflight_pair =
+  let base = mk (parse "return 0") in
+  ({ base with State.inflight = [ (0, { State.target = 0; exn = "E" }) ] }, base)
+
+let output_pair =
+  let a = mk (parse "return 0") in
+  (a, { a with State.output = [ 'x' ] })
+
+let same_key (a, b) =
+  Alcotest.(check string) "same key" (State.canonical_key a)
+    (State.canonical_key b)
+
+let keys_differ (a, b) =
+  Alcotest.(check bool) "differ" false
+    (String.equal (State.canonical_key a) (State.canonical_key b))
+
 let state_tests =
   List.map
     (fun (name, st, key) ->
@@ -354,59 +400,37 @@ let state_tests =
     pinned_keys
   @ [
     case "canonical key ignores name allocation order" (fun () ->
-        let a =
-          mk ~mvars:[ (3, None) ]
-            (Put_mvar (Mvar 3, Lit_int 1))
-        in
-        let b =
-          mk ~mvars:[ (7, None) ]
-            (Put_mvar (Mvar 7, Lit_int 1))
-        in
-        Alcotest.(check string) "same key" (State.canonical_key a)
-          (State.canonical_key b));
-    case "canonical key is alpha-insensitive" (fun () ->
-        let a = mk (parse "return 0 >>= \\x -> return x") in
-        let b = mk (parse "return 0 >>= \\y -> return y") in
-        Alcotest.(check string) "same key" (State.canonical_key a)
-          (State.canonical_key b));
+        same_key allocation_order_pair);
+    case "canonical key is alpha-insensitive" (fun () -> same_key alpha_pair);
     case "canonical key distinguishes mvar contents" (fun () ->
-        let a = mk ~mvars:[ (0, None) ] (parse "takeMVar %m0") in
-        let b = mk ~mvars:[ (0, Some (Lit_int 1)) ] (parse "takeMVar %m0") in
-        Alcotest.(check bool) "differ" false
-          (String.equal (State.canonical_key a) (State.canonical_key b)));
+        keys_differ mvar_contents_pair);
     case "inert in-flight exceptions are dropped" (fun () ->
-        let finished : State.thread = State.Finished (State.Done unit_v) in
-        let base = mk (parse "return 0") in
-        let a =
-          {
-            base with
-            State.threads = base.State.threads @ [ (1, finished) ];
-            inflight = [ (0, { State.target = 1; exn = "E" }) ];
-            next_tid = 2;
-            next_inflight = 1;
-          }
-        in
-        let b =
-          {
-            base with
-            State.threads = base.State.threads @ [ (1, finished) ];
-            next_tid = 2;
-          }
-        in
-        Alcotest.(check string) "same key" (State.canonical_key a)
-          (State.canonical_key b));
+        same_key inert_inflight_pair);
     case "live in-flight exceptions are kept" (fun () ->
-        let base = mk (parse "return 0") in
-        let a =
-          { base with State.inflight = [ (0, { State.target = 0; exn = "E" }) ] }
-        in
-        Alcotest.(check bool) "differ" false
-          (String.equal (State.canonical_key a) (State.canonical_key base)));
-    case "output is observable state" (fun () ->
-        let a = mk (parse "return 0") in
-        let b = { a with State.output = [ 'x' ] } in
-        Alcotest.(check bool) "differ" false
-          (String.equal (State.canonical_key a) (State.canonical_key b)));
+        keys_differ live_inflight_pair);
+    case "output is observable state" (fun () -> keys_differ output_pair);
+    case "fingerprints follow the key and the budget" (fun () ->
+        let fp ?(budget = 0) st = State.fingerprint ~budget st in
+        let equal (a, b) = State.Fingerprint.equal (fp a) (fp b) in
+        List.iter
+          (fun (name, pair) -> Alcotest.(check bool) name true (equal pair))
+          [
+            ("allocation order", allocation_order_pair);
+            ("alpha", alpha_pair);
+            ("inert in-flight", inert_inflight_pair);
+          ];
+        List.iter
+          (fun (name, pair) -> Alcotest.(check bool) name false (equal pair))
+          [
+            ("mvar contents", mvar_contents_pair);
+            ("live in-flight", live_inflight_pair);
+            ("output", output_pair);
+          ];
+        let a, b = alpha_pair in
+        Alcotest.(check bool) "same budget" true
+          (State.Fingerprint.equal (fp ~budget:2 a) (fp ~budget:2 b));
+        Alcotest.(check bool) "budgets 1 and 2" false
+          (State.Fingerprint.equal (fp ~budget:1 a) (fp ~budget:2 a)));
     case "binders nested past the initial binder stack" (fun () ->
         let key = State.canonical_key (State.initial deep_binders) in
         (* its tail reads "(let299 b295 (case (C:P b294 b299) [P/3 (C:R
