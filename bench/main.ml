@@ -746,7 +746,7 @@ let ovl_ramp case mult =
   match
     Fault.Load_sweep.record case ~mult ~resources:Ev.Chaos.no_resources
   with
-  | _, Some t -> t.Fault.Load_sweep.lt_ok
+  | _, Some t -> t.Fault.Sweep.lt_ok
   | _, None -> failwith "overload ramp recorded no tally"
 
 let ovl =

@@ -539,16 +539,11 @@ let equiv_cmd =
 
 (* --- chrun sweep ------------------------------------------------------------- *)
 
-(* The suite names, in the order the unknown-suite message lists them:
-   the hio suites of [Fault.Cases.suites] with chaos listed before actor
-   (the order the suites were added), overload, all.
+(* The suite names, in the order [chrun sweep] runs them, then all.
    Checked by hand (not Arg.enum) so an unknown suite can exit 2 with
    the full list — cmdliner's enum error exits 124 and its message
    drifts from the actual suite set. *)
-let suite_names =
-  let hio = List.map fst Fault.Cases.suites in
-  List.filter (( <> ) "actor") hio
-  @ [ "chaos"; "actor"; "overload"; "all" ]
+let suite_names = List.map fst Fault.Suites.all @ [ "all" ]
 
 let suite_arg =
   Arg.(
@@ -556,27 +551,26 @@ let suite_arg =
     & info [ "suite" ] ~docv:"SUITE"
         ~doc:
           "What to sweep — one of $(b,std), $(b,server), $(b,sup), \
-           $(b,chaos), $(b,actor), $(b,overload), or $(b,all) (the \
-           default): $(b,std) (the §7 hio abstractions: Sem, Barrier, \
-           Chan, Bchan, Mvar locks, cleanup combinators), $(b,server) (the \
-           §11 server, including targeted listener/worker kills), \
-           $(b,sup) (the \
-           supervision layer: restart strategies, retry + breaker, \
-           bulkhead, and the supervised server's graceful degradation, \
-           including targeted supervisor/listener/worker kills), \
-           $(b,chaos) (the I/O fault sweep: EOF / ECONNRESET / short \
-           writes / delays / trickles injected at every transport \
-           operation site, plus combined kill+fault runs), $(b,actor) \
-           (the exception-linked actor layer: link/monitor delivery \
-           races, call/stop, the mailbox-FIFO token ring, and the \
-           sharded supervised server with targeted shard / supervisor \
-           / worker kills), $(b,overload) (open-loop load ramps at 1x \
-           to 10x of nominal against the supervised and sharded servers, \
-           with resource-exhaustion chaos — fd budgets, backlog caps, \
-           send caps — and kills layered on top; gates goodput and the \
-           CoDel queue-delay bound). An unknown suite exits 2 with this \
-           list. Object-language programs are checked by $(b,chrun check \
-           --kills), over every schedule.")
+           $(b,actor), $(b,chaos), $(b,overload), or $(b,all) (the \
+           default, every suite in that order): $(b,std) (the §7 hio \
+           abstractions: Sem, Barrier, Chan, Bchan, Mvar locks, cleanup \
+           combinators), $(b,server) (the §11 server, including targeted \
+           listener/worker kills), $(b,sup) (the supervision layer: \
+           restart strategies, retry + breaker, bulkhead, and the \
+           supervised server's graceful degradation, including targeted \
+           supervisor/listener/worker kills), $(b,actor) (the \
+           exception-linked actor layer: link/monitor delivery races, \
+           call/stop, the mailbox-FIFO token ring, and the sharded \
+           supervised server with targeted shard / supervisor / worker \
+           kills), $(b,chaos) (the I/O fault sweep: EOF / ECONNRESET / \
+           short writes / delays / trickles injected at every transport \
+           operation site, plus combined kill+fault runs), $(b,overload) \
+           (open-loop load ramps at 1x to 10x of nominal against the \
+           supervised and sharded servers, with resource-exhaustion chaos \
+           — fd budgets, backlog caps, send caps — and kills layered on \
+           top; gates goodput and the CoDel queue-delay bound). An unknown \
+           suite exits 2 with this list. Object-language programs are \
+           checked by $(b,chrun check --kills), over every schedule.")
 
 let max_points_arg =
   Arg.(
@@ -659,8 +653,67 @@ let strip_jobs argv =
   go argv
 
 (* JSON by hand (no JSON library in the tree): every string we emit is a
-   known identifier, so escaping is not needed. *)
-let sweep_json path ~argv ~domains ~hio ~chaos ~overload ~failures =
+   known identifier, so escaping is not needed. A row is its report's
+   fields in order, each value already rendered. *)
+let sweep_row (r : Fault.Sweep.report) =
+  let str = Printf.sprintf "\"%s\"" and int = string_of_int in
+  let obj fields =
+    Printf.sprintf "{ %s }"
+      (String.concat ", "
+         (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) fields))
+  in
+  let steps kinds =
+    [
+      ("baseline_steps", int r.r_baseline_steps);
+      ("faulted_steps", int r.r_faulted_steps);
+      ("fault_kinds", obj (List.map (fun (k, n) -> (k, int n)) kinds));
+    ]
+  in
+  let ramp (p : Fault.Sweep.ramp) =
+    let t = p.lp_tally in
+    Printf.sprintf
+      "{ \"mult\": %d, \"offered\": %d, \"ok\": %d, \"shed\": %d, \"late\": \
+       %d, \"transport\": %d, \"max_queue_delay\": %d, \"steps\": %d }"
+      p.lp_mult t.lt_offered t.lt_ok t.lt_shed t.lt_late t.lt_transport
+      t.lt_max_qdelay p.lp_steps
+  in
+  let fields =
+    match r.r_payload with
+    | Kills { target; kill_points; applied } ->
+        [
+          ( "target",
+            str
+              (match target with
+              | Fault.Plan.Acting -> "acting"
+              | Tid t -> Printf.sprintf "t%d" t
+              | Named n -> n) );
+          ("kill_points", int kill_points);
+          ("applied", int applied);
+        ]
+        @ steps [ ("kill", kill_points) ]
+    | Chaos { sites; fault_points; kill_runs; by_kind } ->
+        [
+          ( "sites",
+            obj (List.map (fun (op, n) -> (Ev.Chaos.op_label op, int n)) sites)
+          );
+          ("fault_points", int fault_points);
+          ("kill_runs", int kill_runs);
+        ]
+        @ steps by_kind
+    | Overload { capacity; ramps; kill_runs; resource_ramps } ->
+        [
+          ("capacity", int capacity);
+          ("ramps", "[ " ^ String.concat ", " (List.map ramp ramps) ^ " ]");
+          ("kill_runs", int kill_runs);
+          ("resource_ramps", int resource_ramps);
+          ("faulted_steps", int r.r_faulted_steps);
+        ]
+  in
+  obj
+    ((("case", str r.r_case) :: fields)
+    @ [ ("failures", int (List.length r.r_failures)) ])
+
+let sweep_json path ~argv ~domains ~failures suites =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
@@ -692,96 +745,27 @@ let sweep_json path ~argv ~domains ~hio ~chaos ~overload ~failures =
        adversary over every schedule).\",\n";
   add "  \"command\": \"%s\",\n" (String.concat " " (strip_jobs argv));
   add "  \"domains\": %d,\n" domains;
-  let target_name = function
-    | Fault.Plan.Acting -> "acting"
-    | Fault.Plan.Tid t -> Printf.sprintf "t%d" t
-    | Fault.Plan.Named n -> n
-  in
-  let kinds_json kinds =
-    String.concat ", "
-      (List.map (fun (k, n) -> Printf.sprintf "\"%s\": %d" k n) kinds)
-  in
-  let hio_rows (name, rows) =
-    add "  \"%s\": [\n" name;
-    List.iteri
-      (fun i (r : Fault.Sweep.report) ->
-        add
-          "    { \"case\": \"%s\", \"target\": \"%s\", \"kill_points\": %d, \
-           \"applied\": %d, \"baseline_steps\": %d, \"faulted_steps\": %d, \
-           \"fault_kinds\": { %s }, \"failures\": %d }%s\n"
-          r.Fault.Sweep.r_case
-          (target_name r.r_target)
-          r.r_kill_points r.r_applied r.r_baseline_steps r.r_faulted_steps
-          (kinds_json [ ("kill", r.r_kill_points) ])
-          (List.length r.r_failures)
-          (if i = List.length rows - 1 then "" else ","))
-      rows;
-    add "  ],\n"
-  in
-  List.iter hio_rows hio;
-  add "  \"chaos\": [\n";
-  List.iteri
-    (fun i (r : Fault.Io_sweep.report) ->
-      let sites =
-        String.concat ", "
-          (List.map
-             (fun (op, n) ->
-               Printf.sprintf "\"%s\": %d" (Ev.Chaos.op_label op) n)
-             r.Fault.Io_sweep.ir_sites)
-      in
-      add
-        "    { \"case\": \"%s\", \"sites\": { %s }, \"fault_points\": %d, \
-         \"kill_runs\": %d, \"baseline_steps\": %d, \"faulted_steps\": %d, \
-         \"fault_kinds\": { %s }, \"failures\": %d }%s\n"
-        r.Fault.Io_sweep.ir_case sites r.ir_points r.ir_kill_runs
-        r.ir_baseline_steps r.ir_faulted_steps
-        (kinds_json r.ir_by_kind)
-        (List.length r.ir_failures)
-        (if i = List.length chaos - 1 then "" else ","))
-    chaos;
-  add "  ],\n";
-  add "  \"overload\": [\n";
-  List.iteri
-    (fun i (r : Fault.Load_sweep.report) ->
-      let points =
-        String.concat ", "
-          (List.map
-             (fun (p : Fault.Load_sweep.point) ->
-               Printf.sprintf
-                 "{ \"mult\": %d, \"offered\": %d, \"ok\": %d, \
-                  \"shed\": %d, \"late\": %d, \"transport\": %d, \
-                  \"max_queue_delay\": %d, \"steps\": %d }"
-                 p.Fault.Load_sweep.lp_mult p.lp_tally.lt_offered
-                 p.lp_tally.lt_ok p.lp_tally.lt_shed p.lp_tally.lt_late
-                 p.lp_tally.lt_transport p.lp_tally.lt_max_qdelay p.lp_steps)
-             r.Fault.Load_sweep.lr_points)
-      in
-      add
-        "    { \"case\": \"%s\", \"capacity\": %d, \"ramps\": [ %s ], \
-         \"kill_runs\": %d, \"resource_ramps\": %d, \"faulted_steps\": \
-         %d, \"failures\": %d }%s\n"
-        r.Fault.Load_sweep.lr_case r.lr_capacity points r.lr_kill_runs
-        r.lr_resource_ramps r.lr_faulted_steps
-        (List.length r.lr_failures)
-        (if i = List.length overload - 1 then "" else ","))
-    overload;
-  add "  ],\n";
-  let kp =
+  List.iter
+    (fun (name, rows) ->
+      add "  \"%s\": [\n" name;
+      List.iteri
+        (fun i r ->
+          add "    %s%s\n" (sweep_row r)
+            (if i = List.length rows - 1 then "" else ","))
+        rows;
+      add "  ],\n")
+    suites;
+  (* Each suite's runs count toward its driver's total. *)
+  let kp, fp, lr =
     List.fold_left
-      (fun a (r : Fault.Sweep.report) -> a + r.r_kill_points)
-      0 (List.concat_map snd hio)
-  in
-  let fp =
-    List.fold_left
-      (fun a (r : Fault.Io_sweep.report) ->
-        a + r.ir_points + r.ir_kill_runs)
-      0 chaos
-  in
-  let lr =
-    List.fold_left
-      (fun a (r : Fault.Load_sweep.report) ->
-        a + List.length r.lr_points + r.lr_kill_runs + r.lr_resource_ramps)
-      0 overload
+      (fun (kp, fp, lr) (r : Fault.Sweep.report) ->
+        match r.r_payload with
+        | Kills k -> (kp + k.kill_points, fp, lr)
+        | Chaos c -> (kp, fp + c.fault_points + c.kill_runs, lr)
+        | Overload o ->
+            (kp, fp, lr + List.length o.ramps + o.kill_runs + o.resource_ramps))
+      (0, 0, 0)
+      (List.concat_map snd suites)
   in
   add
     "  \"totals\": { \"kill_points\": %d, \"fault_points\": %d, \
@@ -800,67 +784,37 @@ let sweep_cmd =
             (String.concat ", " suite_names);
           exit 2
         end;
-        let selected name = suite = name || suite = "all" in
         let jobs = resolve_jobs jobs in
-        let failures = ref 0 in
-        let hio =
+        let suites =
           List.map
             (fun (name, sweeps) ->
               ( name,
-                if not (selected name) then []
+                if suite <> name && suite <> "all" then []
                 else
                   List.map
-                    (fun (case, target) ->
+                    (fun sweep ->
                       let r =
-                        Fault.Sweep.sweep ?max_points ~jobs ~domains ~target
-                          case
+                        sweep ~max_points ~max_sites ~kills_per_point ~jobs
+                          ~domains
                       in
                       Fmt.pr "%a@." Fault.Sweep.pp_report r;
-                      failures :=
-                        !failures + List.length r.Fault.Sweep.r_failures;
                       r)
                     sweeps ))
-            Fault.Cases.suites
+            Fault.Suites.all
         in
-        let chaos =
-          if not (selected "chaos") then []
-          else
-            List.map
-              (fun c ->
-                let r =
-                  Fault.Io_sweep.sweep ~max_sites_per_op:max_sites
-                    ~kills_per_point ~jobs ~domains c
-                in
-                Fmt.pr "%a@." Fault.Io_sweep.pp_report r;
-                failures :=
-                  !failures + List.length r.Fault.Io_sweep.ir_failures;
-                r)
-              Fault.Io_cases.chaos
+        let failures =
+          List.fold_left
+            (fun n (r : Fault.Sweep.report) -> n + List.length r.r_failures)
+            0 (List.concat_map snd suites)
         in
-        let overload =
-          if not (selected "overload") then []
-          else
-            List.map
-              (fun c ->
-                let r =
-                  Fault.Load_sweep.sweep ~kills_per_ramp:kills_per_point ~jobs
-                    c
-                in
-                Fmt.pr "%a@." Fault.Load_sweep.pp_report r;
-                failures :=
-                  !failures + List.length r.Fault.Load_sweep.lr_failures;
-                r)
-              Fault.Load_cases.overload
-        in
-        (match json with
-        | Some path ->
-            sweep_json path
-              ~argv:(Array.to_list Sys.argv)
-              ~domains ~hio ~chaos ~overload ~failures:!failures
-        | None -> ());
-        if !failures > 0 then begin
-          Fmt.pr "%d FAILING sweep%s@." !failures
-            (if !failures = 1 then "" else "s");
+        Option.iter
+          (fun path ->
+            sweep_json path ~argv:(Array.to_list Sys.argv) ~domains ~failures
+              suites)
+          json;
+        if failures > 0 then begin
+          Fmt.pr "%d FAILING sweep%s@." failures
+            (if failures = 1 then "" else "s");
           exit 1
         end)
   in

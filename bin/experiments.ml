@@ -26,6 +26,11 @@ let verdict result =
 
 (* --- C1/C2: §5.1–§5.2 locking protocols --------------------------------- *)
 
+let kill_points (r : Fault.Sweep.report) =
+  match r.r_payload with
+  | Kills k -> k.kill_points
+  | Chaos _ | Overload _ -> invalid_arg "not a kill-sweep report"
+
 let c1_c2 () =
   header "C1/C2 — locking protocols, exhaustively model-checked (§5.1-5.2)";
   Printf.printf "%-28s %8s %8s  %s\n" "protocol" "states" "edges"
@@ -345,7 +350,7 @@ let c17 () =
         List.for_all (fun j -> Fault.Sweep.sweep ~jobs:j case = seq) jobs_list
       in
       Printf.printf "%-20s %12d %14d  %b\n" (Fault.Sweep.case_name case)
-        seq.Fault.Sweep.r_kill_points seq.Fault.Sweep.r_faulted_steps same)
+        (kill_points seq) seq.Fault.Sweep.r_faulted_steps same)
     Fault.Cases.std;
   let seq =
     Space.explore ~config:quiet
@@ -466,7 +471,7 @@ let c18 () =
         outs s.Hserver.Server.served s.Hserver.Server.shed
         s.Hserver.Server.timeouts s.Hserver.Server.restarts
         (List.length r.Fault.Sweep.r_failures)
-        r.Fault.Sweep.r_kill_points
+        (kill_points r)
         (match verdict with None -> "" | Some v -> "  [" ^ v ^ "]"))
     [ true; false ]
 

@@ -24,27 +24,30 @@
    re-record with `dune exec bench/main.exe -- -only ovl -json` and
    merge when re-pinning (scripts/bench_check.sh reads them). *)
 
-let report_json ppf (r : Fault.Load_sweep.report) =
-  let point ppf (p : Fault.Load_sweep.point) =
-    let t = p.Fault.Load_sweep.lp_tally in
+let report_json ppf (r : Fault.Sweep.report) =
+  let capacity, ramps, kill_runs, resource_ramps =
+    match r.r_payload with
+    | Overload o -> (o.capacity, o.ramps, o.kill_runs, o.resource_ramps)
+    | Kills _ | Chaos _ -> invalid_arg "not an overload report"
+  in
+  let ramp ppf (p : Fault.Sweep.ramp) =
+    let t = p.lp_tally in
     Format.fprintf ppf
       {|{ "mult": %d, "offered": %d, "ok": %d, "shed": %d, "late": %d, "transport": %d, "max_queue_delay_us": %d, "steps": %d }|}
-      p.Fault.Load_sweep.lp_mult t.Fault.Load_sweep.lt_offered
-      t.Fault.Load_sweep.lt_ok t.Fault.Load_sweep.lt_shed
-      t.Fault.Load_sweep.lt_late t.Fault.Load_sweep.lt_transport
-      t.Fault.Load_sweep.lt_max_qdelay p.Fault.Load_sweep.lp_steps
+      p.lp_mult t.lt_offered t.lt_ok t.lt_shed t.lt_late t.lt_transport
+      t.lt_max_qdelay p.lp_steps
   in
   Format.fprintf ppf
     "    {\n\
     \      \"name\": %S,\n\
     \      \"capacity\": %d,\n\
     \      \"ramps\": [\n"
-    r.Fault.Load_sweep.lr_case r.Fault.Load_sweep.lr_capacity;
+    r.r_case capacity;
   List.iteri
     (fun i p ->
-      Format.fprintf ppf "        %a%s\n" point p
-        (if i = List.length r.Fault.Load_sweep.lr_points - 1 then "" else ","))
-    r.Fault.Load_sweep.lr_points;
+      Format.fprintf ppf "        %a%s\n" ramp p
+        (if i = List.length ramps - 1 then "" else ","))
+    ramps;
   Format.fprintf ppf
     "      ],\n\
     \      \"kill_runs\": %d,\n\
@@ -52,9 +55,8 @@ let report_json ppf (r : Fault.Load_sweep.report) =
     \      \"faulted_steps\": %d,\n\
     \      \"failures\": %d\n\
     \    }"
-    r.Fault.Load_sweep.lr_kill_runs r.Fault.Load_sweep.lr_resource_ramps
-    r.Fault.Load_sweep.lr_faulted_steps
-    (List.length r.Fault.Load_sweep.lr_failures)
+    kill_runs resource_ramps r.r_faulted_steps
+    (List.length r.r_failures)
 
 let () =
   let kills = ref 1 and jobs = ref 1 and json = ref "" in
@@ -79,13 +81,13 @@ let () =
     List.map
       (fun c ->
         let r = Fault.Load_sweep.sweep ~kills_per_ramp:!kills ~jobs:!jobs c in
-        Format.printf "%a@." Fault.Load_sweep.pp_report r;
+        Format.printf "%a@." Fault.Sweep.pp_report r;
         r)
       Fault.Load_cases.overload
   in
   let failures =
     List.fold_left
-      (fun acc r -> acc + List.length r.Fault.Load_sweep.lr_failures)
+      (fun acc (r : Fault.Sweep.report) -> acc + List.length r.r_failures)
       0 reports
   in
   if !json <> "" then begin

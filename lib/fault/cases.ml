@@ -770,35 +770,31 @@ let actor_shard_targets =
     Plan.Named "shard-root";
   ]
 
-(* --- the hio suites, as chrun sweeps them ------------------------------- *)
+(* --- the sup and actor kill sweeps: each case with its targets ---------- *)
 
-let suites =
+let sup =
   [
-    ("std", List.map (fun c -> (c, Plan.Acting)) std);
-    ("server", List.map (fun t -> (server, t)) server_targets);
-    ( "sup",
-      [
-        (sup_one_for_one, Plan.Acting);
-        (sup_one_for_one, Plan.Named "supervisor");
-        (sup_one_for_one, Plan.Named "a");
-        (sup_all_for_one, Plan.Acting);
-        (sup_retry_breaker, Plan.Acting);
-        (sup_bulkhead, Plan.Acting);
-      ]
-      @ List.map (fun t -> (sup_server, t)) sup_server_targets );
-    ( "actor",
-      [
-        (actor_link, Plan.Acting);
-        (actor_link, Plan.Named "watcher");
-        (actor_link, Plan.Named "parent");
-        (actor_link, Plan.Named "child");
-        (actor_call, Plan.Acting);
-        (actor_call, Plan.Named "counter");
-        (actor_ring, Plan.Acting);
-        (actor_ring, Plan.Named "ring-1");
-      ]
-      @ List.map (fun t -> (actor_shard, t)) actor_shard_targets );
+    (sup_one_for_one, Plan.Acting);
+    (sup_one_for_one, Plan.Named "supervisor");
+    (sup_one_for_one, Plan.Named "a");
+    (sup_all_for_one, Plan.Acting);
+    (sup_retry_breaker, Plan.Acting);
+    (sup_bulkhead, Plan.Acting);
   ]
+  @ List.map (fun t -> (sup_server, t)) sup_server_targets
+
+let actor =
+  [
+    (actor_link, Plan.Acting);
+    (actor_link, Plan.Named "watcher");
+    (actor_link, Plan.Named "parent");
+    (actor_link, Plan.Named "child");
+    (actor_call, Plan.Acting);
+    (actor_call, Plan.Named "counter");
+    (actor_ring, Plan.Acting);
+    (actor_ring, Plan.Named "ring-1");
+  ]
+  @ List.map (fun t -> (actor_shard, t)) actor_shard_targets
 
 (* --- a deliberately broken abstraction, to test the harness ------------- *)
 

@@ -112,17 +112,18 @@ val actor_call : Sweep.case
     survived, its state is bounded by the completed calls and a
     graceful [stop] drains the mailbox FIFO before acknowledging. *)
 
-val suites : (string * (Sweep.case * Plan.target) list) list
-(** The hio kill-sweep suites by name, in the order [chrun sweep] runs
-    them: [std] (each {!std} case, {!Plan.Acting}), [server] ({!server}
-    against each of {!server_targets}), [sup] (the one-for-one,
-    all-for-one, retry-over-breaker and bulkhead cases with their
-    targets, then {!sup_server} against [Acting], the supervisor, the
-    listener and a worker) and [actor] ({!actor_link}, {!actor_call}
-    and a token ring with their targets, then the sharded server —
-    two keyed clients against 2 shards — against [Acting] and every
-    layer of its tree: [shard-0], [shard-sup-0], [shard-serve],
-    [conn-worker] and [shard-root]). *)
+val sup : (Sweep.case * Plan.target) list
+(** The supervision cases with their kill targets: the one-for-one,
+    all-for-one, retry-over-breaker and bulkhead cases, then
+    {!sup_server} against [Acting], the supervisor, the listener and a
+    worker. *)
+
+val actor : (Sweep.case * Plan.target) list
+(** The actor cases with their kill targets: {!actor_link},
+    {!actor_call} and a token ring, then the sharded server — two keyed
+    clients against 2 shards — against [Acting] and every layer of its
+    tree: [shard-0], [shard-sup-0], [shard-serve], [conn-worker] and
+    [shard-root]. *)
 
 val naive_lock : Sweep.case
 (** A deliberately §5.2-violating lock (bare [take]/[put], nothing

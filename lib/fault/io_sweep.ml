@@ -27,17 +27,6 @@ let record ?domains c =
 let run_rule c schedule rule kill_plan =
   Sweep.run_plan (c [ rule ] (ref None)) schedule kill_plan
 
-type report = {
-  ir_case : string;
-  ir_baseline_steps : int;
-  ir_sites : (Ev.Chaos.op * int) list;
-  ir_points : int;
-  ir_kill_runs : int;
-  ir_faulted_steps : int;
-  ir_by_kind : (string * int) list;
-  ir_failures : Sweep.failure list;
-}
-
 (* Move a failing rule's site as early as it will go while still
    failing: earlier sites make shorter, more readable counterexamples
    (the fault lands before most of the run has happened). *)
@@ -121,29 +110,11 @@ let sweep ?max_sites_per_op ?(kills_per_point = 0) ?(jobs = 1) ?domains c =
     @ if kill_runs > 0 then [ ("kill", kill_runs) ] else []
   in
   {
-    ir_case = case_name c;
-    ir_baseline_steps = schedule.Sweep.s_steps;
-    ir_sites = sites;
-    ir_points = List.length points;
-    ir_kill_runs = kill_runs;
-    ir_faulted_steps = faulted_steps;
-    ir_by_kind = by_kind;
-    ir_failures = failures;
+    Sweep.r_case = case_name c;
+    r_baseline_steps = schedule.Sweep.s_steps;
+    r_faulted_steps = faulted_steps;
+    r_failures = failures;
+    r_payload =
+      Sweep.Chaos
+        { sites; fault_points = List.length points; kill_runs; by_kind };
   }
-
-let pp_report ppf r =
-  let sites =
-    String.concat " "
-      (List.filter_map
-         (fun (op, n) ->
-           if n = 0 then None
-           else Some (Printf.sprintf "%s=%d" (Ev.Chaos.op_label op) n))
-         r.ir_sites)
-  in
-  Fmt.pf ppf
-    "%-18s io: sites {%s}, %d fault points, %d kill runs, baseline %d \
-     steps, %d failure%s"
-    r.ir_case sites r.ir_points r.ir_kill_runs r.ir_baseline_steps
-    (List.length r.ir_failures)
-    (if List.length r.ir_failures = 1 then "" else "s");
-  List.iter (Sweep.pp_failure ppf) r.ir_failures

@@ -19,7 +19,8 @@
     Everything is deterministic: the chaos control state is created
     fresh inside each run (one [lift] step), plans are plain data, and
     re-runs are farmed to worker domains with results merged in point
-    order, so reports are byte-identical for every [jobs] value. *)
+    order, so the {!Sweep.report} it returns is byte-identical for every
+    [jobs] value. *)
 
 type case = Ev.Chaos.plan -> Ev.Chaos.ctl option ref -> Sweep.case
 (** A named program prepared for I/O sweeping: given one run's chaos
@@ -32,23 +33,6 @@ type case = Ev.Chaos.plan -> Ev.Chaos.ctl option ref -> Sweep.case
 val case :
   ?max_steps:int -> string -> (Ev.Chaos.ctl -> unit Hio.Io.t) -> case
 (** Default [max_steps] is [400_000] — I/O cases run servers. *)
-
-type report = {
-  ir_case : string;
-  ir_baseline_steps : int;
-  ir_sites : (Ev.Chaos.op * int) list;
-      (** armed sites per op in the recorded schedule, {!Ev.Chaos.all_ops}
-          order *)
-  ir_points : int;  (** (site, fault) pairs injected — faulted runs made *)
-  ir_kill_runs : int;  (** combined kill×I/O runs made on top *)
-  ir_faulted_steps : int;  (** total steps across all faulted runs *)
-  ir_by_kind : (string * int) list;
-      (** fault points per {!Ev.Chaos.fault_label} kind (plus a ["kill"]
-          entry for combined runs), label-sorted *)
-  ir_failures : Sweep.failure list;
-      (** each with a {!Sweep.Io} context; [f_plan] is the layered kill
-          plan, [[]] for a pure I/O failure *)
-}
 
 val record :
   ?domains:int -> case -> Sweep.schedule * (Ev.Chaos.op * int) list
@@ -76,7 +60,7 @@ val sweep :
   ?jobs:int ->
   ?domains:int ->
   case ->
-  report
+  Sweep.report
 (** Enumerate every (op, site, fault) point — sites down-sampled evenly
     per op to [max_sites_per_op] if given, faults from
     {!Ev.Chaos.default_faults} — and re-run the case once per point.
@@ -91,6 +75,8 @@ val sweep :
     its log until the injected fault diverges the schedule, then
     continue deterministically under the free single-domain scheduler.
     Combined-mode re-recordings of faulted schedules stay single-domain
-    regardless. *)
+    regardless.
 
-val pp_report : Format.formatter -> report -> unit
+    The report's payload is {!Sweep.Chaos}; each failure carries a
+    {!Sweep.Io} context, and its [f_plan] is the layered kill plan,
+    [[]] for a pure I/O failure. *)

@@ -49,7 +49,7 @@ let tally outcomes ~qdelay =
     Array.fold_left (fun n x -> if x = Some o then n + 1 else n) 0 outcomes
   in
   {
-    Load_sweep.lt_offered = Array.length outcomes;
+    Sweep.lt_offered = Array.length outcomes;
     lt_ok = is (Cases.Status 200);
     lt_shed = is (Cases.Status 503);
     lt_late = is (Cases.Status 504) + is Cases.Timed_out;

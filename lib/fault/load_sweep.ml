@@ -1,15 +1,5 @@
 open Hio
 
-type tally = {
-  lt_offered : int;  (** arrivals the ramp issued *)
-  lt_ok : int;  (** 200s — goodput *)
-  lt_shed : int;  (** 503s: bulkhead/queue/deadline/brownout sheds *)
-  lt_late : int;  (** 504s and client-side timeouts *)
-  lt_transport : int;  (** transport-level degradation (resets, refusals,
-                           dial failures, resource exhaustion) *)
-  lt_max_qdelay : int;  (** worst bulkhead queue sojourn observed, µs *)
-}
-
 (* A case builds each run's [Sweep.case] from that run's multiplier and
    resource plan: one [lift] step creates the ctl fresh inside the run,
    the body runs the ramp and checks its own invariants, and a last
@@ -20,7 +10,10 @@ type case = {
   lc_name : string;
   lc_qdelay_bound : int option;
   lc_run :
-    mult:int -> resources:Ev.Chaos.resources -> tally option ref -> Sweep.case;
+    mult:int ->
+    resources:Ev.Chaos.resources ->
+    Sweep.tally option ref ->
+    Sweep.case;
 }
 
 let case ?(max_steps = 2_000_000) ?qdelay_bound name body =
@@ -41,22 +34,6 @@ let record c ~mult ~resources =
 
 let run_kill c schedule ~mult ~resources plan =
   Sweep.run_plan (c.lc_run ~mult ~resources (ref None)) schedule plan
-
-type point = {
-  lp_mult : int;
-  lp_tally : tally;
-  lp_steps : int;
-}
-
-type report = {
-  lr_case : string;
-  lr_capacity : int;
-  lr_points : point list;
-  lr_kill_runs : int;
-  lr_resource_ramps : int;
-  lr_faulted_steps : int;
-  lr_failures : Sweep.failure list;
-}
 
 let multipliers = [ 1; 2; 5; 10 ]
 
@@ -106,15 +83,23 @@ let sweep ?(kills_per_ramp = 0) ?(jobs = 1) c =
     List.filter_map
       (function
         | m, Ok (schedule, t) ->
-            Some { lp_mult = m; lp_tally = t; lp_steps = schedule.Sweep.s_steps }
+            Some
+              {
+                Sweep.lp_mult = m;
+                lp_tally = t;
+                lp_steps = schedule.Sweep.s_steps;
+              }
         | m, Error msg ->
             fail ~mult:m msg;
             None)
       clean
   in
-  (* Capacity: goodput of the lowest clean multiplier (1x when it ran). *)
-  let capacity =
-    match points with [] -> 0 | p :: _ -> p.lp_tally.lt_ok
+  (* Capacity and baseline: goodput and steps of the lowest clean
+     multiplier (1x when it ran). *)
+  let capacity, baseline_steps =
+    match points with
+    | [] -> (0, 0)
+    | p :: _ -> (p.lp_tally.lt_ok, p.lp_steps)
   in
   (* Driver-level gates, judged across runs (no single run can see them):
      goodput at the top of the ramp must hold at least half of capacity
@@ -134,7 +119,7 @@ let sweep ?(kills_per_ramp = 0) ?(jobs = 1) c =
   | None -> ()
   | Some bound ->
       List.iter
-        (fun p ->
+        (fun (p : Sweep.ramp) ->
           if p.lp_tally.lt_max_qdelay > bound then
             fail ~mult:p.lp_mult
               (Printf.sprintf
@@ -177,7 +162,7 @@ let sweep ?(kills_per_ramp = 0) ?(jobs = 1) c =
             in
             (schedule.Sweep.s_steps + steps, runs, 1, fs))
   in
-  let faulted_steps, kill_runs, ramps, composed_failures =
+  let faulted_steps, kill_runs, resource_ramps, composed_failures =
     Array.fold_right
       (fun (steps, kr, rr, fs) (n, k, r, acc) ->
         (n + steps, k + kr, r + rr, fs @ acc))
@@ -185,36 +170,10 @@ let sweep ?(kills_per_ramp = 0) ?(jobs = 1) c =
       (0, 0, 0, [])
   in
   {
-    lr_case = c.lc_name;
-    lr_capacity = capacity;
-    lr_points = points;
-    lr_kill_runs = kill_runs;
-    lr_resource_ramps = ramps;
-    lr_faulted_steps = faulted_steps;
-    lr_failures = List.rev !failures @ composed_failures;
+    Sweep.r_case = c.lc_name;
+    r_baseline_steps = baseline_steps;
+    r_faulted_steps = faulted_steps;
+    r_failures = List.rev !failures @ composed_failures;
+    r_payload =
+      Sweep.Overload { capacity; ramps = points; kill_runs; resource_ramps };
   }
-
-let pp_tally ppf t =
-  Fmt.pf ppf "ok=%d shed=%d late=%d" t.lt_ok t.lt_shed t.lt_late;
-  if t.lt_transport > 0 then Fmt.pf ppf " tr=%d" t.lt_transport
-
-let pp_report ppf r =
-  let curve =
-    String.concat ", "
-      (List.map
-         (fun p ->
-           Format.asprintf "%dx %a" p.lp_mult pp_tally p.lp_tally)
-         r.lr_points)
-  in
-  let qdelay =
-    List.fold_left
-      (fun acc p -> max acc p.lp_tally.lt_max_qdelay)
-      0 r.lr_points
-  in
-  Fmt.pf ppf
-    "%-18s load: capacity %d, %s, max qdelay %d, %d kill runs, %d \
-     resource ramps, %d failure%s"
-    r.lr_case r.lr_capacity curve qdelay r.lr_kill_runs r.lr_resource_ramps
-    (List.length r.lr_failures)
-    (if List.length r.lr_failures = 1 then "" else "s");
-  List.iter (Sweep.pp_failure ppf) r.lr_failures

@@ -8,7 +8,7 @@
     system can serve, does it degrade or collapse?} A {!case} runs one
     deterministic open-loop ramp — arrivals on the timer wheel at a rate
     scaled by a multiplier, each client recording a lawful outcome — and
-    returns a {!tally}. The driver runs the ramp clean at each
+    returns a {!Sweep.tally}. The driver runs the ramp clean at each
     multiplier (1x, 2x, 5x, 10x of nominal), then re-runs it
     with resource-exhaustion plans armed (fd budgets, backlog caps, send
     caps) and with kills layered at sampled armed steps.
@@ -26,22 +26,9 @@
     each run's program is built from a closure over its multiplier and
     resource plan (the ctl is created in its first [lift] step, the
     tally comes back through a ref local to the run), and re-runs are
-    farmed to worker domains with results merged in item order, so
-    reports are byte-identical for every [jobs] value. *)
-
-type tally = {
-  lt_offered : int;  (** arrivals the ramp issued *)
-  lt_ok : int;  (** 200s — goodput *)
-  lt_shed : int;  (** 503s: bulkhead/queue/deadline/brownout sheds *)
-  lt_late : int;  (** 504s and client-side timeouts *)
-  lt_transport : int;
-      (** transport-level degradation: resets, refusals, dial failures,
-          resource exhaustion *)
-  lt_max_qdelay : int;
-      (** worst bulkhead queue sojourn observed (virtual µs) *)
-}
-(** What one ramp measured. [lt_ok + lt_shed + lt_late + lt_transport]
-    accounts for every client that survived the run. *)
+    farmed to worker domains with results merged in item order, so the
+    {!Sweep.report} it returns is byte-identical for every [jobs]
+    value. *)
 
 type case
 (** A named server program prepared for load sweeping. The body gets the
@@ -53,7 +40,7 @@ val case :
   ?max_steps:int ->
   ?qdelay_bound:int ->
   string ->
-  (Ev.Chaos.ctl -> mult:int -> tally Hio.Io.t) ->
+  (Ev.Chaos.ctl -> mult:int -> Sweep.tally Hio.Io.t) ->
   case
 (** Default [max_steps] is [2_000_000] — a 10x ramp runs many clients.
     [qdelay_bound] declares the largest lawful [lt_max_qdelay] (set it
@@ -64,7 +51,7 @@ val record :
   case ->
   mult:int ->
   resources:Ev.Chaos.resources ->
-  Sweep.schedule * tally option
+  Sweep.schedule * Sweep.tally option
 (** One ramp at [mult] with [resources] armed. [None] tally means the
     body never reached its final step (cannot happen for a lawful case).
     @raise Failure if the run does not end in [Value ()] with no blocked
@@ -80,26 +67,7 @@ val run_kill :
 (** One ramp with a kill plan layered on top; [None] means all
     invariants held. Exposed for replaying a reported failure. *)
 
-type point = {
-  lp_mult : int;
-  lp_tally : tally;
-  lp_steps : int;
-}
-(** One clean ramp's result. *)
-
-type report = {
-  lr_case : string;
-  lr_capacity : int;  (** goodput of the lowest clean multiplier *)
-  lr_points : point list;  (** clean ramps, multiplier order *)
-  lr_kill_runs : int;
-  lr_resource_ramps : int;
-  lr_faulted_steps : int;  (** total steps across phase-2 runs *)
-  lr_failures : Sweep.failure list;
-      (** each with a {!Sweep.Load} context; [f_plan] is the layered kill
-          plan, [[]] for a ramp or gate failure *)
-}
-
-val sweep : ?kills_per_ramp:int -> ?jobs:int -> case -> report
+val sweep : ?kills_per_ramp:int -> ?jobs:int -> case -> Sweep.report
 (** Run the clean ramps at 1x, 2x, 5x and 10x, judge the goodput and
     queue-delay gates, then compose: the ramp is re-recorded at every
     multiplier under each named resource plan — [fd-budget] (live
@@ -109,8 +77,11 @@ val sweep : ?kills_per_ramp:int -> ?jobs:int -> case -> report
     every clean and resource-faulted schedule
     ({!Sweep.layered_kills}; a failing kill plan is shrunk within the
     schedule's armed steps). [jobs] farms phase 2 to worker domains;
-    the report is identical for every value. *)
+    the report is identical for every value.
 
-val pp_report : Format.formatter -> report -> unit
-(** One line per case — capacity, the goodput curve per multiplier, the
-    worst queue delay, run counts — plus one block per failure. *)
+    The report's payload is {!Sweep.Overload}; each failure carries a
+    {!Sweep.Load} context, and its [f_plan] is the layered kill plan,
+    [[]] for a ramp or gate failure. {!Sweep.pp_report} prints one line
+    per case — capacity, the goodput curve per multiplier, the worst
+    queue delay, run counts — plus one block per failure. *)
+

@@ -166,14 +166,38 @@ type failure = {
   f_reason : string;
 }
 
+type tally = {
+  lt_offered : int;
+  lt_ok : int;
+  lt_shed : int;
+  lt_late : int;
+  lt_transport : int;
+  lt_max_qdelay : int;
+}
+
+type ramp = { lp_mult : int; lp_tally : tally; lp_steps : int }
+
+type payload =
+  | Kills of { target : Plan.target; kill_points : int; applied : int }
+  | Chaos of {
+      sites : (Ev.Chaos.op * int) list;
+      fault_points : int;
+      kill_runs : int;
+      by_kind : (string * int) list;
+    }
+  | Overload of {
+      capacity : int;
+      ramps : ramp list;
+      kill_runs : int;
+      resource_ramps : int;
+    }
+
 type report = {
   r_case : string;
-  r_target : Plan.target;
   r_baseline_steps : int;
-  r_kill_points : int;
-  r_applied : int;
   r_faulted_steps : int;
   r_failures : failure list;
+  r_payload : payload;
 }
 
 (* A bounded sweep still probes both ends of the run: first and last are
@@ -255,12 +279,10 @@ let sweep ?max_points ?(target = Plan.Acting) ?(shrink = true) ?(jobs = 1)
   in
   {
     r_case = c.c_name;
-    r_target = target;
     r_baseline_steps = schedule.s_steps;
-    r_kill_points = List.length points;
-    r_applied = applied;
     r_faulted_steps = faulted_steps;
     r_failures = failures;
+    r_payload = Kills { target; kill_points = List.length points; applied };
   }
 
 let pp_failure ppf f =
@@ -282,11 +304,42 @@ let pp_failure ppf f =
   Fmt.pf ppf "@.    %s"
     (String.concat "\n    " (String.split_on_char '\n' f.f_reason))
 
+let pp_tally ppf t =
+  Fmt.pf ppf "ok=%d shed=%d late=%d" t.lt_ok t.lt_shed t.lt_late;
+  if t.lt_transport > 0 then Fmt.pf ppf " tr=%d" t.lt_transport
+
 let pp_report ppf r =
-  Fmt.pf ppf "%-18s target=%a: %d kill points (%d applied), baseline %d \
-              steps, %d failure%s"
-    r.r_case Plan.pp_target r.r_target r.r_kill_points r.r_applied
-    r.r_baseline_steps
-    (List.length r.r_failures)
-    (if List.length r.r_failures = 1 then "" else "s");
+  Fmt.pf ppf "%-18s " r.r_case;
+  (match r.r_payload with
+  | Kills { target; kill_points; applied } ->
+      Fmt.pf ppf "target=%a: %d kill points (%d applied), baseline %d steps"
+        Plan.pp_target target kill_points applied r.r_baseline_steps
+  | Chaos { sites; fault_points; kill_runs; _ } ->
+      let sites =
+        String.concat " "
+          (List.filter_map
+             (fun (op, n) ->
+               if n = 0 then None
+               else Some (Printf.sprintf "%s=%d" (Ev.Chaos.op_label op) n))
+             sites)
+      in
+      Fmt.pf ppf
+        "io: sites {%s}, %d fault points, %d kill runs, baseline %d steps"
+        sites fault_points kill_runs r.r_baseline_steps
+  | Overload { capacity; ramps; kill_runs; resource_ramps } ->
+      let curve =
+        String.concat ", "
+          (List.map
+             (fun p -> Fmt.str "%dx %a" p.lp_mult pp_tally p.lp_tally)
+             ramps)
+      in
+      let qdelay =
+        List.fold_left (fun acc p -> max acc p.lp_tally.lt_max_qdelay) 0 ramps
+      in
+      Fmt.pf ppf
+        "load: capacity %d, %s, max qdelay %d, %d kill runs, %d resource \
+         ramps"
+        capacity curve qdelay kill_runs resource_ramps);
+  let n = List.length r.r_failures in
+  Fmt.pf ppf ", %d failure%s" n (if n = 1 then "" else "s");
   List.iter (pp_failure ppf) r.r_failures

@@ -20,7 +20,13 @@
 
     Any other outcome is a failure; the plan is shrunk with {!Shrink}
     (restricted to armed steps so a counterexample never names the
-    disarmed probe phase) and reported. *)
+    disarmed probe phase) and reported.
+
+    The I/O sweep ({!Io_sweep}) and the overload sweep ({!Load_sweep})
+    run on this pipeline too, and all three return one {!report}: the
+    case, its baseline and faulted step counts and its failures, plus a
+    {!payload} for what only one driver counts. {!pp_report} prints any
+    of them. *)
 
 exception Violation of string
 (** What {!require} throws; uncaught it fails the run with the message. *)
@@ -80,15 +86,58 @@ type failure = {
 }
 (** One failure of any hio sweep driver. *)
 
+type tally = {
+  lt_offered : int;  (** arrivals the ramp issued *)
+  lt_ok : int;  (** 200s — goodput *)
+  lt_shed : int;  (** 503s: bulkhead/queue/deadline/brownout sheds *)
+  lt_late : int;  (** 504s and client-side timeouts *)
+  lt_transport : int;
+      (** transport-level degradation: resets, refusals, dial failures,
+          resource exhaustion *)
+  lt_max_qdelay : int;
+      (** worst bulkhead queue sojourn observed (virtual µs) *)
+}
+(** What one {!Load_sweep} ramp measured. [lt_ok + lt_shed + lt_late +
+    lt_transport] accounts for every client that survived the run. *)
+
+type ramp = { lp_mult : int; lp_tally : tally; lp_steps : int }
+(** One clean ramp of the overload sweep: its multiplier, tally and
+    steps. *)
+
+type payload =
+  | Kills of {
+      target : Plan.target;
+      kill_points : int;  (** distinct armed steps injected (runs made) *)
+      applied : int;  (** runs whose injection found a live target *)
+    }  (** the kill sweep's *)
+  | Chaos of {
+      sites : (Ev.Chaos.op * int) list;
+          (** armed sites per op in the recorded schedule,
+              {!Ev.Chaos.all_ops} order *)
+      fault_points : int;  (** (site, fault) pairs injected *)
+      kill_runs : int;  (** combined kill×I/O runs made on top *)
+      by_kind : (string * int) list;
+          (** fault points per {!Ev.Chaos.fault_label} kind (plus a
+              ["kill"] entry for combined runs), label-sorted *)
+    }  (** {!Io_sweep}'s *)
+  | Overload of {
+      capacity : int;  (** goodput of the lowest clean multiplier *)
+      ramps : ramp list;  (** clean ramps, multiplier order *)
+      kill_runs : int;
+      resource_ramps : int;
+    }  (** {!Load_sweep}'s *)
+(** What one driver counts that the others do not. *)
+
 type report = {
   r_case : string;
-  r_target : Plan.target;
   r_baseline_steps : int;
-  r_kill_points : int;  (** distinct armed steps injected (runs made) *)
-  r_applied : int;  (** runs whose injection found a live target *)
+      (** the recorded schedule's steps; for {!Overload}, the lowest
+          clean ramp's ([0] when none ran clean) *)
   r_faulted_steps : int;  (** total steps across all faulted runs *)
   r_failures : failure list;
+  r_payload : payload;
 }
+(** The report of every sweep driver. *)
 
 val run_plan : case -> schedule -> Plan.t -> string option * unit Hio.Runtime.result
 (** One faulted run; [None] means all invariants held. *)
@@ -143,9 +192,7 @@ val sweep :
     order. Safe because each [Hio.Runtime.run] builds its entire
     scheduler state per call and the armed flag is domain-local. *)
 
-val pp_failure : Format.formatter -> failure -> unit
-(** The failure block every driver's report prints: a leading newline,
-    the fault context and kill plan, the shrunk form, the reason. *)
-
 val pp_report : Format.formatter -> report -> unit
-(** One line per sweep, plus one block per failure. *)
+(** One line per sweep in its driver's format, plus one block per
+    failure: the fault context and kill plan, the shrunk form, the
+    reason. *)

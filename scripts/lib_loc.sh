@@ -5,8 +5,11 @@
 #
 # Prints, as a Markdown table, the .ml/.mli line count (wc -l) of each
 # lib/* library at the commit BASE (default HEAD~1) and in the work
-# tree, with the per-library and total deltas. Read-only: it extracts
-# BASE's lib/ into a temporary directory and never touches the index.
+# tree, with the per-library and total deltas. Under the lib/ total it
+# prints one row per bin/ source file, the CLI's bin/chrun.ml among
+# them, which the total does not include. Read-only: it
+# extracts BASE's lib/ and bin/ into a temporary directory and never
+# touches the index.
 set -eu
 
 base=${1:-HEAD~1}
@@ -18,7 +21,7 @@ git -C "$root" rev-parse --verify --quiet "$base^{commit}" >/dev/null || {
   echo "lib_loc.sh: unknown commit $base" >&2
   exit 2
 }
-git -C "$root" archive "$base" lib | tar -x -C "$tmp"
+git -C "$root" archive "$base" lib bin | tar -x -C "$tmp"
 
 # "<lib> <lines>" for every library directory under $1/lib
 counts() {
@@ -29,8 +32,18 @@ counts() {
   done
 }
 
+# "bin/<file> <lines>" for every .ml/.mli file under $1/bin
+bin_counts() {
+  for f in "$1"/bin/*.ml "$1"/bin/*.mli; do
+    [ -f "$f" ] || continue
+    echo "bin/$(basename "$f") $(wc -l <"$f")"
+  done
+}
+
 counts "$tmp" >"$tmp/base.txt"
 counts "$root" >"$tmp/tree.txt"
+bin_counts "$tmp" >"$tmp/bin_base.txt"
+bin_counts "$root" >"$tmp/bin_tree.txt"
 
 echo "### lib/ line count: $(git -C "$root" rev-parse --short "$base") -> work tree"
 echo
@@ -54,3 +67,11 @@ awk '
     printf "| **lib/ total** | %d | %d | %+d |\n", tb, tt, tt - tb
   }
 ' "$tmp/base.txt" "$tmp/tree.txt"
+# the bin/ rows, not part of the lib/ total
+awk '
+  FNR == NR { b[$1] = $2; seen[$1] = 1; next }
+  { t[$1] = $2; seen[$1] = 1 }
+  END {
+    for (k in seen) printf "| %s | %d | %d | %+d |\n", k, b[k], t[k], t[k] - b[k]
+  }
+' "$tmp/bin_base.txt" "$tmp/bin_tree.txt" | sort

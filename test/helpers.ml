@@ -65,6 +65,12 @@ let kill_first_waiting ?(rounds = 500) tids =
   in
   go rounds
 
+(* The kill points and applied count of a kill-sweep report. *)
+let kill_counts (r : Fault.Sweep.report) =
+  match r.r_payload with
+  | Kills { kill_points; applied; _ } -> (kill_points, applied)
+  | Chaos _ | Overload _ -> Alcotest.fail "not a kill-sweep report"
+
 let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f
 

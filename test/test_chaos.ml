@@ -278,45 +278,51 @@ let io_rules f =
   | Sweep.Io { rule; shrunk_rule } -> (rule, shrunk_rule)
   | Sweep.Kill | Sweep.Load _ -> Alcotest.fail "not an io failure"
 
+(* The sites, fault points and kill runs of an {!Io_sweep} report. *)
+let chaos (r : Sweep.report) =
+  match r.r_payload with
+  | Sweep.Chaos { sites; fault_points; kill_runs; _ } ->
+      (sites, fault_points, kill_runs)
+  | Sweep.Kills _ | Sweep.Overload _ -> Alcotest.fail "not a chaos report"
+
+(* Fail with the printed report if the sweep failed anywhere. *)
+let check_clean (r : Sweep.report) =
+  if r.r_failures <> [] then
+    Alcotest.failf "unexpected failures:@.%a" Sweep.pp_report r
+
 let sweep_tests =
   [
     case "io-pipe survives every fault at every site (plus kills)"
       (fun () ->
         let r = Io_sweep.sweep ~kills_per_point:1 Io_cases.io_pipe in
-        Alcotest.(check bool) "has fault points" true (r.Io_sweep.ir_points > 0);
-        Alcotest.(check bool) "ran combined kills" true
-          (r.Io_sweep.ir_kill_runs > 0);
-        (match r.Io_sweep.ir_failures with
-        | [] -> ()
-        | f :: _ ->
-            Alcotest.failf "unexpected failure:%a" Sweep.pp_failure f);
+        let sites, fault_points, kill_runs = chaos r in
+        Alcotest.(check bool) "has fault points" true (fault_points > 0);
+        Alcotest.(check bool) "ran combined kills" true (kill_runs > 0);
+        check_clean r;
         Alcotest.(check bool) "send sites seen" true
-          (List.assoc Ev.Chaos.Send r.Io_sweep.ir_sites >= 1));
+          (List.assoc Ev.Chaos.Send sites >= 1));
     slow_case "io-server survives a sampled fault+kill sweep" (fun () ->
         let r =
           Io_sweep.sweep ~max_sites_per_op:2 ~kills_per_point:1
             Io_cases.io_server
         in
-        (match r.Io_sweep.ir_failures with
-        | [] -> ()
-        | f :: _ ->
-            Alcotest.failf "unexpected failure:%a" Sweep.pp_failure f);
+        check_clean r;
+        let sites, _, _ = chaos r in
         Alcotest.(check bool) "reached dial sites" true
-          (List.assoc Ev.Chaos.Dial r.Io_sweep.ir_sites >= 1));
+          (List.assoc Ev.Chaos.Dial sites >= 1));
     case "a fragile case is caught and the rule shrinks to an early site"
       (fun () ->
         let r = Io_sweep.sweep ~max_sites_per_op:3 fragile in
-        Alcotest.(check bool) "failures found" true
-          (r.Io_sweep.ir_failures <> []);
+        Alcotest.(check bool) "failures found" true (r.r_failures <> []);
         List.iter
           (fun f ->
             let rule, shrunk_rule = io_rules f in
             Alcotest.(check bool) "shrunk site is no later" true
               (shrunk_rule.Ev.Chaos.r_at <= rule.Ev.Chaos.r_at))
-          r.Io_sweep.ir_failures;
+          r.r_failures;
         (* replay: a reported (shrunk) counterexample still fails *)
         let schedule, _ = Io_sweep.record fragile in
-        let _, shrunk_rule = io_rules (List.hd r.Io_sweep.ir_failures) in
+        let _, shrunk_rule = io_rules (List.hd r.r_failures) in
         Alcotest.(check bool) "replay fails" true
           (fst (Io_sweep.run_rule fragile schedule shrunk_rule []) <> None));
     case "io-pipe sweeps clean over a 2-domain replay log" (fun () ->
@@ -326,21 +332,16 @@ let sweep_tests =
         let r =
           Io_sweep.sweep ~max_sites_per_op:2 ~domains:2 Io_cases.io_pipe
         in
-        Alcotest.(check bool) "has fault points" true
-          (r.Io_sweep.ir_points > 0);
-        match r.Io_sweep.ir_failures with
-        | [] -> ()
-        | f :: _ ->
-            Alcotest.failf "unexpected failure:%a" Sweep.pp_failure f);
+        let _, fault_points, _ = chaos r in
+        Alcotest.(check bool) "has fault points" true (fault_points > 0);
+        check_clean r);
     case "sweep reports are identical across job counts" (fun () ->
-        let strip (r : Io_sweep.report) =
-          ( r.Io_sweep.ir_points,
-            r.ir_kill_runs,
-            r.ir_faulted_steps,
-            r.ir_by_kind,
+        let strip (r : Sweep.report) =
+          ( r.r_payload,
+            r.r_faulted_steps,
             List.map
               (fun f -> (f.Sweep.f_fault, f.f_plan, f.f_shrunk))
-              r.ir_failures )
+              r.r_failures )
         in
         let r1 =
           Io_sweep.sweep ~kills_per_point:1 ~jobs:1 Io_cases.io_pipe
@@ -391,7 +392,7 @@ let lock_after_ramp =
       Ev.Chaos.disarm ctl >>= fun () ->
       return
         {
-          Load_sweep.lt_offered = mult;
+          Sweep.lt_offered = mult;
           lt_ok = mult;
           lt_shed = 0;
           lt_late = 0;
@@ -423,8 +424,7 @@ let layered_kill_tests =
     case "Io_sweep combined mode shrinks and replays a kill failure"
       (fun () ->
         let r = Io_sweep.sweep ~kills_per_point:1_000 lock_after_pipe in
-        Alcotest.(check bool) "kill failures found" true
-          (r.Io_sweep.ir_failures <> []);
+        Alcotest.(check bool) "kill failures found" true (r.r_failures <> []);
         List.iter
           (fun f ->
             let rule, shrunk_rule = io_rules f in
@@ -435,11 +435,10 @@ let layered_kill_tests =
               ~replay:(fun p ->
                 fst (Io_sweep.run_rule lock_after_pipe schedule rule p))
               f)
-          r.Io_sweep.ir_failures);
+          r.r_failures);
     case "Load_sweep shrinks and replays a kill failure" (fun () ->
         let r = Load_sweep.sweep ~kills_per_ramp:1_000 lock_after_ramp in
-        Alcotest.(check bool) "kill failures found" true
-          (r.Load_sweep.lr_failures <> []);
+        Alcotest.(check bool) "kill failures found" true (r.r_failures <> []);
         List.iter
           (fun f ->
             match f.Sweep.f_fault with
@@ -455,7 +454,7 @@ let layered_kill_tests =
                          ~resources p))
                   f
             | Sweep.Kill | Sweep.Io _ -> Alcotest.fail "not a load failure")
-          r.Load_sweep.lr_failures);
+          r.r_failures);
   ]
 
 let suites =

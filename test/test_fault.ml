@@ -40,6 +40,20 @@ let shrink_tests =
           (Shrink.minimize (fun _ -> false) plan));
   ]
 
+(* A kill sweep that injected somewhere, found a live target at every
+   kill point, and failed nowhere. *)
+let check_clean (r : Sweep.report) =
+  let kill_points, applied = Helpers.kill_counts r in
+  Alcotest.check Alcotest.bool "has kill points" true (kill_points > 0);
+  Alcotest.check Alcotest.int "every injection found a live target"
+    kill_points applied;
+  match r.r_failures with
+  | [] -> ()
+  | f :: _ ->
+      Alcotest.failf "%d failures, first: %a — %s"
+        (List.length r.r_failures)
+        Plan.pp f.Sweep.f_shrunk f.Sweep.f_reason
+
 (* The §7 suites, each swept at EVERY armed scheduler step. These are the
    paper's §5.2/§7 claims mechanised: no matter where the kill lands, the
    abstractions conserve their resources and no thread is left wedged.
@@ -50,18 +64,7 @@ let shrink_tests =
    and the wrapper opened a post-transfer window that lost items). *)
 let sweep_case c =
   case (Sweep.case_name c ^ " survives a kill at every armed step")
-    (fun () ->
-      let r = Sweep.sweep c in
-      Alcotest.check Alcotest.bool "has kill points" true
-        (r.Sweep.r_kill_points > 0);
-      Alcotest.check Alcotest.int "every injection found a live target"
-        r.Sweep.r_kill_points r.Sweep.r_applied;
-      match r.Sweep.r_failures with
-      | [] -> ()
-      | f :: _ ->
-          Alcotest.failf "%d failures, first: %a — %s"
-            (List.length r.Sweep.r_failures)
-            Plan.pp f.Sweep.f_shrunk f.Sweep.f_reason)
+    (fun () -> check_clean (Sweep.sweep c))
 
 let sweep_tests =
   List.map sweep_case Cases.std
@@ -280,17 +283,7 @@ let domain_sweep_tests =
   let sem_units = std "sem-units" and chan_conserve = std "chan-conserve" in
   [
     case "sem-units sweeps clean over a 2-domain replay log" (fun () ->
-        let r = Sweep.sweep ~domains:2 sem_units in
-        Alcotest.check Alcotest.bool "has kill points" true
-          (r.Sweep.r_kill_points > 0);
-        Alcotest.check Alcotest.int "every injection found a live target"
-          r.Sweep.r_kill_points r.Sweep.r_applied;
-        match r.Sweep.r_failures with
-        | [] -> ()
-        | f :: _ ->
-            Alcotest.failf "%d failures, first: %a — %s"
-              (List.length r.Sweep.r_failures)
-              Plan.pp f.Sweep.f_shrunk f.Sweep.f_reason);
+        check_clean (Sweep.sweep ~domains:2 sem_units));
     case "a 2-domain record carries the log; 1-domain does not" (fun () ->
         let s2 = Sweep.record ~domains:2 chan_conserve in
         Alcotest.check Alcotest.bool "log captured" true

@@ -12,7 +12,7 @@ let sweep_target target =
     (fun () ->
       let r = Sweep.sweep ~max_points:40 ~target Cases.server in
       Alcotest.check Alcotest.bool "has kill points" true
-        (r.Sweep.r_kill_points > 0);
+        (fst (Helpers.kill_counts r) > 0);
       match r.Sweep.r_failures with
       | [] -> ()
       | f :: _ ->
@@ -101,9 +101,10 @@ let handoff ~explicit =
       let r =
         Sweep.sweep ~target:(Plan.Named "listener") (handoff_case ~explicit)
       in
-      Alcotest.check Alcotest.bool "kills applied" true (r.Sweep.r_applied > 0);
+      let _, applied = Helpers.kill_counts r in
+      Alcotest.check Alcotest.bool "kills applied" true (applied > 0);
       Alcotest.(check int)
-        (Printf.sprintf "failures of %d applied kills" r.Sweep.r_applied)
+        (Printf.sprintf "failures of %d applied kills" applied)
         0
         (List.length r.Sweep.r_failures))
 
