@@ -736,8 +736,9 @@ let act =
 
 (* The cost of one open-loop load ramp (lib/fault/load_cases) against
    each server, clean, at the bottom and the top of the multiplier
-   range: the measured unit behind BENCH_overload.json's goodput/shed
-   curves and the `chrun sweep --suite overload` gate. The ramp runs on
+   range: the measured unit behind the goodput/shed curves of the
+   `chrun sweep --suite overload` gate, recorded in BENCH_fault.json.
+   BENCH_overload.json holds these ops' baselines. The ramp runs on
    the simulated clock, so wall time here is pure scheduler + shedding
    machinery — admission checks, CoDel queue deadlines, breaker peeks —
    not I/O. *)

@@ -1,6 +1,12 @@
 (* The paper's §11 prototype, on the hserver library: a fault-tolerant
    HTTP server facing a hostile mix of clients — fast ones, slow handlers,
    slowloris trickles, and garbage — followed by a graceful shutdown.
+   [Server.start] packages the §11 discipline: one thread per
+   connection, a per-request timeout built from the composable §7.3
+   combinator, bounded concurrency. The simulated network is named
+   explicitly with [Ev.Backend.sim ()], so the same program runs on the
+   real epoll backend by swapping that one argument (see
+   examples/tcp_load.ml).
 
    Run with: dune exec examples/http_server.exe *)
 
@@ -10,13 +16,24 @@ open Hio.Io.Syntax
 open Hio.Io
 open Hserver
 
-let handler =
-  Server.route
-    [
-      ("/", fun _ -> Http.ok "index");
-      ("/greet", fun body -> Http.ok ("hello, " ^ body));
-      ("/work", fun body -> Http.ok (String.uppercase_ascii body));
-    ]
+(* Pretend to render a page: the body carries how many microseconds of
+   virtual time the render takes. A render that outlives the request
+   timeout gets its client a 504 — the handler itself stays oblivious. *)
+let render (request : Http.request) =
+  let work = int_of_string request.Http.body in
+  let* () = sleep work in
+  return (Http.ok (Printf.sprintf "rendered in %dus" work))
+
+let handler (request : Http.request) =
+  if request.Http.path = "/render" then render request
+  else
+    Server.route
+      [
+        ("/", fun _ -> Http.ok "index");
+        ("/greet", fun body -> Http.ok ("hello, " ^ body));
+        ("/work", fun body -> Http.ok (String.uppercase_ascii body));
+      ]
+      request
 
 (* a normal client *)
 let polite server id path body =
@@ -75,6 +92,7 @@ let main =
         vandal server 5;
         polite server 6 "/missing" "";
         polite server 7 "/greet" "again";
+        polite server 8 "/render" "1000";
       ]
   in
   let* () =

@@ -45,17 +45,6 @@ module Conn = struct
         go (n - String.length s) (s :: acc)
     in
     go n []
-
-  let drain_available (conn : t) =
-    let buf = Buffer.create 32 in
-    let rec go () =
-      conn.Ev.Backend.c_try_recv () >>= function
-      | Some c ->
-          Buffer.add_char buf c;
-          go ()
-      | None -> return (Buffer.contents buf)
-    in
-    go ()
 end
 
 type request = {

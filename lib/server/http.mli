@@ -28,9 +28,6 @@ module Conn : sig
       ["\r"] pairs with the byte after it: of a run of [k] ["\r"]s
       just before the ["\n"], one is dropped exactly when [k] is odd. *)
 
-  val drain_available : t -> string Io.t
-  (** Everything currently buffered, without blocking. *)
-
   val close : t -> unit Io.t
   (** Release the transport. Idempotent on both backends; on simulated
       connections the peer's subsequent reads drain then raise

@@ -7,9 +7,9 @@
 # lib/* library at the commit BASE (default HEAD~1) and in the work
 # tree, with the per-library and total deltas. Under the lib/ total it
 # prints one row per bin/ source file, the CLI's bin/chrun.ml among
-# them, which the total does not include. Read-only: it
-# extracts BASE's lib/ and bin/ into a temporary directory and never
-# touches the index.
+# them, and under those one examples/ total row; the lib/ total
+# includes neither. Read-only: it extracts BASE's lib/, bin/ and
+# examples/ into a temporary directory and never touches the index.
 set -eu
 
 base=${1:-HEAD~1}
@@ -21,7 +21,7 @@ git -C "$root" rev-parse --verify --quiet "$base^{commit}" >/dev/null || {
   echo "lib_loc.sh: unknown commit $base" >&2
   exit 2
 }
-git -C "$root" archive "$base" lib bin | tar -x -C "$tmp"
+git -C "$root" archive "$base" lib bin examples | tar -x -C "$tmp"
 
 # "<lib> <lines>" for every library directory under $1/lib
 counts() {
@@ -38,6 +38,11 @@ bin_counts() {
     [ -f "$f" ] || continue
     echo "bin/$(basename "$f") $(wc -l <"$f")"
   done
+}
+
+# the .ml/.mli line count of $1/examples
+examples_count() {
+  find "$1/examples" -name '*.ml' -o -name '*.mli' | sort | xargs cat 2>/dev/null | wc -l
 }
 
 counts "$tmp" >"$tmp/base.txt"
@@ -75,3 +80,7 @@ awk '
     for (k in seen) printf "| %s | %d | %d | %+d |\n", k, b[k], t[k], t[k] - b[k]
   }
 ' "$tmp/bin_base.txt" "$tmp/bin_tree.txt" | sort
+# the examples/ total, not part of the lib/ total either
+eb=$(examples_count "$tmp")
+et=$(examples_count "$root")
+printf "| **examples/ total** | %d | %d | %+d |\n" "$eb" "$et" $((et - eb))

@@ -63,17 +63,6 @@ let http_tests =
         in
         Alcotest.check int_v "status" 200 got.Http.status;
         Alcotest.check str_v "body" "hi there" got.Http.body);
-    case "drain_available returns buffered bytes without blocking" (fun () ->
-        Alcotest.check str_v "drained" "abc"
-          (value
-             ( Ev.Backend.sim_pipe () >>= fun (a, b) ->
-               Http.Conn.send_string a "abc" >>= fun () ->
-               Http.Conn.drain_available b )));
-    case "drain_available on an empty stream is empty" (fun () ->
-        Alcotest.check str_v "empty" ""
-          (value
-             ( Ev.Backend.sim_pipe () >>= fun (_a, b) ->
-               Http.Conn.drain_available b )));
     case "malformed request line raises Bad_request" (fun () ->
         match
           run
