@@ -452,6 +452,22 @@ let chunk_tests =
              ( Ev.Backend.sim_pipe ~capacity:1 () >>= fun (a, b) ->
                fork (a.Ev.Backend.c_send "hello, pipe") >>= fun _ ->
                read_checked b ~upto:None ~max:64 11 )));
+    case "sim pipe: c_try_recv takes the buffered bytes without blocking"
+      (fun () ->
+        let rec drain (c : Ev.Backend.conn) acc =
+          c.Ev.Backend.c_try_recv () >>= function
+          | Some ch -> drain c (acc ^ String.make 1 ch)
+          | None -> return acc
+        in
+        Alcotest.(check string) "drained" "abc"
+          (value
+             ( Ev.Backend.sim_pipe () >>= fun (a, b) ->
+               a.Ev.Backend.c_send "abc" >>= fun () -> drain b "" )));
+    case "sim pipe: c_try_recv on an empty pipe is None" (fun () ->
+        Alcotest.(check (option char)) "empty" None
+          (value
+             ( Ev.Backend.sim_pipe () >>= fun (_a, b) ->
+               b.Ev.Backend.c_try_recv () )));
   ]
 
 (* What a listener operation ended in, for the close contract below. *)
