@@ -666,10 +666,11 @@ let sup_group =
 
 (* --- ACT: actor layer -------------------------------------------------------- *)
 
-(* The fixed costs of lib/actor, headline numbers for BENCH_actor.json's
-   mailbox section: a call round-trip (mailbox send + selective receive +
-   reply mvar), a token lap around a ring of mailboxes, and selective
-   receive when every message must first be stashed past. *)
+(* The fixed costs of lib/actor, in wall-clock form (the mailbox lines
+   of examples/sharded_server.expected count them in scheduler steps):
+   a call round-trip (mailbox send + selective receive + reply mvar), a
+   token lap around a ring of mailboxes, and selective receive when
+   every message must first be stashed past. *)
 
 let act_call_roundtrips n =
   let open Io in

@@ -685,7 +685,6 @@ let sweep_row (r : Fault.Sweep.report) =
             str
               (match target with
               | Fault.Plan.Acting -> "acting"
-              | Tid t -> Printf.sprintf "t%d" t
               | Named n -> n) );
           ("kill_points", int kill_points);
           ("applied", int applied);

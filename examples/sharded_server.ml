@@ -1,18 +1,18 @@
-(* sharded_server — the actor-layer proof and its benchmark record.
+(* sharded_server — the actor-layer proof and its record.
 
-     dune exec examples/sharded_server.exe -- --shards 4 --clients 32 \
-       --reqs 8 --json BENCH_actor.json
+     dune exec examples/sharded_server.exe
 
-   The §11 server sharded over lib/actor: [shards] serving actors on a
+   The §11 server sharded over lib/actor: 4 serving actors on a
    consistent-hash ring, each with its own nested supervisor
    and bulkhead (lib/server/shard.ml). Three measured phases, all on
-   the simulated clock so every number is deterministic:
+   the simulated clock so every number is deterministic; the stdout is
+   pinned in sharded_server.expected, which `dune runtest` diffs:
 
-   1. keep-alive load, sharded vs single — the same [clients] x [reqs]
-      keyed load against [--shards N] and against one shard. Per-shard
-      capacity is fixed, so sharding multiplies the serving capacity
-      and virtual completion time drops roughly by the shard count:
-      that is the throughput claim in BENCH_actor.json.
+   1. keep-alive load, sharded vs single — the same 32 clients x 8
+      requests of keyed load against 4 shards and against one shard.
+      Per-shard capacity is fixed, so sharding multiplies the serving
+      capacity and virtual completion time drops roughly by the shard
+      count: that is the throughput claim.
    2. mailbox ping — two actors [call]ing each other, scheduler steps
       per round-trip: the constant behind every actor interaction.
    3. message ring — a token around [ring] actors for [laps] laps,
@@ -136,34 +136,11 @@ let run_ring n laps =
       Printf.eprintf "ring phase did not finish\n%!";
       exit 1
 
+let shards = 4
+and clients = 32
+and reqs = 8
+
 let () =
-  let shards = ref 4
-  and clients = ref 32
-  and reqs = ref 8
-  and json = ref "" in
-  let rec parse = function
-    | "--shards" :: v :: tl ->
-        shards := int_of_string v;
-        parse tl
-    | "--clients" :: v :: tl ->
-        clients := int_of_string v;
-        parse tl
-    | "--reqs" :: v :: tl ->
-        reqs := int_of_string v;
-        parse tl
-    | "--json" :: v :: tl ->
-        json := v;
-        parse tl
-    | [] -> ()
-    | arg :: _ ->
-        Printf.eprintf
-          "usage: sharded_server [--shards N] [--clients C] [--reqs R] \
-           [--json FILE] (got %S)\n"
-          arg;
-        exit 1
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let shards = !shards and clients = !clients and reqs = !reqs in
   let total = clients * reqs in
   let stats_n, time_n, steps_n = run_load ~shards ~clients ~reqs in
   let stats_1, time_1, steps_1 = run_load ~shards:1 ~clients ~reqs in
@@ -193,40 +170,4 @@ let () =
       "sharding did not beat single (%dus >= %dus) — capacity math is off\n%!"
       time_n time_1;
     exit 1
-  end;
-  if !json <> "" then begin
-    let oc = open_out !json in
-    Printf.fprintf oc
-      {|{
-  "schema_version": 1,
-  "description": "Actor-layer record (lib/actor + lib/server/shard): the sharded §11 server vs a single shard on the same keyed keep-alive load, on the simulated clock — per-shard capacity is fixed (bulkhead max_concurrent=%d), so N shards multiply serving capacity and virtual completion time drops accordingly; plus mailbox constants, scheduler steps per call round-trip (two actors) and per hop (a %d-actor message ring), the fixed costs behind every actor interaction. Deterministic: same seed, same numbers.",
-  "command": "dune exec examples/sharded_server.exe -- --shards %d --clients %d --reqs %d --json BENCH_actor.json",
-  "load": {
-    "backend": "sim",
-    "keep_alive": true,
-    "clients": %d,
-    "requests_per_client": %d,
-    "work_us_per_request": %d,
-    "per_shard_capacity": %d,
-    "sharded": { "shards": %d, "served": %d, "virtual_us": %d, "requests_per_virtual_s": %d, "scheduler_steps": %d },
-    "single":  { "shards": 1, "served": %d, "virtual_us": %d, "requests_per_virtual_s": %d, "scheduler_steps": %d },
-    "speedup_virtual_time": %.2f
-  },
-  "mailbox": {
-    "unit": "scheduler steps",
-    "call_round_trip": %d,
-    "ring_hop": %d,
-    "ring_actors": %d,
-    "ring_laps": %d
-  }
-}
-|}
-      config.Hserver.Server.max_concurrent ring_n shards clients reqs clients
-      reqs work_us config.Hserver.Server.max_concurrent shards
-      stats_n.Hserver.Server.served time_n (rps time_n) steps_n
-      stats_1.Hserver.Server.served time_1 (rps time_1) steps_1
-      (float_of_int time_1 /. float_of_int (max 1 time_n))
-      ping_steps hop_steps ring_n ring_laps;
-    close_out oc;
-    Printf.printf "record written to %s\n" !json
   end

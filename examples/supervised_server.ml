@@ -123,7 +123,7 @@ let breaker_story =
   (* retry with deterministic backoff outlives the reset window: its
      later attempts find the breaker half-open, probe, and succeed *)
   let* () =
-    Retry.retry ~attempts:6 ~base:50 ~factor:2 ~jitter:4
+    Retry.retry ~attempts:6 ~base:50 ~jitter:4
       (let* v = Breaker.run br flaky in
        put_string (Printf.sprintf "  retry -> ok (call %d)\n" v))
   in

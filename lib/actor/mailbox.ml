@@ -7,8 +7,6 @@ type 'a t = {
   mutable stash : 'a list;  (* arrival order; owner-thread only *)
   bound : int option;
   mutable len : int;  (* queued + stashed, i.e. pushed minus consumed *)
-  mutable hw : int;  (* high-water mark of [len] *)
-  mutable dropped : int;  (* pushes shed by the bound *)
   on_drop : ('a -> unit) option;
   g_depth : Obs.Metrics.gauge option;
   uncount : exn -> unit Io.t;  (* see [send_counted] *)
@@ -17,7 +15,6 @@ type 'a t = {
 (* Both run inside a [lift] of the pusher/owner. *)
 let bump t =
   t.len <- t.len + 1;
-  if t.len > t.hw then t.hw <- t.len;
   match t.g_depth with Some g -> Obs.Metrics.set g t.len | None -> ()
 
 let consumed t =
@@ -42,8 +39,6 @@ let create ?bound ?on_drop ?metrics ?(name = "mailbox") () =
           stash = [];
           bound;
           len = 0;
-          hw = 0;
-          dropped = 0;
           on_drop;
           g_depth;
           uncount =
@@ -67,7 +62,6 @@ let push t m =
               (* Shed-newest: the arrival is dropped, the queue keeps its
                  older (closer-to-service) messages. Deterministic — the
                  decision depends only on mailbox state at this step. *)
-              t.dropped <- t.dropped + 1;
               (match t.on_drop with Some f -> f m | None -> ());
               false
           | _ ->
@@ -89,8 +83,6 @@ let push_urgent t m =
 
 let stashed t = lift (fun () -> List.length t.stash)
 let length t = lift (fun () -> t.len)
-let high_water t = lift (fun () -> t.hw)
-let dropped_count t = lift (fun () -> t.dropped)
 
 (* One atomic step: scan the stash in arrival order for the first match
    and remove it. *)

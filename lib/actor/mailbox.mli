@@ -9,14 +9,14 @@
     single consumer, so no lock is needed.
 
     Depth accounting: {!length} (queued + stashed) is tracked on every
-    push/consume, with a {!high_water} mark and an optional
-    [mailbox_depth{name}] gauge. With [bound] the mailbox becomes
+    push/consume, with an optional [mailbox_depth{name}] gauge whose
+    high-water mark is the worst depth. With [bound] the mailbox becomes
     bounded with a deterministic {e shed-newest} overflow policy: a push
-    into a full mailbox drops the {e new} message (counted in
-    {!dropped_count}, reported to [on_drop]) rather than blocking the
-    pusher or evicting an older message someone may already be waiting
-    on — under overload the pushers keep going and the load-shedding
-    layers above decide what the lost message costs.
+    into a full mailbox drops the {e new} message (reported to
+    [on_drop]) rather than blocking the pusher or evicting an older
+    message someone may already be waiting on — under overload the
+    pushers keep going and the load-shedding layers above decide what
+    the lost message costs.
 
     Asynchronous-exception safety (the reason this module exists rather
     than "just use [Chan]"): the whole receive loop runs under
@@ -79,9 +79,3 @@ val stashed : 'a t -> int Io.t
 
 val length : 'a t -> int Io.t
 (** Messages in the mailbox right now: queued arrivals + stashed. *)
-
-val high_water : 'a t -> int Io.t
-(** The largest {!length} ever reached. *)
-
-val dropped_count : 'a t -> int Io.t
-(** Pushes shed by the bound since creation. *)

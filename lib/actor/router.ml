@@ -10,9 +10,12 @@ let fnv h s =
 
 let hash s = fnv 0x811c9dc5 s
 
+(* Points per shard on the ring. *)
+let vnodes = 32
+
 (* Shard [i]'s points hash "shard-i#v"; the common prefix is hashed
    once per shard. *)
-let create ?(vnodes = 32) shards =
+let create shards =
   if shards < 1 then invalid_arg "Router.create: no shards";
   let ring =
     Array.concat

@@ -7,9 +7,8 @@
 
 type t
 
-val create : ?vnodes:int -> int -> t
-(** [create n] is the ring over shards [0 .. n-1], [vnodes] points per
-    shard (default 32).
+val create : int -> t
+(** [create n] is the ring over shards [0 .. n-1], 32 points per shard.
     @raise Invalid_argument if [n < 1]. *)
 
 val pick : t -> string -> int

@@ -239,10 +239,10 @@ and prim op va vb =
 let io_of_term term = delay (fun () -> eval [] term)
 
 (* Deeply force a value and render it as a term (for observation), with a
-   step budget against divergent components; [Ill_typed] on open
-   results. *)
-let readback ?(budget = 100_000) v =
-  let remaining = ref budget in
+   step budget of 100,000 against divergent components; [Ill_typed] on
+   open results. *)
+let readback v =
+  let remaining = ref 100_000 in
   let rec go v =
     if !remaining <= 0 then ill_typed "readback budget exhausted"
     else begin
@@ -280,16 +280,16 @@ and ending =
   | Deadlocked
   | Out_of_steps
 
-let run_result ?config ?readback_budget term =
+let run_result ?config term =
   let program =
     io_of_term term >>= fun v ->
     perform_value v >>= fun result ->
-    result () >>= fun v -> readback ?budget:readback_budget v
+    result () >>= readback
   in
   Runtime.run ?config program
 
-let run ?config ?readback_budget term =
-  let r = run_result ?config ?readback_budget term in
+let run ?config term =
+  let r = run_result ?config term in
   {
     ending =
       (match r.Runtime.outcome with

@@ -37,15 +37,12 @@ and ending =
   | Deadlocked
   | Out_of_steps
 
-val run :
-  ?config:Hio.Runtime.Config.t -> ?readback_budget:int -> Term.term ->
-  observation
+val run : ?config:Hio.Runtime.Config.t -> Term.term -> observation
 (** Denote, run, and observe a closed program whose result is a first-order
     value (integers, characters, constructors of such, ...). *)
 
 val run_result :
-  ?config:Hio.Runtime.Config.t -> ?readback_budget:int -> Term.term ->
-  Term.term Hio.Runtime.result
+  ?config:Hio.Runtime.Config.t -> Term.term -> Term.term Hio.Runtime.result
 (** Like {!run}, but expose the full runtime result: the readback term as
     the outcome plus the scheduler accounting, per-domain statistics and
     the captured replay log — the raw material for [chrun run --domains

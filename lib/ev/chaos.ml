@@ -1,6 +1,6 @@
 open Hio.Io
 
-type op = Send | Recv | Try_recv | Accept | Dial
+type op = Send | Recv | Accept | Dial
 
 type fault =
   | Eof
@@ -12,19 +12,17 @@ type fault =
 type rule = { r_op : op; r_at : int; r_fault : fault }
 type plan = rule list
 
-let all_ops = [ Send; Recv; Try_recv; Accept; Dial ]
+let all_ops = [ Send; Recv; Accept; Dial ]
 
 let op_index = function
   | Send -> 0
   | Recv -> 1
-  | Try_recv -> 2
-  | Accept -> 3
-  | Dial -> 4
+  | Accept -> 2
+  | Dial -> 3
 
 let op_label = function
   | Send -> "send"
   | Recv -> "recv"
-  | Try_recv -> "try_recv"
   | Accept -> "accept"
   | Dial -> "dial"
 
@@ -136,7 +134,6 @@ let site_counts ctl =
   List.map (fun op -> (op, ctl.counts.(op_index op))) all_ops
 
 let injected ctl = List.rev ctl.injections
-let injected_count ctl = List.length ctl.injections
 
 (* ---- the decorator ---------------------------------------------------- *)
 
@@ -197,14 +194,6 @@ let wrap_conn_gen ctl ~counted (c : Backend.conn) =
         >>= fun () ->
         sleep d >>= fun () -> c.Backend.c_recv ~upto ~max:1
   in
-  let try_recv () =
-    pre Try_recv >>= function
-    | None -> c.Backend.c_try_recv ()
-    | Some Eof -> throw End_of_file
-    | Some (Reset | Short_write _) -> throw Backend.Connection_reset
-    | Some (Delay d | Trickle d) ->
-        sleep d >>= fun () -> c.Backend.c_try_recv ()
-  in
   let close =
     (* Close is never faulted: teardown must stay reliable or every
        cleanup path would have to defend against its own bracket. A
@@ -220,7 +209,8 @@ let wrap_conn_gen ctl ~counted (c : Backend.conn) =
         >>= fun () -> c.Backend.c_close ())
     else c.Backend.c_close
   in
-  Backend.make_conn ~send ~recv ~try_recv ~close ~fd:c.Backend.c_fd
+  Backend.make_conn ~send ~recv ~try_recv:c.Backend.c_try_recv ~close
+    ~fd:c.Backend.c_fd
 
 let wrap_conn ctl c = wrap_conn_gen ctl ~counted:false c
 
@@ -311,6 +301,5 @@ let wrap ctl (b : Backend.t) =
 let default_faults = function
   | Send -> [ Eof; Reset; Short_write 2; Delay 50; Trickle 25 ]
   | Recv -> [ Eof; Reset; Delay 50; Trickle 25 ]
-  | Try_recv -> [ Eof; Reset; Delay 50 ]
   | Accept -> [ Reset; Delay 50 ]
   | Dial -> [ Reset; Delay 50 ]

@@ -3,8 +3,10 @@
 
     [wrap ctl b] returns a backend observationally identical to [b]
     except where the {e fault plan} inside [ctl] says otherwise: the
-    decorator interposes on every connection and listener operation,
-    numbers the operations of each kind in scheduler order ({e sites}),
+    decorator interposes on each send, recv, accept and dial (a
+    connection's [c_try_recv] passes straight through, and [c_close] is
+    never faulted), numbers the operations of each kind in scheduler
+    order ({e sites}),
     and when site [at] of op [op] matches a plan rule it injects that
     rule's fault instead of (or around) the real operation.
 
@@ -24,7 +26,7 @@
 open Hio
 
 (** Which operation a rule attacks. *)
-type op = Send | Recv | Try_recv | Accept | Dial
+type op = Send | Recv | Accept | Dial
 
 type fault =
   | Eof  (** The op raises [End_of_file]. *)
@@ -110,8 +112,6 @@ val site_counts : ctl -> (op * int) list
 
 val injected : ctl -> (op * int * fault) list
 (** The injections performed, in execution order. *)
-
-val injected_count : ctl -> int
 
 val all_ops : op list
 

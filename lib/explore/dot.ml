@@ -14,10 +14,7 @@ let escape s =
 
 module Table = State.Fingerprint.Table
 
-let truncate n s = if String.length s <= n then s else String.sub s 0 n ^ "…"
-
-let dot ?(config = Step.default_config) ?(max_states = 2_000)
-    ?(show_terms = false) init =
+let dot ?(config = Step.default_config) ?(max_states = 2_000) init =
   let ids = Table.create 256 in
   let nodes = Buffer.create 1024 and edges = Buffer.create 1024 in
   let queue = Queue.create () in
@@ -41,20 +38,9 @@ let dot ?(config = Step.default_config) ?(max_states = 2_000)
         | Some (State.Threw _) -> ("doubleoctagon", "firebrick")
         | None -> ("octagon", "orange") (* deadlock / wedged / divergent *)
     in
-    let label =
-      if show_terms then
-        match State.thread state state.State.main with
-        | Some (State.Active (m, _)) ->
-            truncate 60 (Ch_lang.Pretty.term_to_string m)
-        | Some (State.Finished (State.Done v)) ->
-            "⊙ " ^ truncate 40 (Ch_lang.Pretty.term_to_string v)
-        | Some (State.Finished (State.Threw e)) -> "⊙ #" ^ e
-        | None -> "?"
-      else string_of_int id
-    in
     Buffer.add_string nodes
-      (Printf.sprintf "  n%d [label=\"%s\", shape=%s, color=%s];\n" id
-         (escape label) shape color)
+      (Printf.sprintf "  n%d [label=\"%d\", shape=%s, color=%s];\n" id id
+         shape color)
   in
   let s0, _ = id_of init in
   Queue.add (init, s0) queue;

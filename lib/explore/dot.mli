@@ -9,13 +9,11 @@ open Ch_semantics
 val dot :
   ?config:Step.config ->
   ?max_states:int ->
-  ?show_terms:bool ->
   State.t ->
   string
 (** Render the reachable graph (bounded by [max_states], default 2000) in
-    DOT syntax. Terminal states are shaped by kind (completion, deadlock,
-    …); with [show_terms] each node carries the main thread's code instead
-    of a numeric id. *)
+    DOT syntax. Each node is labelled with its numeric id; terminal
+    states are shaped by kind (completion, deadlock, …). *)
 
 val write : path:string -> string -> unit
 (** Write the rendered graph to a file. *)

@@ -1,13 +1,11 @@
-type target = Acting | Tid of int | Named of string
+type target = Acting | Named of string
 type injection = { at_step : int; target : target; exn : exn }
 type t = injection list
 
-let kill ?(target = Acting) at_step =
-  { at_step; target; exn = Hio.Io.Kill_thread }
+let kill at_step = { at_step; target = Acting; exn = Hio.Io.Kill_thread }
 
 let pp_target ppf = function
   | Acting -> Fmt.string ppf "acting"
-  | Tid t -> Fmt.pf ppf "t%d" t
   | Named n -> Fmt.pf ppf "%S" n
 
 let pp_injection ppf { at_step; target; exn } =

@@ -7,14 +7,13 @@
 
 type target =
   | Acting  (** the thread about to run at that step *)
-  | Tid of int  (** a fixed thread id *)
   | Named of string
       (** the first thread forked with this [~name] in the recording *)
 
 type injection = { at_step : int; target : target; exn : exn }
 type t = injection list
 
-val kill : ?target:target -> int -> injection
+val kill : int -> injection
 (** [kill n] is {!Io.Kill_thread} into the acting thread at step [n] —
     the paper's adversary (§5.2: "no matter where" the exception lands). *)
 

@@ -104,7 +104,6 @@ let record ?(domains = 1) c =
 let resolve schedule target ~acting =
   match target with
   | Plan.Acting -> Some acting
-  | Plan.Tid t -> Some t
   | Plan.Named n -> (
       match List.find_opt (fun (_, nm) -> nm = n) schedule.s_names with
       | Some (tid, _) -> Some tid

@@ -82,14 +82,10 @@ module Pool = struct
       List.init (max 0 (jobs - 1)) (fun _ -> Domain.spawn (fun () -> worker t 0));
     t
 
-  let run t ?chunk ~n work =
+  let run t ~n work =
     if n > 0 then begin
       let spawned = List.length t.domains in
-      let chunk =
-        match chunk with
-        | Some c -> max 1 c
-        | None -> max 1 (n / (8 * (spawned + 1)))
-      in
+      let chunk = max 1 (n / (8 * (spawned + 1))) in
       let job = { work; n; next = Atomic.make 0; chunk } in
       Mutex.lock t.lock;
       t.job <- Some job;
@@ -111,14 +107,14 @@ module Pool = struct
       match failure with Some e -> raise e | None -> ()
     end
 
-  let map t ?chunk f arr =
+  let map t f arr =
     let n = Array.length arr in
     if n = 0 then [||]
     else begin
       (* Option slots: each index is written by exactly one worker and
          read only after the join barrier, so there is no data race. *)
       let out = Array.make n None in
-      run t ?chunk ~n (fun i -> out.(i) <- Some (f arr.(i)));
+      run t ~n (fun i -> out.(i) <- Some (f arr.(i)));
       Array.map (function Some v -> v | None -> assert false) out
     end
 

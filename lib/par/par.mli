@@ -37,16 +37,16 @@ module Pool : sig
   val size : t -> int
   (** Worker slots, including the submitting domain. At least 1. *)
 
-  val run : t -> ?chunk:int -> n:int -> (int -> unit) -> unit
+  val run : t -> n:int -> (int -> unit) -> unit
   (** [run t ~n f] executes [f 0 .. f (n-1)], each exactly once, spread
       over the pool's workers; the call returns when all are done. The
-      submitting domain participates. [chunk] is the work-stealing grab
-      size (default: [n / (8 * size)], at least 1 — small enough to
-      balance uneven item costs). If some [f i] raises, one of the
-      raised exceptions is re-raised here after all workers have
-      stopped (remaining indices may be skipped). *)
+      submitting domain participates. Workers grab [n / (8 * size)]
+      indices at a time, at least 1 — small enough to balance uneven
+      item costs. If some [f i] raises, one of the raised exceptions is
+      re-raised here after all workers have stopped (remaining indices
+      may be skipped). *)
 
-  val map : t -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
+  val map : t -> ('a -> 'b) -> 'a array -> 'b array
   (** [map t f arr]: the indexed form of {!run} — result [i] is
       [f arr.(i)], positions preserved, so order-sensitive merges are
       independent of scheduling. *)

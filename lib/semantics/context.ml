@@ -25,9 +25,9 @@ let recompose { frames; redex } =
 
 type mask = Masked | Unmasked
 
-let mask_of ~default frames =
+let mask_of frames =
   let rec go = function
-    | [] -> default
+    | [] -> Unmasked
     | F_block :: _ -> Masked
     | F_unblock :: _ -> Unmasked
     | (F_bind _ | F_catch _) :: rest -> go rest

@@ -28,12 +28,12 @@ val recompose : zipper -> Term.term
 
 type mask = Masked | Unmasked
 
-val mask_of : default:mask -> frame list -> mask
+val mask_of : frame list -> mask
 (** The mask state at the evaluation site: decided by the innermost
-    {!F_block} / {!F_unblock} frame. A context with no mask frames has the
-    [default] mask; the paper leaves this case open (its (Receive) rule
+    {!F_block} / {!F_unblock} frame. A context with no mask frames is
+    [Unmasked]: the paper leaves this case open (its (Receive) rule
     requires an enclosing [unblock]), and its implementation section starts
-    threads unblocked, so the checker defaults to [Unmasked]. *)
+    threads unblocked. *)
 
 val with_redex : zipper -> Term.term -> Term.term
 (** [with_redex z m] recomposes [z] with its redex replaced by [m]. *)

@@ -78,7 +78,6 @@ type transition = {
 
 type config = {
   fuel : int;
-  default_mask : Context.mask;
   fork_inherits_mask : bool;
   stuck_io : bool;
 }
@@ -86,7 +85,6 @@ type config = {
 let default_config =
   {
     fuel = Ch_pure.Eval.default_fuel;
-    default_mask = Unmasked;
     fork_inherits_mask = false;
     stuck_io = true;
   }
@@ -178,9 +176,8 @@ let thread_transitions config (st : State.t) tid code status =
   | Fork body ->
       let u = st.State.next_tid in
       let child =
-        if config.fork_inherits_mask
-           && mask_of ~default:config.default_mask z.frames = Masked
-        then Block body
+        if config.fork_inherits_mask && mask_of z.frames = Masked then
+          Block body
         else body
       in
       let from =
@@ -207,13 +204,13 @@ let thread_transitions config (st : State.t) tid code status =
       | Diverged | Stuck _ -> [])
   | _ -> [] (* a value at the evaluation site that no rule matches *)
 
-let receive_transitions config (st : State.t) =
+let receive_transitions (st : State.t) =
   List.concat_map
     (fun (k, { State.target; exn }) ->
       match State.thread st target with
       | Some (State.Active (code, State.Runnable)) ->
           let z = decompose code in
-          if mask_of ~default:config.default_mask z.frames = Unmasked then
+          if mask_of z.frames = Unmasked then
             [
               {
                 rule = R_receive;
@@ -289,7 +286,7 @@ let enumerate ?(config = default_config) (st : State.t) =
         | State.Finished _ -> [])
       st.State.threads
   in
-  per_thread @ receive_transitions config st @ proc_gc_transition st
+  per_thread @ receive_transitions st @ proc_gc_transition st
 
 let kills (st : State.t) =
   let k = st.State.next_inflight in

@@ -66,10 +66,6 @@ type transition = {
 
 type config = {
   fuel : int;  (** fuel for the inner semantics in rules (Eval)/(Raise) *)
-  default_mask : Context.mask;
-      (** mask of a context with no [block]/[unblock] frames; the paper's
-          implementation starts threads unblocked, so the default is
-          [Unmasked] (see {!Context.mask_of}) *)
   fork_inherits_mask : bool;
       (** if set, [forkIO] in a masked context wraps the child in [block];
           Figure 5's (Fork) does not inherit (the GHC implementation later

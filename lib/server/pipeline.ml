@@ -4,8 +4,8 @@ open Hio.Io
 
 exception Dial_timeout
 
-(* Breaker feed: what a worker reports about its own shard. Private —
-   these exist only to pass [count_error]. *)
+(* Breaker feed: what a worker reports about its own shard, as the
+   exception [Hsup.Breaker.note_failure] takes. Private. *)
 exception Overloaded
 exception Deadline_lapsed
 

@@ -8,7 +8,6 @@ exception Open_circuit
 type t = {
   threshold : int;
   reset_timeout : int;
-  count_error : exn -> bool;
   mutable st : state;
   mutable failures : int;  (* consecutive countable failures while closed *)
   mutable opened_at : int;  (* virtual time of the last trip *)
@@ -24,10 +23,11 @@ let set_state b st =
   b.st <- st;
   Obs.Metrics.set b.g_state (gauge_of st)
 
-let default_count_error = function Kill_thread -> false | _ -> true
+(* A kill aimed at the caller is not evidence about the service. *)
+let countable = function Kill_thread -> false | _ -> true
 
 let create ?(name = "default") ?metrics ?(failure_threshold = 3)
-    ?(reset_timeout = 1_000) ?(count_error = default_count_error) () =
+    ?(reset_timeout = 1_000) () =
   lift (fun () ->
       let reg =
         match metrics with Some r -> r | None -> Obs.Metrics.create ()
@@ -37,7 +37,6 @@ let create ?(name = "default") ?metrics ?(failure_threshold = 3)
         {
           threshold = failure_threshold;
           reset_timeout;
-          count_error;
           st = Closed;
           failures = 0;
           opened_at = 0;
@@ -83,7 +82,7 @@ let record_failure b now e =
   b.trial <- false;
   match b.st with
   | Half_open -> trip b now (* the trial failed, whatever the exception *)
-  | Closed when b.count_error e ->
+  | Closed when countable e ->
       b.failures <- b.failures + 1;
       if b.failures >= b.threshold then trip b now
   | Closed | Open -> ()
@@ -115,10 +114,10 @@ let note_failure b e =
   lift (fun () ->
       match b.st with
       | Half_open -> trip b t
-      | Closed when b.count_error e ->
+      | Closed when countable e ->
           b.failures <- b.failures + 1;
           if b.failures >= b.threshold then trip b t
-      | Open when t - b.opened_at >= b.reset_timeout && b.count_error e ->
+      | Open when t - b.opened_at >= b.reset_timeout && countable e ->
           trip b t
       | Closed | Open -> ())
 

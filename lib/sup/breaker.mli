@@ -24,16 +24,15 @@ val create :
   ?metrics:Obs.Metrics.t ->
   ?failure_threshold:int ->
   ?reset_timeout:int ->
-  ?count_error:(exn -> bool) ->
   unit ->
   t Io.t
 (** Defaults: [name = "default"], [failure_threshold = 3],
-    [reset_timeout = 1_000] virtual µs. [count_error] decides which
-    exceptions count toward the threshold — by default everything except
-    {!Io.Kill_thread} (a kill aimed at the {e caller} is not evidence
-    about the service). The registry (a private one if [?metrics] is
-    omitted) carries [sup_breaker_state{name}] (0 closed, 1 half-open,
-    2 open), [sup_breaker_trips_total{name}] and
+    [reset_timeout = 1_000] virtual µs. Every exception except
+    {!Io.Kill_thread} counts toward the threshold: a kill aimed at the
+    {e caller} is not evidence about the service. The registry (a
+    private one if [?metrics] is omitted) carries
+    [sup_breaker_state{name}] (0 closed, 1 half-open, 2 open),
+    [sup_breaker_trips_total{name}] and
     [sup_breaker_rejected_total{name}]. *)
 
 val state : t -> state Io.t
@@ -63,6 +62,7 @@ val note_success : t -> unit Io.t
 
 val note_failure : t -> exn -> unit Io.t
 (** Record an externally-observed failure. While closed, countable
-    failures ([count_error]) accumulate toward the threshold; past the
-    reset window of an open circuit, a countable failure re-trips it
-    (the implicit half-open probe failed), refreshing the window. *)
+    failures (all but {!Io.Kill_thread}) accumulate toward the
+    threshold; past the reset window of an open circuit, a countable
+    failure re-trips it (the implicit half-open probe failed),
+    refreshing the window. *)

@@ -106,8 +106,3 @@ let run b io =
       else return ())
 
 let entered b = lift (fun () -> b.count)
-
-let queue_shed_count b =
-  lift (fun () -> Obs.Metrics.counter_value b.c_qshed)
-
-let max_queue_delay b = lift (fun () -> Obs.Metrics.gauge_max b.g_qdelay)

@@ -46,10 +46,3 @@ val run : t -> 'a Io.t -> ('a, [ `Shed ]) result Io.t
 
 val entered : t -> int Io.t
 (** Occupants plus waiters right now (snapshot, for tests/monitoring). *)
-
-val queue_shed_count : t -> int Io.t
-(** Waiters shed because their sojourn exceeded [queue_target]. *)
-
-val max_queue_delay : t -> int Io.t
-(** Worst waiting-room sojourn seen (µs, virtual) — the high-water mark
-    of [sup_bulkhead_queue_delay]. *)

@@ -3,8 +3,6 @@ open Hio.Io
 type t = { expires : int }
 
 let mint budget = now >>= fun t -> return { expires = t + max 0 budget }
-let expires_at d = d.expires
-let of_expiry expires = { expires }
 let remaining d = now >>= fun t -> return (d.expires - t)
 let expired d = now >>= fun t -> return (t >= d.expires)
 

@@ -21,13 +21,6 @@ val mint : int -> t Io.t
 (** [mint budget] — a deadline [budget] µs (virtual) from now.
     A negative budget is clamped to an already-expired deadline. *)
 
-val expires_at : t -> int
-(** The absolute virtual-clock expiry instant. *)
-
-val of_expiry : int -> t
-(** Rebuild a deadline from {!expires_at} — for carrying one through a
-    non-[t]-typed channel. *)
-
 val remaining : t -> int Io.t
 (** µs left; [<= 0] once expired. *)
 

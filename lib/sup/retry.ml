@@ -11,17 +11,19 @@ let hash k =
   let x = x * 0xC2B2AE35 in
   abs (x lxor (x lsr 16))
 
-let backoff ?(base = 10) ?(factor = 2) ?(max_delay = 5_000) ?(jitter = 8) k =
+let max_delay = 5_000
+
+let backoff ?(base = 10) ?(jitter = 8) k =
   let rec pow acc n =
     if n <= 0 then acc
     else if acc >= max_delay then max_delay (* avoid overflow *)
-    else pow (acc * factor) (n - 1)
+    else pow (acc * 2) (n - 1)
   in
   let raw = min max_delay (pow base (k - 1)) in
   raw + (if jitter <= 0 then 0 else hash k mod jitter)
 
-let schedule ?base ?factor ?max_delay ?jitter n =
-  List.init n (fun i -> backoff ?base ?factor ?max_delay ?jitter (i + 1))
+let schedule ?base ?jitter n =
+  List.init n (fun i -> backoff ?base ?jitter (i + 1))
 
 let default_retry_on = function
   | Kill_thread | Timeout -> false
@@ -34,13 +36,12 @@ let transient_io = function
       true
   | _ -> false
 
-let retry ?(attempts = 4) ?base ?factor ?max_delay ?jitter
-    ?(retry_on = default_retry_on) io =
+let retry ?(attempts = 4) ?base ?jitter ?(retry_on = default_retry_on) io =
   let rec go k =
     catch io (fun e ->
         if k >= attempts || not (retry_on e) then throw e
         else
-          sleep (backoff ?base ?factor ?max_delay ?jitter k) >>= fun () ->
+          sleep (backoff ?base ?jitter k) >>= fun () ->
           go (k + 1))
   in
   go 1

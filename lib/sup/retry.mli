@@ -9,22 +9,18 @@
 
 open Hio
 
-val backoff :
-  ?base:int -> ?factor:int -> ?max_delay:int -> ?jitter:int -> int -> int
+val backoff : ?base:int -> ?jitter:int -> int -> int
 (** [backoff k] is the delay in virtual µs slept after the [k]th failure
-    ([k >= 1]): [min max_delay (base * factor^(k-1))] plus a bounded
+    ([k >= 1]): [min 5_000 (base * 2^(k-1))] plus a bounded
     deterministic jitter in [[0, jitter)]. Defaults: [base = 10],
-    [factor = 2], [max_delay = 5_000], [jitter = 8]. *)
+    [jitter = 8]. *)
 
-val schedule :
-  ?base:int -> ?factor:int -> ?max_delay:int -> ?jitter:int -> int -> int list
+val schedule : ?base:int -> ?jitter:int -> int -> int list
 (** The first [n] delays, [backoff 1 .. backoff n]. Pure. *)
 
 val retry :
   ?attempts:int ->
   ?base:int ->
-  ?factor:int ->
-  ?max_delay:int ->
   ?jitter:int ->
   ?retry_on:(exn -> bool) ->
   'a Io.t ->

@@ -124,7 +124,8 @@ let decorator_tests =
               let a = Ev.Chaos.wrap_conn ctl a in
               Ev.Chaos.disarm ctl >>= fun () ->
               a.Ev.Backend.c_send "quiet" >>= fun () ->
-              return (Ev.Chaos.site_counts ctl, Ev.Chaos.injected_count ctl)
+              return
+                (Ev.Chaos.site_counts ctl, List.length (Ev.Chaos.injected ctl))
             )
         in
         Alcotest.(check bool)
@@ -220,7 +221,7 @@ let mid_response_reset_tests =
                   (match r with
                   | Some resp -> resp.Hserver.Http.status = 200
                   | None -> false),
-                  Ev.Chaos.injected_count ctl ) )
+                  List.length (Ev.Chaos.injected ctl) ) )
         in
         Alcotest.(check bool)
           "that connection degraded (transport fault or timeout)" true

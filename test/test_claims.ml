@@ -648,12 +648,12 @@ let alloc_tests =
               Alcotest.(check (array string))
                 (Printf.sprintf "round %d" round)
                 sequential
-                (Par.Pool.map pool ~chunk:1 State.canonical_key states);
+                (Par.Pool.map pool State.canonical_key states);
               Alcotest.(check bool)
                 (Printf.sprintf "round %d: fingerprints" round)
                 true
                 (Array.for_all2 State.Fingerprint.equal fingerprints
-                   (Par.Pool.map pool ~chunk:1 fingerprint states))
+                   (Par.Pool.map pool fingerprint states))
             done));
   ]
 

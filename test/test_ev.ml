@@ -437,6 +437,18 @@ let kick_scenario b =
   l.Ev.Backend.l_close () >>= fun () ->
   lift (fun () -> Buffer.contents got ^ tail)
 
+(* The sim pipe, bare and through a chaos decorator with an empty plan,
+   which must pass [c_try_recv] straight through. *)
+let try_recv_pipes =
+  [
+    ("bare", fun () -> Ev.Backend.sim_pipe ());
+    ( "chaos-wrapped",
+      fun () ->
+        Ev.Backend.sim_pipe () >>= fun (a, b) ->
+        let ctl = Ev.Chaos.create [] in
+        return (Ev.Chaos.wrap_conn ctl a, Ev.Chaos.wrap_conn ctl b) );
+  ]
+
 let chunk_tests =
   [
     case "sim: c_recv honours max and upto, drains, then EOF" (fun () ->
@@ -459,15 +471,21 @@ let chunk_tests =
           | Some ch -> drain c (acc ^ String.make 1 ch)
           | None -> return acc
         in
-        Alcotest.(check string) "drained" "abc"
-          (value
-             ( Ev.Backend.sim_pipe () >>= fun (a, b) ->
-               a.Ev.Backend.c_send "abc" >>= fun () -> drain b "" )));
+        List.iter
+          (fun (name, pipe) ->
+            Alcotest.(check string) name "abc"
+              (value
+                 ( pipe () >>= fun (a, b) ->
+                   a.Ev.Backend.c_send "abc" >>= fun () -> drain b "" )))
+          try_recv_pipes);
     case "sim pipe: c_try_recv on an empty pipe is None" (fun () ->
-        Alcotest.(check (option char)) "empty" None
-          (value
-             ( Ev.Backend.sim_pipe () >>= fun (_a, b) ->
-               b.Ev.Backend.c_try_recv () )));
+        List.iter
+          (fun (name, pipe) ->
+            Alcotest.(check (option char)) name None
+              (value
+                 ( pipe () >>= fun (_a, b) ->
+                   b.Ev.Backend.c_try_recv () )))
+          try_recv_pipes);
   ]
 
 (* What a listener operation ended in, for the close contract below. *)

@@ -125,18 +125,13 @@ let receive_tests =
         in
         Alcotest.(check bool) "receive enabled" true
           (List.mem Step.R_receive (rules_of st)));
-    case "(Receive) default mask is configurable" (fun () ->
+    case "(Receive) enabled with no mask frames" (fun () ->
         let st =
           mk ~inflight:[ inflight_to 0 "E" ]
             (parse "return 1 >>= \\x -> return x")
         in
         Alcotest.(check bool) "unmasked default: enabled" true
-          (List.mem Step.R_receive (rules_of st));
-        let literal =
-          { config with Step.default_mask = Ch_semantics.Context.Masked }
-        in
-        Alcotest.(check bool) "masked default: disabled" false
-          (List.mem Step.R_receive (rules_of ~config:literal st)));
+          (List.mem Step.R_receive (rules_of st)));
     case "(Receive) can abort a divergent computation" (fun () ->
         let st =
           mk ~inflight:[ inflight_to 0 "E" ]

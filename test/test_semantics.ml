@@ -52,8 +52,7 @@ let context_tests =
         let z = Context.decompose t in
         Alcotest.check term "redex" Get_char z.Context.redex;
         Alcotest.(check bool) "mask" true
-          (Context.mask_of ~default:Context.Masked z.Context.frames
-           = Context.Unmasked));
+          (Context.mask_of z.Context.frames = Context.Unmasked));
     case "recompose inverts decompose" (fun () ->
         let t = parse "block (catch (unblock (takeMVar %m0) >>= f) h)" in
         Alcotest.check term "roundtrip" t
@@ -61,18 +60,13 @@ let context_tests =
     case "mask defaults apply with no mask frames" (fun () ->
         let z = Context.decompose (parse "getChar >>= f") in
         Alcotest.(check bool) "unmasked default" true
-          (Context.mask_of ~default:Context.Unmasked z.Context.frames
-           = Context.Unmasked);
-        Alcotest.(check bool) "masked default" true
-          (Context.mask_of ~default:Context.Masked z.Context.frames
-           = Context.Masked));
+          (Context.mask_of z.Context.frames = Context.Unmasked));
     case "innermost mask frame wins" (fun () ->
         let z =
           Context.decompose (parse "unblock (block (takeMVar %m0 >>= f))")
         in
         Alcotest.(check bool) "masked" true
-          (Context.mask_of ~default:Context.Unmasked z.Context.frames
-           = Context.Masked));
+          (Context.mask_of z.Context.frames = Context.Masked));
     case "redex is never a block term" (fun () ->
         let z = Context.decompose (parse "block (block (return 1))") in
         Alcotest.check term "redex" (Return (Lit_int 1)) z.Context.redex);
