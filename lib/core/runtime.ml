@@ -184,12 +184,23 @@ let pp_wait_graph ppf blocked =
       Fmt.pf ppf "@.")
     blocked
 
+type stats = {
+  s_names : string array;  (* [unnamed] for [None] *)
+  s_steps : int array;
+  s_blocked : int array;
+  s_delivered : int array;
+}
+
 type state = {
   config : Config.t;
   rng : Random.State.t option;
   mutable now : int;
   mutable runq : thread Runq.t;  (* FIFO ring deque: head runs next *)
-  mutable threads : thread array;  (* thread [i] at index [i], i < next_tid *)
+  mutable threads : thread array;  (* the live threads: see [add_thread] *)
+  mutable live_threads : int;
+  (* thread statistics for [finish]: see [keep_stats] *)
+  mutable stats : stats array;
+  mutable max_depth : int;  (* the deepest frame stack among them *)
   wheel : timer_kind Timer_wheel.t;  (* all sleep/alarm deadlines *)
   fd_readers : (int, fd_waiter Queue.t) Hashtbl.t;
   fd_writers : (int, fd_waiter Queue.t) Hashtbl.t;
@@ -339,30 +350,146 @@ let post_now st target entry =
   | T_run _ when target.t_dom <> st.cur_dom -> st.poke target.t_dom
   | T_run _ | T_blocked _ | T_dead _ -> ()
 
-(* Register a thread just created with tid [st.next_tid]. Tids are dense
-   and allocated under the shared-state lock, so the thread table is a
-   growable array indexed by tid. Finished threads stay in it: the
-   end-of-run statistics report them. The table doubles by appending
-   itself: the copied half only holds placeholders until its slots are
-   written, and unlike a large [Array.make] with a young filler it
-   forces no minor collection. *)
-let add_thread st t =
-  let n = st.next_tid in
-  if n = Array.length st.threads then
-    st.threads <-
-      (if n = 0 then Array.make 16 t else Array.append st.threads st.threads);
-  st.threads.(n) <- t;
-  st.next_tid <- n + 1
+(* --- the thread table ----------------------------------------------------- *)
+
+(* A fresh thread, before its first step. *)
+let new_thread ~id ~name ~mask ~dom state =
+  {
+    t_id = id;
+    t_name = name;
+    t_mask = mask;
+    t_pending = [];
+    t_state = state;
+    t_frame_depth = 1;
+    t_max_frame_depth = 1;
+    t_steps = 0;
+    t_blocked_count = 0;
+    t_delivered = 0;
+    t_dom = dom;
+    t_tseq = 0;
+  }
+
+(* The empty slot of the thread table. It never runs, and nothing writes
+   to it. *)
+let vacant =
+  new_thread ~id:(-1) ~name:None ~mask:Mask_none ~dom:0 (T_dead None)
+
+(* The slot holding thread [tid], or the vacant slot where it would go:
+   linear probing from slot [tid land mask]. *)
+let rec find_slot a mask tid i =
+  let t = a.(i) in
+  if t == vacant || t.t_id = tid then i
+  else find_slot a mask tid ((i + 1) land mask)
+
+let slot_of st tid =
+  let a = st.threads in
+  let mask = Array.length a - 1 in
+  find_slot a mask tid (tid land mask)
+
+(* The live thread [tid], or [vacant]. *)
+let lookup st tid = if tid < 0 then vacant else st.threads.(slot_of st tid)
 
 let find_thread st tid =
-  if tid >= 0 && tid < st.next_tid then Some st.threads.(tid) else None
+  let t = lookup st tid in
+  if t == vacant then None else Some t
 
-(* Fold [f] over every thread in descending tid order, so consing builds
-   an ascending list. *)
+(* Register a thread just created with tid [st.next_tid]. The thread
+   table holds only the threads that can still run: an open-addressed
+   table keyed by tid, which doubles when half full, so its size follows
+   the peak number of live threads, not the forks. Tids are dense and
+   allocated under the shared-state lock, so consecutive tids take
+   consecutive slots and a probe rarely moves. *)
+let add_thread st t =
+  let old = st.threads in
+  if 2 * (st.live_threads + 1) > Array.length old then begin
+    st.threads <- Array.make (2 * Array.length old) vacant;
+    Array.iter
+      (fun u -> if u != vacant then st.threads.(slot_of st u.t_id) <- u)
+      old
+  end;
+  st.threads.(slot_of st t.t_id) <- t;
+  st.live_threads <- st.live_threads + 1;
+  st.next_tid <- st.next_tid + 1
+
+(* Empty [tid]'s slot, shifting later entries of its probe run back so
+   that every live thread stays reachable from its home slot. *)
+let remove_thread st tid =
+  let a = st.threads in
+  let mask = Array.length a - 1 in
+  let hole = ref (slot_of st tid) in
+  let j = ref ((!hole + 1) land mask) in
+  while a.(!j) != vacant do
+    let home = a.(!j).t_id land mask in
+    if (!j - home) land mask >= (!j - !hole) land mask then begin
+      a.(!hole) <- a.(!j);
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done;
+  a.(!hole) <- vacant;
+  st.live_threads <- st.live_threads - 1
+
+(* Thread statistics by tid, in chunks of [stat_chunk] tids: per tid its
+   name and three ints, and no block of its own. A thread's statistics go
+   in when it dies, and the threads still live at the end go in at
+   [finish]. *)
+let stat_chunk = 32
+
+(* A name is kept without its option box, which a fork may allocate
+   afresh (a supervisor names each child from its spec): [unnamed], a
+   string no thread can be given, stands for [None]. *)
+let unnamed = String.make 1 '?'
+
+let no_stats =
+  { s_names = [||]; s_steps = [||]; s_blocked = [||]; s_delivered = [||] }
+
+let keep_stats st t =
+  let k = t.t_id / stat_chunk and i = t.t_id mod stat_chunk in
+  if k >= Array.length st.stats then begin
+    let d = Array.make (max (k + 1) (2 * Array.length st.stats)) no_stats in
+    Array.blit st.stats 0 d 0 (Array.length st.stats);
+    st.stats <- d
+  end;
+  if st.stats.(k) == no_stats then
+    st.stats.(k) <-
+      {
+        s_names = Array.make stat_chunk unnamed;
+        s_steps = Array.make stat_chunk 0;
+        s_blocked = Array.make stat_chunk 0;
+        s_delivered = Array.make stat_chunk 0;
+      };
+  let c = st.stats.(k) in
+  c.s_names.(i) <- Option.value t.t_name ~default:unnamed;
+  c.s_steps.(i) <- t.t_steps;
+  c.s_blocked.(i) <- t.t_blocked_count;
+  c.s_delivered.(i) <- t.t_delivered;
+  st.max_depth <- Int.max st.max_depth t.t_max_frame_depth
+
+let thread_stat st tid =
+  let c = st.stats.(tid / stat_chunk) and i = tid mod stat_chunk in
+  {
+    ts_id = tid;
+    ts_name = (if c.s_names.(i) == unnamed then None else Some c.s_names.(i));
+    ts_steps = c.s_steps.(i);
+    ts_blocked = c.s_blocked.(i);
+    ts_delivered = c.s_delivered.(i);
+  }
+
+(* Thread [t] has just died (rules (Return GC) and (Throw GC) drop it):
+   it leaves the table, and only its statistics stay. Both deaths are
+   [F_stop] steps, so on the multi-domain engine this runs under the
+   shared-state lock. *)
+let retire st t =
+  remove_thread st t.t_id;
+  keep_stats st t
+
+(* Fold [f] over every live thread in descending tid order, so consing
+   builds an ascending list. *)
 let fold_threads st f acc =
   let acc = ref acc in
-  for i = st.next_tid - 1 downto 0 do
-    acc := f st.threads.(i) !acc
+  for tid = st.next_tid - 1 downto 0 do
+    let t = lookup st tid in
+    if t != vacant then acc := f t !acc
   done;
   !acc
 
@@ -430,20 +557,10 @@ let exec_prim : type a. state -> thread -> a prim -> a frames -> unit =
   match prim with
   | Fork (name, body) ->
       let child =
-        {
-          t_id = st.next_tid;
-          t_name = name;
-          t_mask = (if st.config.fork_inherits_mask then t.t_mask else Mask_none);
-          t_pending = [];
-          t_state = T_run (body, F_stop (fun _ -> ()));
-          t_frame_depth = 1;
-          t_max_frame_depth = 1;
-          t_steps = 0;
-          t_blocked_count = 0;
-          t_delivered = 0;
-          t_dom = st.cur_dom;
-          t_tseq = 0;
-        }
+        new_thread ~id:st.next_tid ~name
+          ~mask:(if st.config.fork_inherits_mask then t.t_mask else Mask_none)
+          ~dom:st.cur_dom
+          (T_run (body, F_stop (fun _ -> ())))
       in
       add_thread st child;
       st.forks <- st.forks + 1;
@@ -649,6 +766,7 @@ let unwind : type a. state -> thread -> async:bool -> exn -> a frames -> unit =
   match frames with
   | F_stop sink ->
       t.t_state <- T_dead (Some e);
+      retire st t;
       if tracing st then emit st (Ev_exit { tid = t.t_id; uncaught = Some e });
       sink (Error e)
   | F_bind (_, rest) ->
@@ -678,6 +796,7 @@ let exec_step : type a. state -> thread -> a io -> a frames -> unit =
       match frames with
       | F_stop sink ->
           t.t_state <- T_dead None;
+          retire st t;
           if tracing st then
             emit st (Ev_exit { tid = t.t_id; uncaught = None });
           sink (Ok v)
@@ -857,7 +976,10 @@ let make_state config =
         | Config.Random seed -> Some (Random.State.make [| seed |]));
       now = start_now;
       runq = Runq.create ();
-      threads = [||];
+      threads = Array.make 16 vacant;
+      live_threads = 0;
+      stats = [||];
+      max_depth = 0;
       wheel = Timer_wheel.create ~start:start_now ();
       fd_readers = Hashtbl.create 16;
       fd_writers = Hashtbl.create 16;
@@ -890,26 +1012,13 @@ let make_state config =
 
 let make_main st main_io result =
   let main_thread =
-    {
-      t_id = 0;
-      t_name = Some "main";
-      t_mask = Mask_none;
-      t_pending = [];
-      t_state =
-        T_run
-          ( main_io,
-            F_stop
-              (fun r ->
-                result := Some r;
-                st.finished <- true) );
-      t_frame_depth = 1;
-      t_max_frame_depth = 1;
-      t_steps = 0;
-      t_blocked_count = 0;
-      t_delivered = 0;
-      t_dom = 0;
-      t_tseq = 0;
-    }
+    new_thread ~id:0 ~name:(Some "main") ~mask:Mask_none ~dom:0
+      (T_run
+         ( main_io,
+           F_stop
+             (fun r ->
+               result := Some r;
+               st.finished <- true) ))
   in
   add_thread st main_thread;
   main_thread
@@ -964,26 +1073,15 @@ let main_loop st config result =
 
 let finish st ~outcome ?(domain_stats = []) ?replay_log
     ?(replay_diverged = false) () =
+  fold_threads st (fun t () -> keep_stats st t) ();
   {
     outcome;
     output = Buffer.contents st.output;
     steps = st.steps;
     time = st.now;
     forks = st.forks;
-    max_frame_depth =
-      fold_threads st (fun t acc -> max acc t.t_max_frame_depth) 0;
-    thread_stats =
-      fold_threads st
-        (fun t acc ->
-          {
-            ts_id = t.t_id;
-            ts_name = t.t_name;
-            ts_steps = t.t_steps;
-            ts_blocked = t.t_blocked_count;
-            ts_delivered = t.t_delivered;
-          }
-          :: acc)
-        [];
+    max_frame_depth = st.max_depth;
+    thread_stats = List.init st.next_tid (thread_stat st);
     blocked_at_exit =
       (* the watchdog's wait graph: threads still blocked when the
          scheduler stopped, in ascending thread id. Under the [Deadlock]

@@ -22,26 +22,36 @@
    next-deadline scan a bounded slot walk instead of a heap or a list
    scan.
 
-   Cancellation is lazy: [cancel] flips a flag and decrements the live
-   count; the carcass is dropped the next time its slot is drained. Firing
-   order inside one deadline cohort is descending insertion sequence,
-   which reproduces the seed runtime's reverse-insertion wake order for
-   same-deadline timers (the old list consed newest-first), keeping the
-   golden traces byte-identical. *)
+   Each slot is an intrusive doubly linked list of its entries, and an
+   entry records the slot it is filed in, so [cancel] unlinks it at once:
+   the wheel holds only live entries, and a cancelled one (with the
+   payload it carries) is garbage as soon as its owner drops the handle.
+   Firing order inside one deadline cohort is descending insertion
+   sequence, which reproduces the seed runtime's reverse-insertion wake
+   order for same-deadline timers (the old list consed newest-first),
+   keeping the golden traces byte-identical. *)
 
-type 'a entry = {
-  e_deadline : int;
-  e_seq : int;
-  e_payload : 'a;
-  mutable e_cancelled : bool;
-}
+(* [Nil] ends a slot list; [add] only ever returns an [Entry]. The links
+   live in the constructor's inline record, so filing and unlinking
+   allocate nothing. *)
+type 'a entry =
+  | Nil
+  | Entry of {
+      e_deadline : int;
+      e_seq : int;
+      e_payload : 'a;
+      mutable e_slot : int;  (* its slot's id while filed, else -1 *)
+      mutable e_prev : 'a entry;
+      mutable e_next : 'a entry;
+    }
 
 type 'a t = {
   mutable cur : int;  (* current tick: all live deadlines are >= cur *)
   mutable seq : int;  (* insertion counter, for cohort ordering *)
-  mutable live : int;  (* entries added minus cancelled minus fired *)
-  levels : 'a entry list array array;  (* levels.(i).(slot), unordered *)
-  mutable overflow : 'a entry list;  (* deadlines beyond the level-3 horizon *)
+  mutable live : int;  (* entries filed in the slots *)
+  levels : 'a entry array array;
+      (* levels.(i).(slot): each list's head; [||] until level [i] is used *)
+  mutable overflow : 'a entry;  (* deadlines beyond the level-3 horizon *)
 }
 
 let bits = 8
@@ -49,133 +59,149 @@ let slots = 1 lsl bits (* 256 *)
 let levels = 4
 let horizon = 1 lsl (bits * levels) (* 2^32 ticks *)
 
+(* A wheel is made per run, so each level is its own 256-word array,
+   made when the level is first used: small enough for the minor heap,
+   and not made at all by a run that never needs it. *)
 let create ?(start = 0) () =
   {
     cur = start;
     seq = 0;
     live = 0;
-    levels = Array.init levels (fun _ -> Array.make slots []);
-    overflow = [];
+    levels = Array.make levels [||];
+    overflow = Nil;
   }
 
 let live t = t.live
 
 let index ~level d = (d lsr (bits * level)) land (slots - 1)
 
+(* A slot's id, as an entry records it: [lvl * slots + s] for slot [s]
+   of level [lvl], and [overflow_id] for the overflow list. *)
+let overflow_id = levels * slots
+
+let head t id =
+  if id = overflow_id then t.overflow
+  else
+    let level = t.levels.(id lsr bits) in
+    if Array.length level = 0 then Nil else level.(id land (slots - 1))
+
+let set_head t id entry =
+  if id = overflow_id then t.overflow <- entry
+  else begin
+    let lvl = id lsr bits in
+    if Array.length t.levels.(lvl) = 0 then
+      t.levels.(lvl) <- Array.make slots Nil;
+    t.levels.(lvl).(id land (slots - 1)) <- entry
+  end
+
 (* The level whose current epoch contains [d]: the lowest [i] such that
    [d] and [cur] agree on all bits above the level's 8-bit slot index.
    Returns [levels] for the overflow list. *)
-let level_for t d =
-  let rec go i =
-    if i >= levels then levels
-    else if d lsr (bits * (i + 1)) = t.cur lsr (bits * (i + 1)) then i
-    else go (i + 1)
-  in
-  if d - t.cur >= horizon then levels else go 0
+let rec level_from t d i =
+  if i >= levels then levels
+  else if d lsr (bits * (i + 1)) = t.cur lsr (bits * (i + 1)) then i
+  else level_from t d (i + 1)
 
+let level_for t d = if d - t.cur >= horizon then levels else level_from t d 0
+
+(* Push [entry] onto the front of the slot its deadline belongs in. *)
 let file t entry =
-  let lvl = level_for t entry.e_deadline in
-  if lvl >= levels then t.overflow <- entry :: t.overflow
-  else begin
-    let slot = index ~level:lvl entry.e_deadline in
-    t.levels.(lvl).(slot) <- entry :: t.levels.(lvl).(slot)
-  end
+  match entry with
+  | Nil -> ()
+  | Entry e ->
+      let lvl = level_for t e.e_deadline in
+      let i =
+        if lvl >= levels then overflow_id
+        else (lvl * slots) + index ~level:lvl e.e_deadline
+      in
+      let first = head t i in
+      (match first with Entry h -> h.e_prev <- entry | Nil -> ());
+      e.e_slot <- i;
+      e.e_prev <- Nil;
+      e.e_next <- first;
+      set_head t i entry
 
 let add t ~deadline payload =
   (* Deadlines in the past (clock overflow, defensive callers) fire at the
      current instant, like the seed runtime's list scan did. *)
   let deadline = if deadline < t.cur then t.cur else deadline in
   let entry =
-    { e_deadline = deadline; e_seq = t.seq; e_payload = payload;
-      e_cancelled = false }
+    Entry
+      { e_deadline = deadline; e_seq = t.seq; e_payload = payload;
+        e_slot = -1; e_prev = Nil; e_next = Nil }
   in
   t.seq <- t.seq + 1;
   t.live <- t.live + 1;
   file t entry;
   entry
 
+(* Take a filed entry out of its slot list; it keeps no link, so a held
+   handle retains nothing of the wheel. *)
+let unlink t = function
+  | Nil -> ()
+  | Entry e ->
+      (match e.e_prev with
+      | Entry p -> p.e_next <- e.e_next
+      | Nil -> set_head t e.e_slot e.e_next);
+      (match e.e_next with Entry n -> n.e_prev <- e.e_prev | Nil -> ());
+      e.e_slot <- -1;
+      e.e_prev <- Nil;
+      e.e_next <- Nil;
+      t.live <- t.live - 1
+
 let cancel t entry =
-  if not entry.e_cancelled then begin
-    entry.e_cancelled <- true;
-    t.live <- t.live - 1
-  end
+  match entry with
+  | Entry e when e.e_slot >= 0 -> unlink t entry
+  | Entry _ | Nil -> ()
 
-let cancelled entry = entry.e_cancelled
+let rec min_deadline acc = function
+  | Nil -> acc
+  | Entry e -> min_deadline (Int.min acc e.e_deadline) e.e_next
 
-(* Purge a slot's cancelled carcasses, returning the survivors. *)
-let compact es = List.filter (fun e -> not e.e_cancelled) es
+(* Exact earliest deadline, from slot [s] of level [lvl] on. Level 0's
+   remaining window holds at most one deadline per slot, so the first
+   occupied slot is the answer; at higher levels the first occupied slot
+   bounds the answer and its content scan resolves the low bits. Falls
+   through to the overflow list (reached only when all wheels are empty
+   — the far-future case). The walks here and below are top-level
+   functions, not closures, so a query allocates only its result. *)
+let rec scan t lvl s =
+  if lvl >= levels then Some (min_deadline max_int t.overflow)
+  else if s >= slots || Array.length t.levels.(lvl) = 0 then
+    scan t (lvl + 1) (index ~level:(lvl + 1) t.cur)
+  else
+    match t.levels.(lvl).(s) with
+    | Nil -> scan t lvl (s + 1)
+    | first -> Some (min_deadline max_int first)
 
-(* Minimum live deadline within one slot, compacting as we look. *)
-let slot_min t lvl slot =
-  let es = compact t.levels.(lvl).(slot) in
-  t.levels.(lvl).(slot) <- es;
-  List.fold_left (fun acc e -> min acc e.e_deadline) max_int es
-
-(* Exact earliest live deadline. Level 0's remaining window holds at most
-   one deadline per slot, so the first occupied slot is the answer; at
-   higher levels the first occupied slot bounds the answer and its content
-   scan resolves the low bits. Falls through to the overflow list (scanned
-   only when all wheels are empty — the far-future case). *)
 let next_deadline t =
-  let rec scan_level lvl =
-    if lvl >= levels then
-      match compact t.overflow with
-      | [] ->
-          t.overflow <- [];
-          None
-      | es ->
-          t.overflow <- es;
-          Some (List.fold_left (fun acc e -> min acc e.e_deadline) max_int es)
-    else begin
-      let first = index ~level:lvl t.cur in
-      let best = ref max_int in
-      let slot = ref first in
-      while !best = max_int && !slot < slots do
-        (match t.levels.(lvl).(!slot) with
-        | [] -> ()
-        | _ ->
-            let m = slot_min t lvl !slot in
-            if m < !best then best := m);
-        incr slot
-      done;
-      if !best < max_int then Some !best else scan_level (lvl + 1)
-    end
-  in
-  if t.live = 0 then None else scan_level 0
+  if t.live = 0 then None else scan t 0 (index ~level:0 t.cur)
+
+(* File each entry of a detached slot list afresh. *)
+let rec refile t = function
+  | Nil -> ()
+  | Entry e as entry ->
+      let next = e.e_next in
+      file t entry;
+      refile t next
+
+(* Empty slot [id] and file its entries afresh. *)
+let refile_slot t id =
+  match head t id with
+  | Nil -> ()
+  | first ->
+      set_head t id Nil;
+      refile t first
 
 (* Re-file the slots that became "current" after [cur] moved: each level's
    now-current slot may hold entries that belong at a lower level under
    the new epoch. Top-down so a level-3 entry can cascade through level 2
-   and 1 in one pass. The overflow list is re-filed when entries come
-   inside the horizon. *)
+   and 1 in one pass. The overflow list is re-filed too, which moves the
+   entries that came inside the horizon. *)
 let cascade t =
-  (match
-     List.partition (fun e -> e.e_deadline - t.cur < horizon) t.overflow
-   with
-  | [], _ -> ()
-  | near, far ->
-      t.overflow <- far;
-      (* cancelled carcasses are simply dropped; [cancel] already
-         adjusted the live count *)
-      List.iter (fun e -> if not e.e_cancelled then file t e) near);
+  refile_slot t overflow_id;
   for lvl = levels - 1 downto 1 do
-    let slot = index ~level:lvl t.cur in
-    match t.levels.(lvl).(slot) with
-    | [] -> ()
-    | es ->
-        t.levels.(lvl).(slot) <- [];
-        List.iter
-          (fun e ->
-            if not e.e_cancelled then
-              let lvl' = level_for t e.e_deadline in
-              if lvl' < lvl then begin
-                let s = index ~level:lvl' e.e_deadline in
-                t.levels.(lvl').(s) <- e :: t.levels.(lvl').(s)
-              end
-              else
-                (* still belongs here under the new epoch *)
-                t.levels.(lvl).(slot) <- e :: t.levels.(lvl).(slot))
-          es
+    refile_slot t ((lvl * slots) + index ~level:lvl t.cur)
   done
 
 let set_cur t c =
@@ -184,37 +210,36 @@ let set_cur t c =
     cascade t
   end
 
+let seq = function Entry e -> e.e_seq | Nil -> -1
+
+(* Unlink a fired slot list, consing its entries onto [due]. *)
+let rec take t due = function
+  | Nil -> due
+  | Entry e as entry ->
+      let next = e.e_next in
+      unlink t entry;
+      take t (entry :: due) next
+
+let payload_onto acc = function
+  | Entry e -> e.e_payload :: acc
+  | Nil -> acc
+
 (* Fire everything due at or before [now], advancing [cur] deadline by
    deadline so the cascading invariant holds at each firing instant.
    Within one instant the cohort fires in descending insertion order (see
-   the module header); across instants, ascending deadline. *)
-let advance t ~now =
-  let groups = ref [] in
-  let rec loop () =
-    match next_deadline t with
-    | Some d when d <= now ->
-        set_cur t d;
-        let slot = index ~level:0 d in
-        let due, rest =
-          List.partition (fun e -> e.e_deadline = d) t.levels.(0).(slot)
-        in
-        t.levels.(0).(slot) <- rest;
-        let due = compact due in
-        t.live <- t.live - List.length due;
-        (* a fired entry is spent: a later [cancel] must not count it
-           again, or [live] undercounts and a pending timer is lost *)
-        List.iter (fun e -> e.e_cancelled <- true) due;
-        let due = List.sort (fun a b -> compare b.e_seq a.e_seq) due in
-        groups := due :: !groups;
-        loop ()
-    | Some _ | None -> set_cur t now
-  in
-  loop ();
-  List.concat_map (List.map (fun e -> e.e_payload)) (List.rev !groups)
-
-(* Jump straight to the next live instant and fire its cohort — the
-   simulated clock's idle step. Returns the instant and its payloads. *)
-let advance_to_next t =
+   the module header); across instants, ascending deadline. [fired] holds
+   the payloads in reverse. *)
+let rec advance_from t now fired =
   match next_deadline t with
-  | None -> None
-  | Some d -> Some (d, advance t ~now:d)
+  | Some d when d <= now ->
+      set_cur t d;
+      (* after the cascade, level 0's slot for [d] holds exactly the
+         entries due at [d] *)
+      let due = take t [] (head t (index ~level:0 d)) in
+      let due = List.sort (fun a b -> Int.compare (seq b) (seq a)) due in
+      advance_from t now (List.fold_left payload_onto fired due)
+  | Some _ | None ->
+      set_cur t now;
+      List.rev fired
+
+let advance t ~now = advance_from t now []

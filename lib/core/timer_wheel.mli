@@ -11,9 +11,10 @@
       or an O(n) scan over live timers.
 
     Four levels of 256 slots each (1 tick = 1 µs, horizon 2^32 ticks,
-    beyond that an overflow list). Cancellation is lazy — a flag flip and
-    a live-count decrement; carcasses are dropped when their slot is next
-    drained.
+    beyond that an overflow list). Each slot is a doubly linked list, so
+    {!cancel} unlinks its entry at once: the wheel holds only live
+    entries, and memory stays flat however many timers are armed and
+    cancelled without ever firing.
 
     Determinism: entries firing at the same instant are returned in
     {e descending insertion order}, which is the seed runtime's wake
@@ -35,27 +36,20 @@ val add : 'a t -> deadline:int -> 'a -> 'a entry
     past fires at the current instant. O(1). *)
 
 val cancel : 'a t -> 'a entry -> unit
-(** Withdraw an entry. Idempotent, and a no-op once the entry has fired;
-    O(1) (lazy removal). *)
-
-val cancelled : 'a entry -> bool
+(** Withdraw an entry: it leaves its slot at once, in O(1) and without
+    allocating. Idempotent, and a no-op once the entry has fired. *)
 
 val live : 'a t -> int
 (** Armed-and-not-cancelled entries — the "is any timer pending" the
     deadlock watchdog asks. *)
 
 val next_deadline : 'a t -> int option
-(** The exact earliest live deadline, or [None] when no timer is
-    pending. Bounded slot walk (≤ 256 probes per level) plus a content
-    scan of the first occupied slot — never a scan over all entries
-    except in the far-future overflow case. *)
+(** The exact earliest deadline, or [None] when no timer is pending.
+    Bounded slot walk (≤ 256 probes per level) plus a content scan of
+    the first occupied slot — never a scan over all entries except in
+    the far-future overflow case. *)
 
 val advance : 'a t -> now:int -> 'a list
 (** Move the wheel's clock to [now] and return every payload whose
     deadline is ≤ [now]: ascending deadline, and within one deadline
     descending insertion order (see the determinism note above). *)
-
-val advance_to_next : 'a t -> (int * 'a list) option
-(** Jump to the earliest live instant and fire its cohort:
-    [Some (instant, payloads)], or [None] if no timer is pending — the
-    simulated clock's idle step. *)

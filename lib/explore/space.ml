@@ -57,7 +57,7 @@ let classify config (st : State.t) =
     | None ->
         if List.mem Step.Diverging stalls then Divergent else Deadlock
 
-let stranded ?(config = Step.default_config) (st : State.t) =
+let stranded (st : State.t) =
   (match State.main_result st with
   | Some (State.Done _) -> true
   | Some (State.Threw _) | None -> false)
@@ -66,7 +66,7 @@ let stranded ?(config = Step.default_config) (st : State.t) =
          match th with State.Active _ -> true | State.Finished _ -> false)
        st.State.threads
   &&
-  match Step.enumerate ~config st with
+  match Step.enumerate st with
   | [ { Step.rule = Step.R_proc_gc; _ } ] -> true
   | _ -> false
 

@@ -108,13 +108,14 @@ val witness :
     @raise Invalid_argument if [path] picks a transition [init]'s
     states do not have. *)
 
-val stranded : ?config:Step.config -> State.t -> bool
+val stranded : State.t -> bool
 (** Main has returned, other threads are still active, and the program's
     only move is (Proc GC), which reaps them: they wait on something no
     thread will provide. As [explore]'s [watch] under a kill budget, it
     finds the workers a kill strands while main completes; compare with
     [kills = 0], since a program can also leave a thread waiting by
-    design (a lock main takes and keeps). *)
+    design (a lock main takes and keeps). The rules are those of
+    {!Step.default_config}. *)
 
 val terminal_kinds : result -> terminal_kind list
 (** The distinct terminal kinds, deduplicated, for concise assertions. *)

@@ -77,7 +77,6 @@ let wheel_tests =
         Tw.cancel w e1;
         Tw.cancel w e1;
         Alcotest.check int_v "live 1" 1 (Tw.live w);
-        Alcotest.(check bool) "flagged" true (Tw.cancelled e1);
         Alcotest.check ints "only survivor" [ 2 ] (Tw.advance w ~now:10);
         Alcotest.check int_v "live 0" 0 (Tw.live w));
     case "cancel after firing is a no-op: a later timer stays visible"
@@ -89,22 +88,47 @@ let wheel_tests =
         Alcotest.check int_v "live 0" 0 (Tw.live w);
         ignore (Tw.add w ~deadline:20 2);
         Alcotest.(check (option int)) "next" (Some 20) (Tw.next_deadline w));
-    case "advance_to_next jumps exactly to the earliest instant" (fun () ->
+    case "next_deadline then advance fires exactly the earliest cohort"
+      (fun () ->
         let w = Tw.create () in
         ignore (Tw.add w ~deadline:400 1);
         ignore (Tw.add w ~deadline:400 2);
         ignore (Tw.add w ~deadline:900 3);
-        (match Tw.advance_to_next w with
-        | Some (t, fired) ->
-            Alcotest.check int_v "instant" 400 t;
-            Alcotest.check ints "cohort" [ 2; 1 ] fired
-        | None -> Alcotest.fail "expected a cohort");
-        (match Tw.advance_to_next w with
-        | Some (t, fired) ->
-            Alcotest.check int_v "instant" 900 t;
-            Alcotest.check ints "cohort" [ 3 ] fired
-        | None -> Alcotest.fail "expected a cohort");
+        Alcotest.(check (option int)) "first" (Some 400) (Tw.next_deadline w);
+        Alcotest.check ints "cohort" [ 2; 1 ] (Tw.advance w ~now:400);
+        Alcotest.check int_v "live 1" 1 (Tw.live w);
+        Alcotest.(check (option int)) "second" (Some 900) (Tw.next_deadline w);
+        Alcotest.check ints "cohort" [ 3 ] (Tw.advance w ~now:900);
         Alcotest.(check (option int)) "empty" None (Tw.next_deadline w));
+    case "cancelling the earliest entry moves next_deadline on" (fun () ->
+        let w = Tw.create () in
+        let e1 = Tw.add w ~deadline:5 1 in
+        let e2 = Tw.add w ~deadline:300 2 in
+        ignore (Tw.add w ~deadline:70_000 3);
+        Tw.cancel w e1;
+        Alcotest.(check (option int)) "level 1" (Some 300) (Tw.next_deadline w);
+        Tw.cancel w e2;
+        Alcotest.(check (option int))
+          "level 2" (Some 70_000) (Tw.next_deadline w);
+        Alcotest.check ints "survivor" [ 3 ] (Tw.advance w ~now:100_000));
+    case "10k add+cancel pairs leave the wheel at its empty size" (fun () ->
+        let w = Tw.create () in
+        (* spread over every level and the overflow list *)
+        let pair i =
+          Tw.cancel w (Tw.add w ~deadline:((i * 7919) lsl (i mod 5 * 8)) i)
+        in
+        (* a level's slot array is made on its first use: make them all *)
+        for i = 1 to 5 do
+          pair i
+        done;
+        let empty = Obj.reachable_words (Obj.repr w) in
+        for i = 1 to 10_000 do
+          pair i
+        done;
+        Alcotest.check int_v "live 0" 0 (Tw.live w);
+        Alcotest.(check (option int)) "none pending" None (Tw.next_deadline w);
+        Alcotest.check int_v "reachable words" empty
+          (Obj.reachable_words (Obj.repr w)));
     slow_case "100k timers: all fire, in model order" (fun () ->
         let n = 100_000 in
         let w = Tw.create () in

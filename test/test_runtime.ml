@@ -329,6 +329,56 @@ let alloc_tests =
       ("MVar ping-pong", 9., ping_pong loop_iterations);
     ]
 
+(* Live words a run keeps per finished thread and per cancelled timer: a
+   final [lift] reads the live words after a full major collection, and
+   the growth from 1k to 9k iterations is divided by the 8k extra
+   iterations. A finished thread leaves only its statistics behind (a
+   name and three counts), and a cancelled timer leaves nothing. *)
+let live_words_after n body =
+  let words = ref 0 in
+  let prog =
+    Combinators.repeat n body >>= fun () ->
+    lift (fun () ->
+        Gc.full_major ();
+        words := (Gc.stat ()).Gc.live_words)
+  in
+  (match (Runtime.run ~config:(rr_config ()) prog).Runtime.outcome with
+  | Runtime.Value () -> ()
+  | _ -> Alcotest.fail "loop did not finish");
+  !words
+
+let words_per_iteration body =
+  let small = live_words_after 1_000 body in
+  let large = live_words_after 9_000 body in
+  float_of_int (large - small) /. 8_000.
+
+let retention_tests =
+  List.map
+    (fun (name, bound, body) ->
+      case (Printf.sprintf "%s: <= %.1f live words per iteration" name bound)
+        (fun () ->
+          let w = words_per_iteration body in
+          if w > bound then
+            Alcotest.failf "%s: %.2f live words per iteration, bound %.1f"
+              name w bound))
+    [
+      ( "fork and join a short child",
+        5.,
+        Mvar.new_empty >>= fun m ->
+        fork (Mvar.put m ()) >>= fun _ -> Mvar.take m );
+      (* a name passed on, as a supervisor names each child from its
+         spec, costs a fresh option box per fork *)
+      ( "fork and join a short child named by a variable",
+        5.,
+        let name = String.make 6 'w' in
+        Mvar.new_empty >>= fun m ->
+        fork ~name (Mvar.put m ()) >>= fun _ -> Mvar.take m );
+      (* one finished child and one cancelled deadline per iteration *)
+      ( "timeout returning in time",
+        5.,
+        Combinators.timeout 1_000 (return ()) >>= fun _ -> return () );
+    ]
+
 let suites =
   [
     ("runtime:monad", monad_tests);
@@ -337,5 +387,5 @@ let suites =
     ("runtime:mvar", mvar_tests);
     ("runtime:time", time_tests);
     ("runtime:io", io_tests);
-    ("runtime:alloc", alloc_tests);
+    ("runtime:alloc", alloc_tests @ retention_tests);
   ]
